@@ -54,7 +54,6 @@ from .ordinals import (
     order_type,
     same_order_type,
     simulation,
-    simulation_by_order_type,
     sup,
     sup_classes,
     validate_ord,
@@ -103,6 +102,7 @@ from .oracle import (
     equal_by_permutation,
     gen_random_mewo,
     gen_random_set,
+    simulation_by_predecessors,
 )
 from .parser import parse, parse_program, format_expr
 from .session import Session, canon, render, set_to_dot

@@ -24,24 +24,34 @@ from .universe import SetHandle, SetUniverse
 
 
 def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
-    """The set whose members are the images of all initial segments of alpha."""
-    members = [set_of_ordinal(down(alpha, a), u) for a in range(alpha.size)]
-    return u.mk_set(members)
+    """The set whose members are the images of all initial segments of alpha.
+
+    This is the recursion phi(alpha) = {phi(down(alpha, a)) | a in alpha},
+    memoised per segment. alpha has one segment per position, and the
+    segments of the segment at position k are those of alpha at positions
+    below k, so the images are made bottom-up in position order. Iterative:
+    the length of alpha is not bounded by the interpreter's recursion limit.
+    """
+    images: list[SetHandle] = []  # images[k]: the image of the segment at position k
+    for a in sorted(range(alpha.size), key=alpha.pos.__getitem__):
+        images.append(u.mk_set([images[p] for p in down(alpha, a).pos]))
+    return u.mk_set(images)
 
 
 def rank_ordinal(h: SetHandle) -> FinOrd:
-    """Rank of any set: the supremum over members of (member rank) + 1."""
+    """Rank of any set: the supremum over members of (member rank) + 1.
+
+    The recursion is evaluated bottom-up over the hereditary members, whose
+    handle order is a topological order of membership, keeping one
+    successor rank per set. Iterative, so the rank is not bounded by the
+    interpreter's recursion limit; every step is position arithmetic on
+    canonical ordinals, so the cost is one step per membership edge below h.
+    """
     u = h.universe
-    memo: dict[int, FinOrd] = {}
-
-    def go(x: SetHandle) -> FinOrd:
-        got = memo.get(x.id)
-        if got is None:
-            got = sup([ord_sum(go(m), chain(1)) for m in u.elements(x)])
-            memo[x.id] = got
-        return got
-
-    return go(h)
+    succ: dict[int, FinOrd] = {}  # set id -> its rank + 1
+    for x in u.hereditary_members(h):
+        succ[x.id] = ord_sum(sup([succ[m.id] for m in u.elements(x)]), chain(1))
+    return sup([succ[m.id] for m in u.elements(h)])
 
 
 @dataclass(frozen=True)

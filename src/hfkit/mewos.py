@@ -15,19 +15,13 @@ authoritative cross-check.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExtensionalityError, ValidationError, WellfoundednessError
-from .ordinals import FinOrd, _find_cycle
+from .ordinals import FinOrd, _find_cycle, _freeze
 from .universe import SetHandle, SetUniverse
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 class Mewo:
@@ -204,16 +198,11 @@ def _topo_order(X: Mewo) -> list[int]:
     return out
 
 
-# codes are deterministic per (universe, structure); caching keeps the
-# pairwise decision procedures from re-collapsing the same mewo
-_CODES_CACHE: "weakref.WeakKeyDictionary[SetUniverse, dict[Mewo, MewoCode]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def codes(X: Mewo, u: SetUniverse) -> MewoCode:
     """Mostowski codes: code(x) interns the set of its predecessors' codes."""
-    per_universe = _CODES_CACHE.setdefault(u, {})
+    # codes are deterministic per (universe, structure); the cache lives on
+    # the universe, whose handles it holds, so the two are freed together
+    per_universe = u._mewo_codes
     got = per_universe.get(X)
     if got is not None:
         return got
@@ -446,9 +435,13 @@ def mewo_from_json(doc: dict) -> Mewo:
     n = len(names)
     lt = np.zeros((n, n), dtype=bool)
     for i, j in doc["lt"]:
+        if i not in index or j not in index:
+            raise ValueError(f"edge {i}<{j} uses an undeclared element")
         lt[index[i], index[j]] = True
     marked = np.zeros(n, dtype=bool)
     for name in doc["marked"]:
+        if name not in index:
+            raise ValueError(f"marked element {name} is not declared")
         marked[index[name]] = True
     return validate_mewo(n, lt, marked)
 

@@ -1,8 +1,9 @@
 """Brute-force reference decisions and structure generators.
 
 Everything here is deliberately naive: simulations are found by trying
-every map, isomorphisms by trying every permutation, stages of the
-set hierarchy by taking powersets. None of it shares code with the
+every map or, for ordinals, by matching predecessor sets on the raw
+matrices, isomorphisms by trying every permutation, stages of the set
+hierarchy by taking powersets. None of it shares code with the
 optimized decision procedures it cross-checks.
 """
 
@@ -78,6 +79,26 @@ def enum_simulations(X, Y) -> list[tuple[int, ...]]:
         if ok:
             found.append(f)
     return found
+
+
+def simulation_by_predecessors(alpha: FinOrd, beta: FinOrd) -> tuple[int, ...] | None:
+    """The simulation alpha -> beta by generic initial-segment matching.
+
+    Each x, taken in order of its number of predecessors, goes to the unique
+    y whose predecessor set is the image of x's predecessor set; None when
+    some x has no such y. Reads only the `lt` matrices, never the positions
+    the fast path in hfkit.ordinals uses.
+    """
+    pred_sets_y = {
+        frozenset(int(i) for i in np.flatnonzero(beta.lt[:, y])): y for y in range(beta.size)
+    }
+    f: dict[int, int] = {}
+    for x in sorted(range(alpha.size), key=lambda x: int(alpha.lt[:, x].sum())):
+        y = pred_sets_y.get(frozenset(f[int(p)] for p in np.flatnonzero(alpha.lt[:, x])))
+        if y is None:
+            return None
+        f[x] = y
+    return tuple(f[x] for x in range(alpha.size))
 
 
 def _iso_maps(X, Y, with_marking: bool) -> list[tuple[int, ...]]:

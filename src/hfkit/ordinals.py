@@ -1,14 +1,20 @@
-"""Finite ordinals as validated strict-order matrices.
+"""Finite ordinals as linear positions.
 
-A FinOrd is a carrier 0..n-1 with a boolean matrix lt where lt[i, j] means
-i < j. Validation enforces wellfoundedness, extensionality, and
-transitivity; for finite carriers these force the order to be linear, which
-the validator checks as a sanity invariant rather than assuming.
+A FinOrd is a carrier 0..n-1 in which element x sits at the linear position
+pos[x]; x < y exactly when pos[x] < pos[y]. The read-only matrix `lt`
+(lt[i, j] means i < j) is derived on first use. validate_ord is the only way
+in from an outside relation: it checks wellfoundedness, extensionality and
+transitivity with a witness, and asserts the linearity they force on a
+finite carrier. Everything built from validated ordinals is linear by
+construction, so it is position arithmetic, never validated again. A
+canonical carrier (pos[x] = x) keeps its positions as a range, so segments
+and sums of canonical ordinals copy nothing per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -26,33 +32,38 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class FinOrd:
-    """A validated finite ordinal. Construct via validate_ord or chain."""
+    """A validated finite ordinal. Construct via validate_ord, chain, or the
+    operations below; the constructor trusts `pos` to be a permutation of
+    0..len(pos)-1."""
 
-    __slots__ = ("size", "lt")
+    __slots__ = ("size", "pos", "_lt")
 
-    def __init__(self, size: int, lt: np.ndarray):
-        self.size = size
-        self.lt = _freeze(np.array(lt, dtype=bool).reshape(size, size))
+    def __init__(self, pos: Iterable[int]):
+        if not isinstance(pos, range):
+            pos = tuple(pos)
+            if pos == tuple(range(len(pos))):
+                pos = range(len(pos))
+        self.size = len(pos)
+        self.pos = pos
+        self._lt = None
+
+    @property
+    def lt(self) -> np.ndarray:
+        """The strict order as a read-only matrix; lt[i, j] means i < j."""
+        if self._lt is None:
+            p = np.asarray(self.pos, dtype=np.intp)
+            self._lt = _freeze(p[:, None] < p[None, :])
+        return self._lt
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FinOrd)
-            and self.size == other.size
-            and bool(np.array_equal(self.lt, other.lt))
-        )
+        # positions are normalized, so a canonical carrier is always a range
+        return isinstance(other, FinOrd) and self.pos == other.pos
 
     def __hash__(self):
-        return hash((self.size, self.lt.tobytes()))
+        return hash(self.pos)
 
     def __repr__(self):
         return f"FinOrd(size={self.size}, pairs={lt_pairs(self.lt)})"
-
-    def preds(self, x: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.lt[:, x])]
-
-    def position(self, x: int) -> int:
-        """Number of predecessors; for a validated FinOrd, the linear position."""
-        return int(self.lt[:, x].sum())
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,8 @@ def validate_ord(size: int, lt) -> FinOrd:
     """Validate a strict-order matrix as a finite ordinal.
 
     Raises the first failing axiom with a witness: a cycle, a pair with
-    equal predecessor sets, or a transitivity triple.
+    equal predecessor sets, or a transitivity triple. The position of an
+    element is then its number of predecessors.
     """
     m = np.array(lt, dtype=bool)
     if m.shape != (size, size):
@@ -145,17 +157,16 @@ def validate_ord(size: int, lt) -> FinOrd:
     # finite + wellfounded + extensional + transitive forces linearity;
     # a failure here is a validator bug, not bad input
     assert bool((m | m.T | np.eye(size, dtype=bool)).all()), "validated order is not linear"
-    return FinOrd(size, m)
+    return FinOrd(m.sum(axis=0).tolist())
 
 
 def chain(n: int) -> FinOrd:
     """The canonical n-element ordinal 0 < 1 < ... < n-1."""
-    idx = np.arange(n)
-    return FinOrd(n, idx[:, None] < idx[None, :])
+    return FinOrd(range(n))
 
 
 def order_type(alpha: FinOrd) -> int:
-    """Linearization length; validation guarantees lt is the full linear order."""
+    """Linearization length; validation guarantees the order is linear."""
     return alpha.size
 
 
@@ -166,73 +177,58 @@ def same_order_type(alpha: FinOrd, beta: FinOrd) -> bool:
 
 def canonical_perm(alpha: FinOrd) -> tuple[int, ...]:
     """perm[x] = linear position of x; relabeling by it yields chain(size)."""
-    return tuple(alpha.position(x) for x in range(alpha.size))
+    return tuple(alpha.pos)
 
 
 def down(alpha: FinOrd, a: int) -> FinOrd:
-    """Initial segment below a, carried by the original indices in order."""
+    """Initial segment below a, carried by the original indices in order.
+
+    Every predecessor of an element below a is below a as well, so each
+    element keeps its position in the segment.
+    """
     if not (0 <= a < alpha.size):
         raise IndexError(f"element {a} out of range for size {alpha.size}")
-    idxs = np.flatnonzero(alpha.lt[:, a])
-    return validate_ord(len(idxs), alpha.lt[np.ix_(idxs, idxs)])
+    k = alpha.pos[a]
+    if isinstance(alpha.pos, range):
+        return FinOrd(alpha.pos[:k])
+    return FinOrd(p for p in alpha.pos if p < k)
 
 
 def down_carrier(alpha: FinOrd, a: int) -> list[int]:
     """Original indices carried by down(alpha, a), in carrier order."""
-    return [int(i) for i in np.flatnonzero(alpha.lt[:, a])]
-
-
-def _pred_index(beta: FinOrd) -> dict[frozenset[int], int]:
-    return {frozenset(beta.preds(y)): y for y in range(beta.size)}
+    k = alpha.pos[a]
+    return [x for x, p in enumerate(alpha.pos) if p < k]
 
 
 def simulation(alpha: FinOrd, beta: FinOrd) -> SimWitness | None:
     """The unique simulation alpha -> beta, or None.
 
-    Generic initial-segment matching: each x is sent to the unique y whose
-    predecessor set is the image of x's predecessor set. This is the
-    authoritative path; see simulation_by_order_type for the fast one.
+    Linear orders embed as initial segments by matching positions, so x
+    goes to the element of beta at x's position; the map exists exactly
+    when alpha is no longer than beta. hfkit.oracle keeps the generic
+    predecessor-matching construction as the reference.
     """
-    table = _pred_index(beta)
-    f: list[int | None] = [None] * alpha.size
-    for x in sorted(range(alpha.size), key=alpha.position):
-        y = table.get(frozenset(f[p] for p in alpha.preds(x)))
-        if y is None:
-            return None
-        f[x] = y
-    return SimWitness(tuple(f))
-
-
-def simulation_by_order_type(alpha: FinOrd, beta: FinOrd) -> SimWitness | None:
-    """Fast path: linear orders embed by matching positions."""
     if alpha.size > beta.size:
         return None
-    by_pos = sorted(range(beta.size), key=beta.position)
-    f = [0] * alpha.size
-    for x in range(alpha.size):
-        f[x] = by_pos[alpha.position(x)]
-    return SimWitness(tuple(f))
+    order = sorted(range(beta.size), key=beta.pos.__getitem__)
+    return SimWitness(tuple(order[p] for p in alpha.pos))
 
 
 def bounded_sim(alpha: FinOrd, beta: FinOrd) -> BoundedSimWitness | None:
-    """Witness that alpha is the initial segment of beta below some bound."""
-    w = simulation(alpha, beta)
-    if w is None:
+    """Witness that alpha is the initial segment of beta below some bound:
+    the element of beta at position alpha.size, when beta is longer."""
+    if alpha.size >= beta.size:
         return None
-    b = _pred_index(beta).get(frozenset(w.mapping))
-    if b is None:
-        return None
-    return BoundedSimWitness(bound=b, iso=w.mapping)
+    order = sorted(range(beta.size), key=beta.pos.__getitem__)
+    return BoundedSimWitness(bound=order[alpha.size], iso=tuple(order[p] for p in alpha.pos))
 
 
 def ord_sum(alpha: FinOrd, beta: FinOrd) -> FinOrd:
     """Order the disjoint union with every alpha element below every beta element."""
-    n, m = alpha.size, beta.size
-    lt = np.zeros((n + m, n + m), dtype=bool)
-    lt[:n, :n] = alpha.lt
-    lt[n:, n:] = beta.lt
-    lt[:n, n:] = True
-    return validate_ord(n + m, lt)
+    n = alpha.size
+    if isinstance(alpha.pos, range) and isinstance(beta.pos, range):
+        return chain(n + beta.size)
+    return FinOrd((*alpha.pos, *(n + p for p in beta.pos)))
 
 
 def sup_classes(family: list[FinOrd]) -> list[list[tuple[int, int]]]:
@@ -240,27 +236,24 @@ def sup_classes(family: list[FinOrd]) -> list[list[tuple[int, int]]]:
 
     Pairs (i, x) and (j, y) are identified when down(F_i, x) and
     down(F_j, y) are isomorphic, which for validated inputs is an equal
-    order type. Each class is sorted with its lexicographically least
+    position. Each class is sorted with its lexicographically least
     representative first; classes are returned in order-type order.
     """
     classes: dict[int, list[tuple[int, int]]] = {}
     for i, f in enumerate(family):
-        for x in range(f.size):
-            classes.setdefault(f.position(x), []).append((i, x))
+        for x, p in enumerate(f.pos):
+            classes.setdefault(p, []).append((i, x))
     return [sorted(classes[k]) for k in sorted(classes)]
 
 
 def sup(family: list[FinOrd]) -> FinOrd:
-    """Least upper bound: the quotient of all initial segments by isomorphism."""
-    classes = sup_classes(family)
-    n = len(classes)
-    lt = np.zeros((n, n), dtype=bool)
-    for c1 in range(n):
-        for c2 in range(n):
-            # class order = bounded simulation between member initial segments,
-            # which for linear segments is order-type comparison
-            lt[c1, c2] = c1 < c2
-    return validate_ord(n, lt)
+    """Least upper bound: the quotient of all initial segments by isomorphism.
+
+    Segments are isomorphic exactly when their bounds share a position, so
+    the classes are the positions below the longest member, ordered as
+    positions (the class order of sup_classes).
+    """
+    return chain(max((f.size for f in family), default=0))
 
 
 # -- serialization ------------------------------------------------------------
@@ -273,8 +266,11 @@ def ord_to_json(alpha: FinOrd) -> dict:
 def ord_from_json(doc: dict) -> FinOrd:
     size = int(doc["size"])
     lt = np.zeros((size, size), dtype=bool)
-    for i, j in doc["pairs"]:
-        lt[int(i), int(j)] = True
+    for pair in doc["pairs"]:
+        i, j = (int(v) for v in pair)
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValidationError(f"pair [{i}, {j}] is out of range for size {size}")
+        lt[i, j] = True
     return validate_ord(size, lt)
 
 

@@ -99,6 +99,9 @@ class SetUniverse:
         self._transitive: dict[int, bool] = {}
         self._st_ordinal: dict[int, bool] = {}
         self._numerals: list[int] = []
+        self._numeral_lock = threading.Lock()
+        # Mostowski codes of mewos, filled by hfkit.mewos.codes
+        self._mewo_codes: dict = {}
 
     def __len__(self) -> int:
         return len(self._children)
@@ -182,13 +185,15 @@ class SetUniverse:
             raise ValueError("numerals are non-negative")
         if n > limit:
             raise LimitExceededError(f"numeral {n} exceeds the configured bound {limit}")
-        if not self._numerals:
-            self._numerals.append(self.empty().id)
-        while len(self._numerals) <= n:
-            prev = SetHandle(self, self._numerals[-1])
-            succ = self.mk_set(prev.elements() + [prev])
-            self._numerals.append(succ.id)
-        return SetHandle(self, self._numerals[n])
+        # a lock of its own: mk_set takes _lock, which is not re-entrant
+        with self._numeral_lock:
+            numerals = self._numerals
+            if not numerals:
+                numerals.append(self.empty().id)
+            while len(numerals) <= n:
+                prev = SetHandle(self, numerals[-1])
+                numerals.append(self.mk_set(prev.elements() + [prev]).id)
+            return SetHandle(self, numerals[n])
 
     def rank_nat(self, h: SetHandle) -> int:
         """0 for the empty set, else one more than the largest member rank."""
@@ -398,9 +403,12 @@ def export_slice(h: SetHandle) -> dict:
 
 
 def import_slice(doc: dict, u: SetUniverse) -> SetHandle:
+    nodes, root = doc["nodes"], doc["root"]
+    if not (0 <= root < len(nodes)):
+        raise ValueError(f"root {root} is not a node position")
     handles: list[SetHandle] = []
-    for pos, child_positions in enumerate(doc["nodes"]):
+    for pos, child_positions in enumerate(nodes):
         if any(not (0 <= c < pos) for c in child_positions):
             raise ValueError(f"node {pos} references a non-earlier node")
         handles.append(u.mk_set([handles[c] for c in child_positions]))
-    return handles[doc["root"]]
+    return handles[root]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -46,6 +48,32 @@ def test_set_of_ordinal_membership_transport(u):
     h3 = set_of_ordinal(chain(3), u)
     assert bounded_sim(chain(2), chain(3)) is not None
     assert u.mem(h2, h3)
+
+
+def _at_default_recursion_limit(fn):
+    """Run fn at CPython's default recursion limit; return (result, seconds)."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t0 = time.perf_counter()
+        got = fn()
+        return got, time.perf_counter() - t0
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_set_of_ordinal_at_the_numeral_bound(u):
+    # depth 1024 exceeds the default recursion limit; the evaluation is iterative
+    h, seconds = _at_default_recursion_limit(lambda: set_of_ordinal(chain(1024), u))
+    assert h == u.von_neumann(1024)
+    assert seconds < 2.0
+
+
+def test_rank_ordinal_at_the_numeral_bound(u):
+    h = u.von_neumann(1024)
+    alpha, seconds = _at_default_recursion_limit(lambda: rank_ordinal(h))
+    assert alpha == chain(1024) and order_type(alpha) == u.rank_nat(h) == 1024
+    assert seconds < 2.0
 
 
 def test_rank_ordinal_base(u):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -438,6 +440,23 @@ def test_text_errors():
         mewo_from_text("mewo { elems: a a; lt: ; marked: }")
     with pytest.raises(ValueError):
         mewo_from_text("mewo { elems: a; lt: a<b; marked: }")
+
+
+def test_json_rejects_undeclared_names():
+    with pytest.raises(ValueError, match="c"):
+        mewo_from_json({"elems": ["a", "b"], "lt": [["a", "c"]], "marked": ["b"]})
+    with pytest.raises(ValueError, match="z"):
+        mewo_from_json({"elems": ["a"], "lt": [], "marked": ["z"]})
+
+
+def test_codes_cache_dies_with_its_universe(fixtures_mewos):
+    _, _, cb, _ = fixtures_mewos
+    scratch = SetUniverse()
+    codes(cb, scratch)
+    ref = weakref.ref(scratch)
+    del scratch
+    gc.collect()
+    assert ref() is None
 
 
 def test_dot_marks_filled(fixtures_mewos):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hfkit import (
     order_type,
     same_order_type,
     simulation,
-    simulation_by_order_type,
+    simulation_by_predecessors,
     sup,
     sup_classes,
     validate_ord,
@@ -129,15 +130,13 @@ def test_simulation_matches_oracle_and_fast_path():
             maps = enum_simulations(alpha, beta)
             assert len(maps) <= 1, "simulations are unique"
             w = simulation(alpha, beta)
-            fast = simulation_by_order_type(alpha, beta)
+            ref = simulation_by_predecessors(alpha, beta)
             if maps:
                 assert w is not None and w.mapping == maps[0]
-                assert fast is not None and fast.mapping == maps[0]
+                assert ref == maps[0]
                 assert w.check(alpha, beta)
             else:
-                assert w is None
-                if fast is not None:
-                    assert not fast.check(alpha, beta)
+                assert w is None and ref is None
 
 
 def test_bounded_sim_examples():
@@ -320,3 +319,19 @@ def test_text_rejects_garbage():
         ord_from_text("nonsense { }")
     with pytest.raises(ValueError):
         ord_from_text("ord { weird: 3 }")
+
+
+def test_json_rejects_out_of_range_pairs():
+    for pair in ([0, -1], [0, 5], [-2, 1]):
+        with pytest.raises(ValidationError, match=re.escape(str(pair))):
+            ord_from_json({"size": 2, "pairs": [pair]})
+
+
+def test_lt_is_derived_from_positions():
+    for alpha in labeled_ordinals(5, all_perms_upto=3, samples=2):
+        assert not alpha.lt.flags.writeable
+        assert validate_ord(alpha.size, alpha.lt) == alpha
+        for a in range(alpha.size):
+            for b in range(alpha.size):
+                assert bool(alpha.lt[a, b]) == (alpha.pos[a] < alpha.pos[b])
+

@@ -243,3 +243,11 @@ def test_cli_mewo_file_invalid(tmp_path):
     path.write_text("mewo { elems: a b; lt: ; marked: }\n")
     res = run_cli("mewo", str(path))
     assert res.returncode == 1
+
+
+def test_cli_mewo_json_undeclared_element(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"elems":["a","b"],"lt":[["a","c"]],"marked":["b"]}\n')
+    res = run_cli("mewo", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 
 import pytest
@@ -236,6 +237,30 @@ def test_concurrent_interning_is_consistent():
         assert results[k] == expect
 
 
+def test_concurrent_numerals_are_correct():
+    # threads extending the numeral cache at once must not publish wrong sets
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = SetUniverse()
+            results = [None] * 4
+
+            def worker(k):
+                results[k] = shared.von_neumann(300)
+
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert all(shared.rank_nat(h) == 300 for h in results)
+            assert all(shared.rank_nat(shared.von_neumann(k)) == k for k in range(301))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- raw graphs ----------------------------------------------------------------
 
 
@@ -360,3 +385,9 @@ def test_import_slice_preserves_identity(u):
 def test_import_slice_rejects_forward_reference(u):
     with pytest.raises(ValueError):
         import_slice({"nodes": [[1], []], "root": 0}, u)
+
+
+def test_import_slice_rejects_root_out_of_range(u):
+    for root in (-1, 2):
+        with pytest.raises(ValueError, match="root"):
+            import_slice({"nodes": [[], [0]], "root": root}, u)
