@@ -26,18 +26,9 @@ from .universe import (
     SetHandle,
     SetUniverse,
     bisimilar,
-    elements,
     export_slice,
-    from_graph,
     import_slice,
-    is_st_ordinal,
-    is_transitive_set,
-    mem,
     mem_raw,
-    mk_set,
-    rank_nat,
-    subset,
-    von_neumann,
 )
 from .ordinals import (
     BoundedSimWitness,

@@ -10,6 +10,7 @@ from .errors import EvalError, HfkitError, ParseError
 from .mewos import mewo_from_json, mewo_from_text, mewo_to_dot, mewo_to_json, mewo_to_text
 from .session import Session
 from .suites import SUITE_NAMES, run_suite
+from .universe import DEFAULT_NUMERAL_LIMIT
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -17,11 +18,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     repl = sub.add_parser("repl", help="interactive statement evaluator")
-    repl.add_argument("--max-numeral", type=int, default=1024)
+    repl.add_argument("--max-numeral", type=int, default=DEFAULT_NUMERAL_LIMIT)
 
     run = sub.add_parser("run", help="evaluate a statement file")
     run.add_argument("file")
-    run.add_argument("--max-numeral", type=int, default=1024)
+    run.add_argument("--max-numeral", type=int, default=DEFAULT_NUMERAL_LIMIT)
 
     mewo = sub.add_parser("mewo", help="load a mewo file and re-emit it")
     mewo.add_argument("file")

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotAnOrdinalError
-from .mewos import Mewo, codes, singleton, union, validate_mewo
+from .mewos import Mewo, _membership_matrix, codes, singleton, union, validate_mewo
 from .ordinals import FinOrd, chain, down, ord_sum, sup, validate_ord
 from .universe import SetHandle, SetUniverse
 
@@ -81,13 +79,9 @@ def rank_quotient(h: SetHandle, presentation: list[SetHandle]) -> QuotientRank:
             groups[member.id] = []
             order_of_class.append(member)
         groups[member.id].append(idx)
-    n = len(order_of_class)
-    lt = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lt[a, b] = u.mem(order_of_class[a], order_of_class[b])
     classes = tuple(tuple(groups[m.id]) for m in order_of_class)
-    return QuotientRank(classes=classes, ordinal=validate_ord(n, lt))
+    lt = _membership_matrix(u, order_of_class)
+    return QuotientRank(classes=classes, ordinal=validate_ord(len(classes), lt))
 
 
 def elements_ordinal(h: SetHandle) -> FinOrd:
@@ -96,12 +90,7 @@ def elements_ordinal(h: SetHandle) -> FinOrd:
     if not u.is_st_ordinal(h):
         raise NotAnOrdinalError("set is not hereditarily transitive")
     members = u.elements(h)
-    n = len(members)
-    lt = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lt[a, b] = u.mem(members[a], members[b])
-    return validate_ord(n, lt)
+    return validate_ord(len(members), _membership_matrix(u, members))
 
 
 def set_of_mewo(X: Mewo, u: SetUniverse) -> SetHandle:
@@ -120,13 +109,8 @@ def mewo_of_set(h: SetHandle) -> Mewo:
     u = h.universe
     members = u.hereditary_members(h)
     direct = {m.id for m in u.elements(h)}
-    n = len(members)
-    lt = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lt[a, b] = u.mem(members[a], members[b])
-    marked = np.array([m.id in direct for m in members], dtype=bool)
-    return validate_mewo(n, lt, marked)
+    marked = [m.id in direct for m in members]
+    return validate_mewo(len(members), _membership_matrix(u, members), marked)
 
 
 def mewo_of_set_literal(h: SetHandle, scratch: SetUniverse | None = None) -> Mewo:

@@ -5,12 +5,14 @@ A mewo is a carrier 0..n-1 with an acyclic, extensional strict-order matrix
 the role of the top-level members of the set the structure presents; the
 other elements present members of members.
 
-Equality and simulation decisions route through Mostowski codes: each
-element is collapsed bottom-up to the canonical set of its direct
-predecessors' codes. Extensionality plus wellfoundedness make this coding
-injective on the carrier, so matching codes decides structure equality.
-The brute-force permutation and map searches in hfkit.oracle stay the
-authoritative cross-check.
+Equality, simulation and bounded simulation are decided through Mostowski
+codes alone: each element is collapsed bottom-up to the canonical set of
+its direct predecessors' codes. Extensionality plus wellfoundedness make
+this coding injective on the carrier, so matching codes decides structure
+equality. X < Y (X is the segment below a marked element of Y) holds
+exactly when X is covered and the set of the codes of X's marked elements
+is the code of a marked element of Y. The brute-force permutation and map
+searches in hfkit.oracle stay the authoritative cross-check.
 """
 
 from __future__ import annotations
@@ -19,8 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtensionalityError, ValidationError, WellfoundednessError
-from .ordinals import FinOrd, _find_cycle, _freeze
+from .errors import ValidationError, WellfoundednessError
+from .ordinals import (
+    FinOrd,
+    _check_extensional,
+    _clause,
+    _find_cycle,
+    _freeze,
+    _lt_items,
+    _read_clauses,
+    lt_pairs,
+)
 from .universe import SetHandle, SetUniverse
 
 
@@ -46,9 +57,7 @@ class Mewo:
         return hash((self.size, self.lt.tobytes(), self.marked.tobytes()))
 
     def __repr__(self):
-        pairs = [(int(i), int(j)) for i, j in np.argwhere(self.lt)]
-        marks = [int(i) for i in np.flatnonzero(self.marked)]
-        return f"Mewo(size={self.size}, lt={pairs}, marked={marks})"
+        return f"Mewo(size={self.size}, lt={lt_pairs(self.lt)}, marked={self.marked_elements()})"
 
     def preds(self, x: int) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.lt[:, x])]
@@ -115,12 +124,7 @@ def validate_mewo(size: int, lt, marked) -> Mewo:
     cycle = _find_cycle(m)
     if cycle is not None:
         raise WellfoundednessError(cycle)
-    seen: dict[bytes, int] = {}
-    for x in range(size):
-        key = m[:, x].tobytes()
-        if key in seen:
-            raise ExtensionalityError(seen[key], x)
-        seen[key] = x
+    _check_extensional(m)
     return Mewo(size, m, mk)
 
 
@@ -138,8 +142,7 @@ def closure(X: Mewo) -> tuple[np.ndarray, np.ndarray]:
 
 def is_covered(X: Mewo) -> bool:
     """Every element sits reflexive-transitively below some marked element."""
-    _, star = closure(X)
-    return bool((star & X.marked[None, :]).any(axis=1).all())
+    return bool(covered_mask(X).all())
 
 
 def covered_mask(X: Mewo) -> np.ndarray:
@@ -153,15 +156,14 @@ def down_plus(X: Mewo, x: int) -> Mewo:
     The order is inherited from X; the marking singles out the direct
     predecessors of x. The result is always covered.
     """
-    if not (0 <= x < X.size):
-        raise IndexError(f"element {x} out of range for size {X.size}")
-    plus, _ = closure(X)
-    idxs = np.flatnonzero(plus[:, x])
+    idxs = down_plus_carrier(X, x)
     return validate_mewo(len(idxs), X.lt[np.ix_(idxs, idxs)], X.lt[idxs, x])
 
 
 def down_plus_carrier(X: Mewo, x: int) -> list[int]:
     """Original indices carried by down_plus(X, x), in carrier order."""
+    if not (0 <= x < X.size):
+        raise IndexError(f"element {x} out of range for size {X.size}")
     plus, _ = closure(X)
     return [int(i) for i in np.flatnonzero(plus[:, x])]
 
@@ -179,6 +181,16 @@ def covered_part(X: Mewo) -> Mewo:
 def from_ordinal(alpha: FinOrd) -> Mewo:
     """View an ordinal as a mewo: same order, everything marked."""
     return validate_mewo(alpha.size, alpha.lt, np.ones(alpha.size, dtype=bool))
+
+
+def _membership_matrix(u: SetUniverse, sets: list[SetHandle]) -> np.ndarray:
+    """The membership order of sets of u: m[a, b] means sets[a] is in sets[b]."""
+    n = len(sets)
+    m = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        for b in range(n):
+            m[a, b] = u.mem(sets[a], sets[b])
+    return m
 
 
 def _topo_order(X: Mewo) -> list[int]:
@@ -260,17 +272,24 @@ def bounded_sim_mewo(
     X: Mewo, Y: Mewo, u: SetUniverse | None = None
 ) -> tuple[int, tuple[int, ...]] | None:
     """The unique marked bound y with X equal to down_plus(Y, y), plus the
-    equivalence as a map from X onto original Y indices."""
+    equivalence as a map from X onto original Y indices.
+
+    Decided on codes: the segment below y presents code(y), so the bound
+    exists exactly when X is covered and the set of the codes of X's marked
+    elements is the code of a marked y. X is covered exactly when that set
+    has X.size hereditary members, the codes of the covered elements. The
+    equivalence sends each x to the element of Y with the same code.
+    """
     u = u if u is not None else SetUniverse()
     cx, _ = _code_index(X, u)
-    for y in Y.marked_elements():
-        seg = down_plus(Y, y)
-        if mewo_equal(X, seg, u):
-            carrier = down_plus_carrier(Y, y)
-            _, seg_index = _code_index(seg, u)
-            iso = tuple(carrier[seg_index[cx[x]]] for x in range(X.size))
-            return y, iso
-    return None
+    target = u.mk_set([cx[x] for x in X.marked_elements()])
+    if len(u.hereditary_members(target)) != X.size:
+        return None
+    _, index_y = _code_index(Y, u)
+    y = index_y.get(target)
+    if y is None or not Y.marked[y]:
+        return None
+    return y, tuple(index_y[cx[x]] for x in range(X.size))
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int] | None:
@@ -338,12 +357,7 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
                 marked.append(bool(X.marked[x]))
             elif X.marked[x]:
                 marked[pos] = True
-    n = len(order)
-    lt = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            lt[i, j] = u.mem(order[i], order[j])
-    return validate_mewo(n, lt, np.array(marked, dtype=bool))
+    return validate_mewo(len(order), _membership_matrix(u, order), marked)
 
 
 # -- serialization ------------------------------------------------------------
@@ -355,17 +369,10 @@ def _names(n: int) -> list[str]:
     return [f"v{i}" for i in range(n)]
 
 
-def _clause(key: str, body: str) -> str:
-    return f"{key}: {body}" if body else f"{key}:"
-
-
 def mewo_to_text(X: Mewo) -> str:
     names = _names(X.size)
     elems = " ".join(names)
-    edges = ", ".join(
-        f"{names[i]}<{names[j]}"
-        for i, j in sorted((int(i), int(j)) for i, j in np.argwhere(X.lt))
-    )
+    edges = ", ".join(f"{names[i]}<{names[j]}" for i, j in lt_pairs(X.lt))
     marks = " ".join(names[i] for i in X.marked_elements())
     return (
         "mewo { "
@@ -374,32 +381,7 @@ def mewo_to_text(X: Mewo) -> str:
     )
 
 
-def mewo_from_text(text: str) -> Mewo:
-    body = text.strip()
-    if not (body.startswith("mewo") and body.endswith("}")):
-        raise ValueError("expected 'mewo { elems: ...; lt: ...; marked: ... }'")
-    inner = body[body.index("{") + 1 : -1]
-    names: list[str] = []
-    edges: list[tuple[str, str]] = []
-    marks: list[str] = []
-    for clause in inner.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        key, _, val = clause.partition(":")
-        key = key.strip()
-        if key == "elems":
-            names = val.split()
-        elif key == "lt":
-            for item in val.split(","):
-                item = item.strip()
-                if item:
-                    i, _, j = item.partition("<")
-                    edges.append((i.strip(), j.strip()))
-        elif key == "marked":
-            marks = val.split()
-        else:
-            raise ValueError(f"unknown clause {key!r}")
+def _mewo_of_names(names: list, edges: list, marks: list) -> Mewo:
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ValueError("duplicate element name")
@@ -417,33 +399,45 @@ def mewo_from_text(text: str) -> Mewo:
     return validate_mewo(n, lt, marked)
 
 
+def mewo_from_text(text: str) -> Mewo:
+    names: list[str] = []
+    edges: list[tuple[str, str]] = []
+    marks: list[str] = []
+    usage = "mewo { elems: ...; lt: ...; marked: ... }"
+    for key, val in _read_clauses(text, "mewo", usage, ("elems", "lt", "marked")):
+        if key == "elems":
+            names = val.split()
+        elif key == "lt":
+            edges += _lt_items(val, str.strip)
+        else:
+            marks = val.split()
+    return _mewo_of_names(names, edges, marks)
+
+
 def mewo_to_json(X: Mewo) -> dict:
     names = _names(X.size)
     return {
         "elems": names,
-        "lt": [
-            [names[int(i)], names[int(j)]]
-            for i, j in sorted((int(i), int(j)) for i, j in np.argwhere(X.lt))
-        ],
+        "lt": [[names[i], names[j]] for i, j in lt_pairs(X.lt)],
         "marked": [names[i] for i in X.marked_elements()],
     }
 
 
 def mewo_from_json(doc: dict) -> Mewo:
-    names = list(doc["elems"])
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    lt = np.zeros((n, n), dtype=bool)
-    for i, j in doc["lt"]:
-        if i not in index or j not in index:
-            raise ValueError(f"edge {i}<{j} uses an undeclared element")
-        lt[index[i], index[j]] = True
-    marked = np.zeros(n, dtype=bool)
-    for name in doc["marked"]:
-        if name not in index:
-            raise ValueError(f"marked element {name} is not declared")
-        marked[index[name]] = True
-    return validate_mewo(n, lt, marked)
+    """Read the JSON mirror of the text form: an object whose `elems` and
+    `marked` are lists of names and whose `lt` is a list of name pairs."""
+    def are_names(v) -> bool:
+        return isinstance(v, list) and all(isinstance(name, str) for name in v)
+
+    if not isinstance(doc, dict):
+        raise ValueError("a JSON mewo is an object with keys 'elems', 'lt' and 'marked'")
+    for key in ("elems", "marked"):
+        if not are_names(doc.get(key)):
+            raise ValueError(f"key {key!r} must be a list of element names")
+    lt = doc.get("lt")
+    if not (isinstance(lt, list) and all(are_names(p) and len(p) == 2 for p in lt)):
+        raise ValueError("key 'lt' must be a list of [name, name] pairs")
+    return _mewo_of_names(doc["elems"], lt, doc["marked"])
 
 
 def mewo_to_dot(X: Mewo, name: str = "mewo") -> str:
@@ -452,7 +446,7 @@ def mewo_to_dot(X: Mewo, name: str = "mewo") -> str:
     for i, label in enumerate(names):
         style = ' style=filled fillcolor=black fontcolor=white' if X.marked[i] else ""
         lines.append(f'  {label} [label="{label}"{style}];')
-    for i, j in sorted((int(i), int(j)) for i, j in np.argwhere(X.lt)):
+    for i, j in lt_pairs(X.lt):
         lines.append(f"  {names[i]} -> {names[j]};")
     lines.append("}")
     return "\n".join(lines)

@@ -274,35 +274,52 @@ def ord_from_json(doc: dict) -> FinOrd:
     return validate_ord(size, lt)
 
 
+def _clause(key: str, body: str) -> str:
+    return f"{key}: {body}" if body else f"{key}:"
+
+
 def ord_to_text(alpha: FinOrd) -> str:
     pairs = ", ".join(f"{i}<{j}" for i, j in sorted(lt_pairs(alpha.lt)))
-    clause = f"lt: {pairs}" if pairs else "lt:"
-    return f"ord {{ size: {alpha.size}; {clause} }}"
+    return f"ord {{ size: {alpha.size}; {_clause('lt', pairs)} }}"
+
+
+def _read_clauses(text: str, kind: str, usage: str, keys: tuple[str, ...]):
+    """Yield the (key, value) clauses of `kind { key: value; ... }` in order.
+
+    A key may repeat; a key outside `keys` raises when its clause is reached.
+    """
+    body = text.strip()
+    if not (body.startswith(kind) and body.endswith("}")):
+        raise ValueError(f"expected {usage!r}")
+    for clause in body[body.index("{") + 1 : -1].split(";"):
+        clause = clause.strip()
+        if clause:
+            key, _, val = clause.partition(":")
+            key = key.strip()
+            if key not in keys:
+                raise ValueError(f"unknown clause {key!r}")
+            yield key, val
+
+
+def _lt_items(val: str, read) -> list[tuple]:
+    """The items `a<b` of a comma-separated list, each side passed through `read`."""
+    items = []
+    for item in val.split(","):
+        item = item.strip()
+        if item:
+            a, _, b = item.partition("<")
+            items.append((read(a), read(b)))
+    return items
 
 
 def ord_from_text(text: str) -> FinOrd:
-    body = text.strip()
-    if not (body.startswith("ord") and body.endswith("}")):
-        raise ValueError("expected 'ord { size: n; lt: i<j, ... }'")
-    inner = body[body.index("{") + 1 : -1]
     size = None
-    pairs: list[list[int]] = []
-    for clause in inner.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        key, _, val = clause.partition(":")
-        key = key.strip()
+    pairs: list[tuple[int, int]] = []
+    for key, val in _read_clauses(text, "ord", "ord { size: n; lt: i<j, ... }", ("size", "lt")):
         if key == "size":
             size = int(val)
-        elif key == "lt":
-            for item in val.split(","):
-                item = item.strip()
-                if item:
-                    i, _, j = item.partition("<")
-                    pairs.append([int(i), int(j)])
         else:
-            raise ValueError(f"unknown clause {key!r}")
+            pairs += _lt_items(val, int)
     if size is None:
         raise ValueError("missing size clause")
     return ord_from_json({"size": size, "pairs": pairs})

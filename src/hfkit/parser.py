@@ -32,6 +32,9 @@ COMMANDS = (
     "json",
 )
 INFIX_COMMANDS = ("in", "sub", "eq")
+# Parsing and evaluation recurse once per open brace; this bound keeps both
+# well under the interpreter's default recursion limit of 1000.
+MAX_BRACE_DEPTH = 256
 
 
 # -- AST ----------------------------------------------------------------------
@@ -122,6 +125,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # braces open at the current token
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -145,15 +149,19 @@ class _Parser:
     def expr(self) -> Expr:
         tok = self.peek()
         if tok.kind == "{":
+            if self.depth == MAX_BRACE_DEPTH:
+                raise ParseError(tok.line, tok.col, f"braces nested deeper than {MAX_BRACE_DEPTH}")
             self.next()
             if self.peek().kind == "}":
                 self.next()
                 return EmptySet()
+            self.depth += 1
             items = [self.expr()]
             while self.peek().kind == ",":
                 self.next()
                 items.append(self.expr())
             self.expect("}", ("'}'", "','"))
+            self.depth -= 1
             return Braces(tuple(items))
         if tok.kind == "nat":
             self.next()
@@ -194,10 +202,7 @@ class _Parser:
                 raise ParseError(tok.line, tok.col, f"{name!r} is a reserved command name")
             self.expect("=", ("'='",))
             return Let(name, self.rhs())
-        if tok.kind == "ident" and tok.text in COMMANDS:
-            self.next()
-            return self.command_args(tok.text)
-        return self.maybe_infix(self.expr())
+        return self.rhs()
 
     def program(self) -> list:
         stmts = []
@@ -216,12 +221,7 @@ def parse(text: str) -> Expr:
     p = _Parser(text)
     while p.peek().kind == "newline":
         p.next()
-    tok = p.peek()
-    if tok.kind == "ident" and tok.text in COMMANDS:
-        p.next()
-        result = p.command_args(tok.text)
-    else:
-        result = p.maybe_infix(p.expr())
+    result = p.rhs()
     while p.peek().kind == "newline":
         p.next()
     p.expect("eof", ("end of input",))

@@ -14,25 +14,22 @@ from .errors import EvalError
 from .mewos import Mewo, mewo_equal, mewo_to_dot, mewo_to_json, mewo_to_text
 from .ordinals import FinOrd, ord_to_json, ord_to_text, same_order_type
 from .parser import Braces, EmptySet, Expr, Ident, Let, Numeral, Op, parse_program
-from .universe import SetHandle, SetUniverse, export_slice
-
-DEFAULT_NUMERAL_BOUND = 1024
+from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse, export_slice
 
 
 def canon(h: SetHandle) -> str:
-    """Canonical brace notation: members sorted shortlex, no whitespace."""
+    """Canonical brace notation: members sorted shortlex, no whitespace.
+
+    Rendered bottom-up over the hereditary members, whose handle order is a
+    topological order of membership, so the depth of h is not bounded by
+    the interpreter's recursion limit.
+    """
     u = h.universe
-    memo: dict[int, str] = {}
-
-    def go(x: SetHandle) -> str:
-        got = memo.get(x.id)
-        if got is None:
-            parts = sorted((go(m) for m in u.elements(x)), key=lambda s: (len(s), s))
-            got = "{" + ",".join(parts) + "}"
-            memo[x.id] = got
-        return got
-
-    return go(h)
+    text: dict[int, str] = {}
+    for x in u.hereditary_members(h) + [h]:
+        parts = sorted((text[m.id] for m in u.elements(x)), key=lambda s: (len(s), s))
+        text[x.id] = "{" + ",".join(parts) + "}"
+    return text[h.id]
 
 
 def set_to_dot(h: SetHandle, name: str = "set") -> str:
@@ -52,7 +49,7 @@ def set_to_dot(h: SetHandle, name: str = "set") -> str:
 class Session:
     """Bindings plus the universe they live in. Bindings never rebind."""
 
-    def __init__(self, universe: SetUniverse | None = None, numeral_bound: int = DEFAULT_NUMERAL_BOUND):
+    def __init__(self, universe: SetUniverse | None = None, numeral_bound: int = DEFAULT_NUMERAL_LIMIT):
         self.universe = universe if universe is not None else SetUniverse()
         self.numeral_bound = numeral_bound
         self.bindings: dict[str, object] = {}

@@ -62,21 +62,25 @@ class _Collector:
         )
 
 
-def _bullet():
+# The fixture mewos shared by the suites and the tests: a marked point, an
+# unmarked point, an unmarked point below a marked one, and the empty mewo.
+
+
+def bullet():
     return validate_mewo(1, np.zeros((1, 1), dtype=bool), np.ones(1, dtype=bool))
 
 
-def _circ():
+def circ():
     return validate_mewo(1, np.zeros((1, 1), dtype=bool), np.zeros(1, dtype=bool))
 
 
-def _circ_bullet():
+def circ_bullet():
     lt = np.zeros((2, 2), dtype=bool)
     lt[0, 1] = True
     return validate_mewo(2, lt, np.array([False, True]))
 
 
-def _empty_mewo():
+def empty_mewo():
     return validate_mewo(0, np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool))
 
 
@@ -180,11 +184,11 @@ def _suite_ordinals(c: _Collector, seed: int, max_size: int, max_depth: int) -> 
 
 
 def _suite_mewos(c: _Collector, seed: int, max_size: int, max_depth: int) -> None:
-    bullet, circ, cb, emp = _bullet(), _circ(), _circ_bullet(), _empty_mewo()
-    c.check("covered.single.unmarked", "one unmarked point", False, is_covered(circ))
+    point, open_point, cb = bullet(), circ(), circ_bullet()
+    c.check("covered.single.unmarked", "one unmarked point", False, is_covered(open_point))
     c.check("covered.two.chain", "unmarked below marked", True, is_covered(cb))
     seg = down_plus(cb, 1)
-    c.check("down_plus.two.chain", "top segment of two-chain", True, mewo_equal(seg, bullet))
+    c.check("down_plus.two.chain", "top segment of two-chain", True, mewo_equal(seg, point))
     ok = True
     for X in oracle.enumerate_mewos(min(3, max_size)):
         for x in range(X.size):
@@ -192,12 +196,12 @@ def _suite_mewos(c: _Collector, seed: int, max_size: int, max_depth: int) -> Non
                 ok = False
     c.check("down_plus.covered", "all segments at small size", True, ok)
     try:
-        singleton(circ)
+        singleton(open_point)
         got = "accepted"
     except ExtensionalityError:
         got = "extensionality"
     c.check("singleton.uncovered", "one unmarked point", "extensionality", got)
-    c.check("singleton.bullet", "marked point", True, mewo_equal(singleton(bullet), cb))
+    c.check("singleton.bullet", "marked point", True, mewo_equal(singleton(point), cb))
     two_marked = from_ordinal(chain(2))
     c.check(
         "union.marking.exists",
@@ -205,7 +209,7 @@ def _suite_mewos(c: _Collector, seed: int, max_size: int, max_depth: int) -> Non
         True,
         mewo_equal(union([two_marked, cb]), two_marked),
     )
-    got = principality_check(circ, covered_part(circ))
+    got = principality_check(open_point, covered_part(open_point))
     c.check("principality.uncovered", "unmarked point vs its covered part", False, got)
     agree = True
     small = [m for s in range(min(3, max_size) + 1) for m in oracle.enumerate_mewos(s)]
@@ -276,24 +280,24 @@ def _suite_correspondence(c: _Collector, seed: int, max_size: int, max_depth: in
 
 
 def _suite_counterexamples(c: _Collector, seed: int, max_size: int, max_depth: int) -> None:
-    bullet, cb, emp = _bullet(), _circ_bullet(), _empty_mewo()
+    point, cb, emp = bullet(), circ_bullet(), empty_mewo()
     c.check(
         "bounded.sim.exists",
         "marked point into two-chain",
         True,
-        bounded_sim_mewo(bullet, cb) is not None,
+        bounded_sim_mewo(point, cb) is not None,
     )
     c.check(
         "simulation.missing",
         "marked point into two-chain",
         True,
-        simulation_mewo(bullet, cb) is None,
+        simulation_mewo(point, cb) is None,
     )
     c.check(
         "empty.below.point",
         "empty into marked point",
         True,
-        bounded_sim_mewo(emp, bullet) is not None,
+        bounded_sim_mewo(emp, point) is not None,
     )
     c.check(
         "not.transitive",
@@ -305,13 +309,13 @@ def _suite_counterexamples(c: _Collector, seed: int, max_size: int, max_depth: i
         "strict.not.weak",
         "bounded sim without full simulation",
         True,
-        bounded_sim_mewo(bullet, cb) is not None and simulation_mewo(bullet, cb) is None,
+        bounded_sim_mewo(point, cb) is not None and simulation_mewo(point, cb) is None,
     )
     c.check(
         "marked.into.markall",
         "simulation appears after trivializing the marking",
         True,
-        simulation_mewo(bullet, mark_all(cb)) is not None,
+        simulation_mewo(point, mark_all(cb)) is not None,
     )
 
 

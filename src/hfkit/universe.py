@@ -148,9 +148,7 @@ class SetUniverse:
         return pos < len(row) and row[pos] == xi
 
     def subset(self, x: SetHandle, y: SetHandle) -> bool:
-        xs = self._children[self._own(x)]
-        ys = self._children[self._own(y)]
-        return set(xs) <= set(ys)
+        return self._subset_ids(self._own(x), self._own(y))
 
     def _subset_ids(self, xi: int, yi: int) -> bool:
         return set(self._children[xi]) <= set(self._children[yi])
@@ -262,45 +260,6 @@ class SetUniverse:
                 color[v] = BLACK
                 stack.pop()
         return result[g.root]
-
-
-# -- module-level spellings of the membership operations ---------------------
-
-
-def mk_set(children: Iterable[SetHandle], u: SetUniverse) -> SetHandle:
-    return u.mk_set(children)
-
-
-def elements(h: SetHandle) -> list[SetHandle]:
-    return h.universe.elements(h)
-
-
-def mem(x: SetHandle, y: SetHandle) -> bool:
-    return y.universe.mem(x, y)
-
-
-def subset(x: SetHandle, y: SetHandle) -> bool:
-    return y.universe.subset(x, y)
-
-
-def is_transitive_set(h: SetHandle) -> bool:
-    return h.universe.is_transitive_set(h)
-
-
-def is_st_ordinal(h: SetHandle) -> bool:
-    return h.universe.is_st_ordinal(h)
-
-
-def von_neumann(n: int, u: SetUniverse, limit: int = DEFAULT_NUMERAL_LIMIT) -> SetHandle:
-    return u.von_neumann(n, limit)
-
-
-def rank_nat(h: SetHandle) -> int:
-    return h.universe.rank_nat(h)
-
-
-def from_graph(g: PointedGraph, u: SetUniverse) -> SetHandle:
-    return u.from_graph(g)
 
 
 # -- bisimulation oracle on raw graphs ---------------------------------------

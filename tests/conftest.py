@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from hfkit import SetUniverse, enumerate_mewos, is_covered, validate_mewo
+from hfkit import SetUniverse, enumerate_mewos, is_covered
+from hfkit.suites import bullet, circ, circ_bullet, empty_mewo
 
 
 @pytest.fixture()
@@ -28,24 +28,6 @@ def covered_pool(mewo_pool):
 def small_mewo_pool():
     """Every mewo of size at most 3, for the heavier pairwise sweeps."""
     return [m for s in range(4) for m in enumerate_mewos(s)]
-
-
-def bullet():
-    return validate_mewo(1, np.zeros((1, 1), bool), np.ones(1, bool))
-
-
-def circ():
-    return validate_mewo(1, np.zeros((1, 1), bool), np.zeros(1, bool))
-
-
-def circ_bullet():
-    lt = np.zeros((2, 2), bool)
-    lt[0, 1] = True
-    return validate_mewo(2, lt, np.array([False, True]))
-
-
-def empty_mewo():
-    return validate_mewo(0, np.zeros((0, 0), bool), np.zeros(0, bool))
 
 
 @pytest.fixture()

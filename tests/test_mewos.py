@@ -19,6 +19,7 @@ from hfkit import (
     codes,
     covered_part,
     down_plus,
+    enum_bounded_sims,
     enum_simulations,
     equal_by_permutation,
     from_ordinal,
@@ -258,6 +259,22 @@ def test_bounded_sim_fixtures(fixtures_mewos):
     assert bounded_sim_mewo(emp, cb) is None
 
 
+def test_bounded_sim_decides_on_codes_alone(small_mewo_pool, monkeypatch):
+    # the bound is read off the codes: no segment, closure or equality is built
+    import hfkit.mewos as mewos_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bounded_sim_mewo must decide through codes alone")
+
+    for name in ("down_plus", "down_plus_carrier", "closure", "mewo_equal"):
+        monkeypatch.setattr(mewos_module, name, forbidden)
+    u = SetUniverse()
+    for X in small_mewo_pool:
+        for Y in small_mewo_pool:
+            got = bounded_sim_mewo(X, Y, u)
+            assert enum_bounded_sims(X, Y) == ([got] if got else [])
+
+
 def test_bounded_sim_strictly_shrinks(covered_pool):
     u = SetUniverse()
     for X in covered_pool:
@@ -447,6 +464,33 @@ def test_json_rejects_undeclared_names():
         mewo_from_json({"elems": ["a", "b"], "lt": [["a", "c"]], "marked": ["b"]})
     with pytest.raises(ValueError, match="z"):
         mewo_from_json({"elems": ["a"], "lt": [], "marked": ["z"]})
+
+
+def test_text_reader_accepts_repeated_clauses():
+    # elems and marked keep their last clause, lt clauses accumulate
+    X = mewo_from_text(
+        "mewo { elems: a; elems: a b c; lt: a<b; lt: a<c, b<c; marked: a; marked: c }"
+    )
+    assert mewo_to_text(X) == "mewo { elems: a b c; lt: a<b, a<c, b<c; marked: c }"
+    with pytest.raises(ValueError, match="unknown clause 'mark'"):
+        mewo_from_text("mewo { elems: a; mark: a }")
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"elems": ["a", "b"], "marked": ["b"]}, "lt"),
+        ({"elems": 5, "lt": [], "marked": []}, "elems"),
+        ({"elems": ["a"], "lt": []}, "marked"),
+        ({"elems": ["a", "b"], "lt": [["a"]], "marked": []}, "lt"),
+        ({"elems": ["a", "b"], "lt": [["a", 1]], "marked": []}, "lt"),
+        ({"elems": [["a"]], "lt": [], "marked": []}, "elems"),
+        (["a"], "elems"),
+    ],
+)
+def test_json_rejects_malformed_documents(doc, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        mewo_from_json(doc)
 
 
 def test_codes_cache_dies_with_its_universe(fixtures_mewos):

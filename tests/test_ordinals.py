@@ -321,6 +321,13 @@ def test_text_rejects_garbage():
         ord_from_text("ord { weird: 3 }")
 
 
+def test_text_reader_accepts_repeated_clauses():
+    # the last size clause wins, lt clauses accumulate
+    assert ord_from_text("ord { size: 5; size: 3; lt: 0<1; lt: 0<2, 1<2 }") == chain(3)
+    with pytest.raises(ValueError, match="missing size clause"):
+        ord_from_text("ord { lt: }")
+
+
 def test_json_rejects_out_of_range_pairs():
     for pair in ([0, -1], [0, 5], [-2, 1]):
         with pytest.raises(ValidationError, match=re.escape(str(pair))):

@@ -7,7 +7,17 @@ import sys
 import pytest
 
 from hfkit import EvalError, ParseError, Session, parse, run_suite
-from hfkit.parser import Braces, EmptySet, Ident, Let, Numeral, Op, format_expr, parse_program
+from hfkit.parser import (
+    MAX_BRACE_DEPTH,
+    Braces,
+    EmptySet,
+    Ident,
+    Let,
+    Numeral,
+    Op,
+    format_expr,
+    parse_program,
+)
 
 
 def test_parse_empty_set():
@@ -23,6 +33,19 @@ def test_parse_error_position():
         parse("{,")
     assert exc.value.line == 1 and exc.value.col == 2
     assert exc.value.expected
+
+
+def test_parse_brace_nesting_at_the_bound():
+    h = Session().eval(parse("{" * MAX_BRACE_DEPTH + "}" * MAX_BRACE_DEPTH))
+    assert h.universe.rank_nat(h) == MAX_BRACE_DEPTH - 1
+
+
+def test_parse_brace_nesting_past_the_bound():
+    deep = "{" * (MAX_BRACE_DEPTH + 1) + "}" * (MAX_BRACE_DEPTH + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_program("let x = {}\ncanon " + deep)
+    # the offending brace is the first one past the bound
+    assert (exc.value.line, exc.value.col) == (2, len("canon ") + MAX_BRACE_DEPTH + 1)
 
 
 def test_parse_numeral_and_ident():
@@ -249,5 +272,41 @@ def test_cli_mewo_json_undeclared_element(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"elems":["a","b"],"lt":[["a","c"]],"marked":["b"]}\n')
     res = run_cli("mewo", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_cli_mewo_json_missing_key(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"elems":["a","b"],"marked":["b"]}\n')
+    res = run_cli("mewo", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert "'lt'" in res.stderr
+
+
+def test_cli_mewo_json_elems_not_a_list(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"elems":5,"lt":[],"marked":[]}\n')
+    res = run_cli("mewo", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert "'elems'" in res.stderr
+
+
+def test_cli_run_canon_of_a_deep_chain(tmp_path):
+    # 1,200 nested singletons, deeper than the default recursion limit
+    lines = ["let s0 = {}"] + [f"let s{k} = {{s{k - 1}}}" for k in range(1, 1201)]
+    script = tmp_path / "chain.hf"
+    script.write_text("\n".join(lines + ["canon s1200"]) + "\n")
+    res = run_cli("run", str(script))
+    assert res.returncode == 0 and "Traceback" not in res.stderr
+    assert res.stdout.strip() == "{" * 1201 + "}" * 1201
+
+
+def test_cli_run_rejects_braces_past_the_bound(tmp_path):
+    script = tmp_path / "deep.hf"
+    script.write_text("canon " + "{" * 1200 + "}" * 1200 + "\n")
+    res = run_cli("run", str(script))
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
