@@ -12,7 +12,7 @@ class ForeignHandleError(HfkitError):
 
 
 class LimitExceededError(HfkitError):
-    """A configured size guard (node limit, numeral bound) was hit."""
+    """A configured size guard (node limit, numeral bound, output size) was hit."""
 
 
 class CyclicError(HfkitError):

@@ -288,10 +288,10 @@ def _read_clauses(text: str, kind: str, usage: str, keys: tuple[str, ...]):
 
     A key may repeat; a key outside `keys` raises when its clause is reached.
     """
-    body = text.strip()
-    if not (body.startswith(kind) and body.endswith("}")):
+    head, brace, body = text.strip().partition("{")
+    if not (head.strip() == kind and brace and body.endswith("}")):
         raise ValueError(f"expected {usage!r}")
-    for clause in body[body.index("{") + 1 : -1].split(";"):
+    for clause in body[:-1].split(";"):
         clause = clause.strip()
         if clause:
             key, _, val = clause.partition(":")

@@ -10,35 +10,59 @@ from .correspondence import (
     set_of_mewo,
     set_of_ordinal,
 )
-from .errors import EvalError
+from .errors import EvalError, LimitExceededError
 from .mewos import Mewo, mewo_equal, mewo_to_dot, mewo_to_json, mewo_to_text
 from .ordinals import FinOrd, ord_to_json, ord_to_text, same_order_type
 from .parser import Braces, EmptySet, Expr, Ident, Let, Numeral, Op, parse_program
 from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse, export_slice
 
 
-def canon(h: SetHandle) -> str:
-    """Canonical brace notation: members sorted shortlex, no whitespace.
+# Longest text `canon` or `dot` may build; numeral n renders in about 2.5 * 2**n
+# characters, so the default numeral bound alone would allow far more.
+MAX_RENDERED_CHARS = 1 << 22
 
-    Rendered bottom-up over the hereditary members, whose handle order is a
-    topological order of membership, so the depth of h is not bounded by
-    the interpreter's recursion limit.
+
+def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], dict[int, str]]:
+    """h and the sets below it in handle order, with the canonical text of each.
+
+    Handle order is a topological order of membership, so both passes run
+    bottom-up and the depth of h is not bounded by the recursion limit. The
+    first pass adds up lengths, the text of a set with k > 0 members being
+    2 braces plus their lengths plus k - 1 commas; past `MAX_RENDERED_CHARS` (for h,
+    or for all nodes together when `labels` is set) it raises
+    `LimitExceededError` before any text is built.
     """
     u = h.universe
+    nodes = u.hereditary_members(h) + [h]
+    members: dict[int, list[int]] = {}
+    size: dict[int, int] = {}
+    for x in nodes:
+        ms = members[x.id] = [m.id for m in u.elements(x)]
+        size[x.id] = 1 + len(ms) + sum([size[m] for m in ms]) if ms else 2
+    need = sum(size.values()) if labels else size[h.id]
+    if need > MAX_RENDERED_CHARS:
+        raise LimitExceededError(
+            f"rendering needs {need} characters, over the limit of {MAX_RENDERED_CHARS}"
+        )
     text: dict[int, str] = {}
-    for x in u.hereditary_members(h) + [h]:
-        parts = sorted((text[m.id] for m in u.elements(x)), key=lambda s: (len(s), s))
-        text[x.id] = "{" + ",".join(parts) + "}"
-    return text[h.id]
+    for i, ms in members.items():
+        parts = sorted((text[m] for m in ms), key=lambda s: (len(s), s))
+        text[i] = "{" + ",".join(parts) + "}"
+    return nodes, text
+
+
+def canon(h: SetHandle) -> str:
+    """Canonical brace notation: members sorted shortlex, no whitespace."""
+    return _canon_table(h)[1][h.id]
 
 
 def set_to_dot(h: SetHandle, name: str = "set") -> str:
     """Membership digraph of the sets reachable from h, child -> parent."""
     u = h.universe
-    nodes = u.hereditary_members(h) + [h]
+    nodes, text = _canon_table(h, labels=True)
     lines = [f"digraph {name} {{"]
     for m in nodes:
-        lines.append(f'  n{m.id} [label="{canon(m)}"];')
+        lines.append(f'  n{m.id} [label="{text[m.id]}"];')
     for m in nodes:
         for c in u.elements(m):
             lines.append(f"  n{c.id} -> n{m.id};")

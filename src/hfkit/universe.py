@@ -85,7 +85,9 @@ class SetUniverse:
     """Append-only interning arena; the cumulative hierarchy at desk scale.
 
     Interning is idempotent and the only mutation; it is serialized by an
-    internal lock, so handles can be shared freely across threads.
+    internal lock, so handles can be shared freely across threads. A
+    collapse (`from_graph`) or a slice import takes that lock once for the
+    whole call, so a concurrent `mk_set` waits until it has finished.
     """
 
     def __init__(self, node_limit: int | None = None):
@@ -118,19 +120,21 @@ class SetUniverse:
 
     def mk_set(self, children: Iterable[SetHandle]) -> SetHandle:
         """Intern the set whose members are `children` (order and duplicates ignored)."""
-        ids = sorted({self._own(ch) for ch in children})
-        key = tuple(ids)
+        key = tuple(sorted({self._own(ch) for ch in children}))
         with self._lock:
-            idx = self._intern.get(key)
-            if idx is None:
-                if len(self._children) >= self.node_limit:
-                    raise LimitExceededError(
-                        f"universe node limit {self.node_limit} reached"
-                    )
-                idx = len(self._children)
-                self._children.append(key)
-                self._intern[key] = idx
+            idx = self._intern_ids(key)
         return SetHandle(self, idx)
+
+    def _intern_ids(self, key: tuple[int, ...]) -> int:
+        """Id of the set whose sorted child ids are `key`; the caller holds `_lock`."""
+        idx = self._intern.get(key)
+        if idx is None:
+            if len(self._children) >= self.node_limit:
+                raise LimitExceededError(f"universe node limit {self.node_limit} reached")
+            idx = len(self._children)
+            self._children.append(key)
+            self._intern[key] = idx
+        return idx
 
     def empty(self) -> SetHandle:
         return self.mk_set(())
@@ -195,32 +199,31 @@ class SetUniverse:
 
     def rank_nat(self, h: SetHandle) -> int:
         """0 for the empty set, else one more than the largest member rank."""
+        i = self._own(h)
         cache = self._rank
-        stack = [self._own(h)]
-        while stack:
-            i = stack[-1]
-            if i in cache:
-                stack.pop()
-                continue
-            pending = [c for c in self._children[i] if c not in cache]
-            if pending:
-                stack.extend(pending)
-            else:
-                cs = self._children[i]
-                cache[i] = 1 + max(cache[c] for c in cs) if cs else 0
-                stack.pop()
-        return cache[self._own(h)]
+        if i not in cache:
+            children = self._children
+            # ascending ids are a topological order: members come first
+            for j in self._below_ids(i, cache) + [i]:
+                cs = children[j]
+                cache[j] = 1 + max([cache[c] for c in cs]) if cs else 0
+        return cache[i]
 
     def hereditary_members(self, h: SetHandle) -> list[SetHandle]:
         """All sets strictly below h in the membership order, sorted by key."""
+        return [SetHandle(self, i) for i in self._below_ids(self._own(h))]
+
+    def _below_ids(self, i: int, known=()) -> list[int]:
+        """Sorted ids strictly below id i, not walking into or past ids in `known`."""
+        children = self._children
         seen: set[int] = set()
-        stack = list(self._children[self._own(h)])
+        stack = [i]
         while stack:
-            i = stack.pop()
-            if i not in seen:
-                seen.add(i)
-                stack.extend(self._children[i])
-        return [SetHandle(self, i) for i in sorted(seen)]
+            for c in children[stack.pop()]:
+                if c not in seen and c not in known:
+                    seen.add(c)
+                    stack.append(c)
+        return sorted(seen)
 
     def check_acyclic(self) -> bool:
         """Re-verify that ids form a topological order of the membership digraph."""
@@ -235,31 +238,31 @@ class SetUniverse:
 
         Children are interned bottom-up along a post-order of a
         deterministic depth-first walk, so identical call sequences yield
-        identical handles. Rejects any cycle reachable from the root.
+        identical handles. Rejects any cycle reachable from the root. The
+        whole collapse runs under the universe lock, taken once per call.
         """
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * g.n
-        result: list[SetHandle | None] = [None] * g.n
-        stack: list[tuple[int, int]] = [(g.root, 0)]
-        color[g.root] = GRAY
-        while stack:
-            v, i = stack[-1]
-            succs = g.successors[v]
-            if i < len(succs):
-                stack[-1] = (v, i + 1)
-                w = succs[i]
-                if color[w] == GRAY:
-                    path = [u for u, _ in stack]
-                    cycle = path[path.index(w):]
-                    raise CyclicError(cycle)
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, 0))
-            else:
-                result[v] = self.mk_set([result[w] for w in succs])
-                color[v] = BLACK
-                stack.pop()
-        return result[g.root]
+        WHITE, GRAY = -1, -2
+        succ = g.successors
+        result = [WHITE] * g.n  # WHITE, GRAY, or the set id of a finished vertex
+        result[g.root] = GRAY
+        stack = [(g.root, iter(succ[g.root]))]
+        intern = self._intern_ids
+        with self._lock:
+            while stack:
+                v, todo = stack[-1]
+                for w in todo:
+                    r = result[w]
+                    if r == WHITE:
+                        result[w] = GRAY
+                        stack.append((w, iter(succ[w])))
+                        break
+                    if r == GRAY:
+                        path = [x for x, _ in stack]
+                        raise CyclicError(path[path.index(w):])
+                else:
+                    result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
+                    stack.pop()
+        return SetHandle(self, result[g.root])
 
 
 # -- bisimulation oracle on raw graphs ---------------------------------------
@@ -355,19 +358,31 @@ def export_slice(h: SetHandle) -> dict:
     node is the sorted array of its children's positions.
     """
     u = h.universe
-    ids = sorted({m.id for m in u.hereditary_members(h)} | {h.id})
+    ids = u._below_ids(h.id) + [h.id]
     index = {i: pos for pos, i in enumerate(ids)}
     nodes = [[index[c] for c in u._children[i]] for i in ids]
-    return {"nodes": nodes, "root": index[h.id]}
+    return {"nodes": nodes, "root": len(ids) - 1}
 
 
 def import_slice(doc: dict, u: SetUniverse) -> SetHandle:
+    """Intern the set a slice presents, under the universe lock taken once."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("nodes"), (list, tuple)) and "root" in doc):
+        raise ValueError("a slice is an object with a list of nodes and a root")
     nodes, root = doc["nodes"], doc["root"]
-    if not (0 <= root < len(nodes)):
-        raise ValueError(f"root {root} is not a node position")
-    handles: list[SetHandle] = []
-    for pos, child_positions in enumerate(nodes):
-        if any(not (0 <= c < pos) for c in child_positions):
-            raise ValueError(f"node {pos} references a non-earlier node")
-        handles.append(u.mk_set([handles[c] for c in child_positions]))
-    return handles[root]
+    if type(root) is not int or not 0 <= root < len(nodes):
+        raise ValueError(f"root {root!r} is not a node position")
+    ids: list[int] = []
+    intern = u._intern_ids
+    with u._lock:
+        for pos, child_positions in enumerate(nodes):
+            if not isinstance(child_positions, (list, tuple)):
+                raise ValueError(f"node {pos} is not a list of child positions")
+            kids = set()
+            for c in child_positions:
+                if type(c) is not int:
+                    raise ValueError(f"node {pos} has a child position {c!r} that is not an integer")
+                if not 0 <= c < pos:
+                    raise ValueError(f"node {pos} references a non-earlier node")
+                kids.add(ids[c])
+            ids.append(intern(tuple(sorted(kids))))
+    return SetHandle(u, ids[root])

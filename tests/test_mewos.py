@@ -459,6 +459,15 @@ def test_text_errors():
         mewo_from_text("mewo { elems: a; lt: a<b; marked: }")
 
 
+def test_text_reader_wants_the_exact_header(fixtures_mewos):
+    bullet, _, _, emp = fixtures_mewos
+    assert mewo_from_text("mewo{elems:a;lt:;marked:a}") == bullet
+    assert mewo_from_text("mewo { }") == emp
+    for text in ("mewox { }", "mewos { elems: a; lt: ; marked: a }", "mewo elems: a }", "mewo }"):
+        with pytest.raises(ValueError, match="expected"):
+            mewo_from_text(text)
+
+
 def test_json_rejects_undeclared_names():
     with pytest.raises(ValueError, match="c"):
         mewo_from_json({"elems": ["a", "b"], "lt": [["a", "c"]], "marked": ["b"]})

@@ -321,6 +321,14 @@ def test_text_rejects_garbage():
         ord_from_text("ord { weird: 3 }")
 
 
+def test_text_reader_wants_the_exact_header():
+    assert ord_from_text("ord{size:1}") == chain(1)
+    assert ord_from_text("  ord  { size: 2; lt: 0<1 }  ") == chain(2)
+    for text in ("ordinal { size: 1 }", "ordx { size: 1 }", "ord size: 1 }", "ord }"):
+        with pytest.raises(ValueError, match="expected"):
+            ord_from_text(text)
+
+
 def test_text_reader_accepts_repeated_clauses():
     # the last size clause wins, lt clauses accumulate
     assert ord_from_text("ord { size: 5; size: 3; lt: 0<1; lt: 0<2, 1<2 }") == chain(3)

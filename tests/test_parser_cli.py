@@ -6,7 +6,20 @@ import sys
 
 import pytest
 
-from hfkit import EvalError, ParseError, Session, parse, run_suite
+import hfkit.session as session_module
+from hfkit import (
+    EvalError,
+    LimitExceededError,
+    ParseError,
+    PointedGraph,
+    Session,
+    SetUniverse,
+    canon,
+    mewo_of_set,
+    parse,
+    run_suite,
+    set_of_mewo,
+)
 from hfkit.parser import (
     MAX_BRACE_DEPTH,
     Braces,
@@ -18,6 +31,7 @@ from hfkit.parser import (
     format_expr,
     parse_program,
 )
+from hfkit.session import MAX_RENDERED_CHARS, set_to_dot
 
 
 def test_parse_empty_set():
@@ -171,6 +185,42 @@ def test_dot_command():
     assert line.startswith("digraph") and "->" in line
 
 
+def _dot_by_per_node_canon(h, name="set"):
+    """DOT text with each label rendered by its own `canon` call."""
+    u = h.universe
+    nodes = u.hereditary_members(h) + [h]
+    lines = [f"digraph {name} {{"]
+    lines += [f'  n{m.id} [label="{canon(m)}"];' for m in nodes]
+    lines += [f"  n{c.id} -> n{m.id};" for m in nodes for c in u.elements(m)]
+    return "\n".join(lines + ["}"])
+
+
+def test_dot_labels_match_per_node_canon():
+    u = SetUniverse()
+    e = u.empty()
+    one = u.mk_set([e])
+    demo = [e, one, u.mk_set([e, one]), u.mk_set([one])] + [u.von_neumann(n) for n in range(6)]
+    demo.append(u.from_graph(PointedGraph.make([[1, 2, 1], [], []], root=0)))
+    demo.append(set_of_mewo(mewo_of_set(u.mk_set([u.mk_set([one]), e])), u))
+    for h in demo:
+        assert set_to_dot(h) == _dot_by_per_node_canon(h)
+
+
+def test_canon_and_dot_refuse_output_past_the_limit(monkeypatch):
+    s = Session()
+    (line,) = s.run_program("canon 20")
+    assert len(line) == 5 * 2**19 - 1 <= MAX_RENDERED_CHARS
+    with pytest.raises(LimitExceededError, match="characters"):
+        s.run_program("canon 25")
+    with pytest.raises(LimitExceededError, match="characters"):
+        s.run_program("dot 21")
+    # the limit counts exactly: a text of the limit's length is built
+    monkeypatch.setattr(session_module, "MAX_RENDERED_CHARS", len(canon(s.universe.von_neumann(4))))
+    assert s.run_program("canon 4") == [canon(s.universe.von_neumann(4))]
+    with pytest.raises(LimitExceededError):
+        s.run_program("canon 5")
+
+
 # -- suites ---------------------------------------------------------------------
 
 
@@ -309,4 +359,10 @@ def test_cli_run_rejects_braces_past_the_bound(tmp_path):
     script.write_text("canon " + "{" * 1200 + "}" * 1200 + "\n")
     res = run_cli("run", str(script))
     assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_cli_repl_refuses_canon_past_the_output_limit():
+    res = run_cli("repl", stdin="canon 25\n")
+    assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr

@@ -12,6 +12,7 @@ from hfkit import (
     ForeignHandleError,
     LimitExceededError,
     PointedGraph,
+    SetHandle,
     SetUniverse,
     bisimilar,
     enumerate_v,
@@ -147,6 +148,19 @@ def test_rank_matches_brute_force(u):
         assert u.rank_nat(h) == brute_rank(u, h)
 
 
+def test_rank_over_members_already_ranked(u):
+    # the walk stops at ranked ids; the new set must still get the true rank
+    nums = [u.von_neumann(n) for n in range(6)]
+    for h in nums[::2]:
+        u.rank_nat(h)
+    odd = u.mk_set([nums[1], u.mk_set([nums[3]])])
+    top = u.mk_set([nums[4], odd, u.mk_set([odd, nums[0]])])
+    assert u.rank_nat(top) == brute_rank(u, top) == 7
+    for i in range(len(u)):
+        h = SetHandle(u, i)
+        assert u.rank_nat(h) == brute_rank(u, h)
+
+
 def test_rank_of_numerals(u):
     for n in range(13):
         assert u.rank_nat(u.von_neumann(n)) == n
@@ -235,6 +249,92 @@ def test_concurrent_interning_is_consistent():
         for _ in range(k % 4 + 1):
             expect = shared.mk_set([expect, shared.empty()])
         assert results[k] == expect
+
+
+def _random_dag(seed: int, n: int) -> PointedGraph:
+    """n vertices with up to 3 children among the 20 before, under a root over all."""
+    rng = random.Random(seed)
+    succ = [[]]
+    for v in range(1, n):
+        succ.append([rng.randrange(max(0, v - 20), v) for _ in range(rng.randint(0, 3))])
+    succ.append(list(range(n)))
+    return PointedGraph.make(succ, root=n)
+
+
+def _collapse_slice_and_chain(u, g, doc, order):
+    """Run from_graph, import_slice and a 30-step mk_set chain in the given order."""
+
+    def chain():
+        h = u.mk_set([])
+        for _ in range(30):
+            h = u.mk_set(u.elements(h) + [h])
+        return h
+
+    steps = {"graph": lambda: u.from_graph(g), "slice": lambda: import_slice(doc, u), "chain": chain}
+    out = {name: steps[name]() for name in order}
+    return out["graph"], out["slice"], out["chain"]
+
+
+def test_concurrent_collapse_slice_and_mk_set():
+    g = _random_dag(17, 1500)
+    doc = export_slice(SetUniverse().from_graph(_random_dag(18, 1500)))
+    single = SetUniverse()
+    _collapse_slice_and_chain(single, g, doc, ("graph", "slice", "chain"))
+    # two threads start on each path, so that they race for the same new sets
+    orders = [("graph", "slice", "chain"), ("graph", "chain", "slice"),
+              ("slice", "chain", "graph"), ("slice", "graph", "chain")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            shared = SetUniverse()
+            results = [None] * 4
+
+            def worker(k):
+                results[k] = _collapse_slice_and_chain(shared, g, doc, orders[k])
+
+            threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert all(r == results[0] for r in results)
+            assert len(shared) == len(single)
+            assert shared.check_acyclic()
+            assert len(shared._intern) == len(shared)
+            assert shared.rank_nat(results[0][2]) == 30
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _mk_set_returns_on_another_thread(u) -> bool:
+    got = []
+    t = threading.Thread(target=lambda: got.append(u.mk_set([])), daemon=True)
+    t.start()
+    t.join(timeout=10)
+    return not t.is_alive() and got[0].id == 0
+
+
+def test_lock_released_after_a_failed_collapse():
+    u = SetUniverse()
+    u.empty()
+    with pytest.raises(CyclicError):
+        u.from_graph(PointedGraph.make([[1], [2, 0], []]))
+    assert _mk_set_returns_on_another_thread(u)
+
+    three = PointedGraph.make([[], [0], [0, 1], [0, 1, 2]], root=3)
+    tight = SetUniverse(node_limit=3)
+    with pytest.raises(LimitExceededError):
+        tight.from_graph(three)
+    assert len(tight) == 3
+    assert _mk_set_returns_on_another_thread(tight)
+
+    tight = SetUniverse(node_limit=3)
+    with pytest.raises(LimitExceededError):
+        import_slice(export_slice(SetUniverse().von_neumann(3)), tight)
+    assert len(tight) == 3
+    assert _mk_set_returns_on_another_thread(tight)
 
 
 def test_concurrent_numerals_are_correct():
@@ -391,3 +491,22 @@ def test_import_slice_rejects_root_out_of_range(u):
     for root in (-1, 2):
         with pytest.raises(ValueError, match="root"):
             import_slice({"nodes": [[], [0]], "root": root}, u)
+
+
+def test_import_slice_rejects_positions_that_are_not_integers(u):
+    bad = [
+        ({"nodes": [["a"]], "root": 0}, "node 0 .* not an integer"),
+        ({"nodes": [[], [0.0]], "root": 1}, "node 1 .* not an integer"),
+        # True would pass as position 1
+        ({"nodes": [[], [], [True]], "root": 2}, "node 2 .* not an integer"),
+        ({"nodes": [[], 5], "root": 1}, "node 1 is not a list"),
+    ]
+    for doc, where in bad:
+        with pytest.raises(ValueError, match=where):
+            import_slice(doc, u)
+    for root in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="root"):
+            import_slice({"nodes": [[], [0]], "root": root}, u)
+    for doc in ({"root": 0}, {"nodes": 5, "root": 0}, {"nodes": [[]]}, [[]]):
+        with pytest.raises(ValueError, match="a slice is an object"):
+            import_slice(doc, u)
