@@ -51,10 +51,8 @@ from .ordinals import (
 )
 from .mewos import (
     Mewo,
-    MewoCode,
     MewoSimWitness,
     bounded_sim_mewo,
-    closure,
     codes,
     covered_part,
     down_plus,

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotAnOrdinalError
-from .mewos import Mewo, _membership_matrix, codes, singleton, union, validate_mewo
+from .mewos import Mewo, codes, singleton, union
 from .ordinals import FinOrd, chain, down, ord_sum, sup, validate_ord
 from .universe import SetHandle, SetUniverse
 
@@ -50,6 +52,11 @@ def rank_ordinal(h: SetHandle) -> FinOrd:
     for x in u.hereditary_members(h):
         succ[x.id] = ord_sum(sup([succ[m.id] for m in u.elements(x)]), chain(1))
     return sup([succ[m.id] for m in u.elements(h)])
+
+
+def _membership_matrix(u: SetUniverse, sets: list[SetHandle]) -> np.ndarray:
+    """The membership order of sets of u: m[a, b] means sets[a] is in sets[b]."""
+    return np.array([[u.mem(a, b) for b in sets] for a in sets], dtype=bool).reshape(len(sets), len(sets))
 
 
 @dataclass(frozen=True)
@@ -105,26 +112,29 @@ def mewo_of_set(h: SetHandle) -> Mewo:
     Carrier: the hereditary members, in handle order. Order: membership.
     Marking: the direct members. This is the fast path; it must agree with
     mewo_of_set_literal, the recursion through singletons and unions.
+    Handle order is a topological order of membership and distinct sets
+    have distinct members, so the result needs no validation.
     """
     u = h.universe
-    members = u.hereditary_members(h)
-    direct = {m.id for m in u.elements(h)}
-    marked = [m.id in direct for m in members]
-    return validate_mewo(len(members), _membership_matrix(u, members), marked)
+    i = u._own(h)
+    ids = u._below_ids(i)
+    pos = {j: k for k, j in enumerate(ids)}
+    children = u._children
+    direct = set(children[i])
+    return Mewo(tuple(tuple(pos[c] for c in children[j]) for j in ids), [j in direct for j in ids])
 
 
 def mewo_of_set_literal(h: SetHandle, scratch: SetUniverse | None = None) -> Mewo:
     """Present a set as a covered mewo by the defining recursion:
-    the union over members of the singleton of the member's presentation."""
+    the union over members of the singleton of the member's presentation.
+    Evaluated bottom-up over the hereditary members in handle order, one
+    singleton per set, so the depth of h is not bounded by the recursion limit.
+    """
     u = h.universe
+    i = u._own(h)
     scratch = scratch if scratch is not None else SetUniverse()
-    memo: dict[int, Mewo] = {}
-
-    def go(x: SetHandle) -> Mewo:
-        got = memo.get(x.id)
-        if got is None:
-            got = union([singleton(go(m)) for m in u.elements(x)], scratch)
-            memo[x.id] = got
-        return got
-
-    return go(h)
+    children = u._children
+    singletons: dict[int, Mewo] = {}  # set id -> singleton of its presentation
+    for j in u._below_ids(i):
+        singletons[j] = singleton(union([singletons[c] for c in children[j]], scratch))
+    return union([singletons[c] for c in children[i]], scratch)

@@ -1,9 +1,11 @@
 """Marked extensional wellfounded orders (mewos).
 
-A mewo is a carrier 0..n-1 with an acyclic, extensional strict-order matrix
-(transitivity is NOT required) plus a marking bitset. Marked elements play
-the role of the top-level members of the set the structure presents; the
-other elements present members of members.
+A mewo is a carrier 0..n-1 with an acyclic, extensional direct relation
+(transitivity is NOT required), stored as `preds`, the ascending tuple of
+each element's direct predecessors, plus a marking bitset; the read-only
+matrix `lt` is derived on first use. Marked elements play the role of the
+top-level members of the set the structure presents; the other elements
+present members of members.
 
 Equality, simulation and bounded simulation are decided through Mostowski
 codes alone: each element is collapsed bottom-up to the canonical set of
@@ -18,65 +20,60 @@ searches in hfkit.oracle stay the authoritative cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
-from .errors import ValidationError, WellfoundednessError
+from .errors import ExtensionalityError, ValidationError
 from .ordinals import (
     FinOrd,
-    _check_extensional,
+    _checked_preds,
     _clause,
-    _find_cycle,
     _freeze,
     _lt_items,
     _read_clauses,
-    lt_pairs,
+    _transpose,
 )
 from .universe import SetHandle, SetUniverse
 
 
 class Mewo:
-    """A validated marked order. Construct via validate_mewo or the builders."""
+    """A validated marked order. Construct via validate_mewo or the builders;
+    the constructor trusts `preds` to be wellfounded and extensional."""
 
-    __slots__ = ("size", "lt", "marked")
+    __slots__ = ("size", "preds", "marked", "_lt", "_key", "_hash")
 
-    def __init__(self, size: int, lt: np.ndarray, marked: np.ndarray):
-        self.size = size
-        self.lt = _freeze(np.array(lt, dtype=bool).reshape(size, size))
-        self.marked = _freeze(np.array(marked, dtype=bool).reshape(size))
+    def __init__(self, preds: tuple[tuple[int, ...], ...], marked, lt: np.ndarray | None = None):
+        self.size = len(preds)
+        self.preds = preds
+        self.marked = _freeze(np.array(marked, dtype=bool).reshape(self.size))
+        self._lt = lt
+        self._key = (preds, self.marked.tobytes())  # what equality compares
+        self._hash = None
+
+    @property
+    def lt(self) -> np.ndarray:
+        """The direct relation as a read-only matrix; lt[i, j] means i < j."""
+        if self._lt is None:
+            m = np.zeros((self.size, self.size), dtype=bool)
+            m[[p for ps in self.preds for p in ps],
+              [x for x, ps in enumerate(self.preds) for _ in ps]] = True
+            self._lt = _freeze(m)
+        return self._lt
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mewo)
-            and self.size == other.size
-            and bool(np.array_equal(self.lt, other.lt))
-            and bool(np.array_equal(self.marked, other.marked))
-        )
+        return isinstance(other, Mewo) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.size, self.lt.tobytes(), self.marked.tobytes()))
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self):
-        return f"Mewo(size={self.size}, lt={lt_pairs(self.lt)}, marked={self.marked_elements()})"
-
-    def preds(self, x: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.lt[:, x])]
+        return f"Mewo(size={self.size}, lt={_pairs(self)}, marked={self.marked_elements()})"
 
     def marked_elements(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.marked)]
-
-
-@dataclass(frozen=True)
-class MewoCode:
-    """Per-element Mostowski codes of a mewo, inside one universe."""
-
-    handles: tuple[SetHandle, ...]
-
-    def __getitem__(self, i: int) -> SetHandle:
-        return self.handles[i]
-
-    def __len__(self) -> int:
-        return len(self.handles)
+        return np.flatnonzero(self.marked).tolist()
 
 
 @dataclass(frozen=True)
@@ -121,23 +118,25 @@ def validate_mewo(size: int, lt, marked) -> Mewo:
         raise ValidationError(f"matrix shape {m.shape} does not match size {size}")
     if mk.shape != (size,):
         raise ValidationError(f"marking shape {mk.shape} does not match size {size}")
-    cycle = _find_cycle(m)
-    if cycle is not None:
-        raise WellfoundednessError(cycle)
-    _check_extensional(m)
-    return Mewo(size, m, mk)
+    return Mewo(_checked_preds([np.flatnonzero(row).tolist() for row in m]), mk, _freeze(m))
 
 
-def closure(X: Mewo) -> tuple[np.ndarray, np.ndarray]:
-    """Transitive closure of lt and its reflexive variant, as fresh matrices."""
-    plus = X.lt.copy()
-    while True:
-        step = plus | ((plus.astype(np.uint8) @ plus.astype(np.uint8)) > 0)
-        if np.array_equal(step, plus):
-            break
-        plus = step
-    star = plus | np.eye(X.size, dtype=bool)
-    return _freeze(plus), _freeze(star)
+def _below(X: Mewo, tops) -> set[int]:
+    """The elements transitively below some element of `tops`."""
+    seen: set[int] = set()
+    stack = list(tops)
+    while stack:
+        for p in X.preds[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+def _restrict(X: Mewo, idxs: list[int], marked) -> Mewo:
+    """X on an ascending, downward closed list of its elements."""
+    pos = {i: k for k, i in enumerate(idxs)}
+    return Mewo(tuple(tuple(pos[p] for p in X.preds[i]) for i in idxs), marked)
 
 
 def is_covered(X: Mewo) -> bool:
@@ -146,8 +145,9 @@ def is_covered(X: Mewo) -> bool:
 
 
 def covered_mask(X: Mewo) -> np.ndarray:
-    _, star = closure(X)
-    return (star & X.marked[None, :]).any(axis=1)
+    tops = X.marked_elements()
+    covered = _below(X, tops).union(tops)
+    return np.array([x in covered for x in range(X.size)], dtype=bool)
 
 
 def down_plus(X: Mewo, x: int) -> Mewo:
@@ -157,80 +157,68 @@ def down_plus(X: Mewo, x: int) -> Mewo:
     predecessors of x. The result is always covered.
     """
     idxs = down_plus_carrier(X, x)
-    return validate_mewo(len(idxs), X.lt[np.ix_(idxs, idxs)], X.lt[idxs, x])
+    direct = set(X.preds[x])
+    return _restrict(X, idxs, [i in direct for i in idxs])
 
 
 def down_plus_carrier(X: Mewo, x: int) -> list[int]:
     """Original indices carried by down_plus(X, x), in carrier order."""
     if not (0 <= x < X.size):
         raise IndexError(f"element {x} out of range for size {X.size}")
-    plus, _ = closure(X)
-    return [int(i) for i in np.flatnonzero(plus[:, x])]
+    return sorted(_below(X, [x]))
 
 
 def mark_all(X: Mewo) -> Mewo:
-    return Mewo(X.size, X.lt, np.ones(X.size, dtype=bool))
+    return Mewo(X.preds, np.ones(X.size, dtype=bool))
 
 
 def covered_part(X: Mewo) -> Mewo:
     """Restriction to the covered elements; always covered itself."""
-    idxs = np.flatnonzero(covered_mask(X))
-    return validate_mewo(len(idxs), X.lt[np.ix_(idxs, idxs)], X.marked[idxs])
+    idxs = np.flatnonzero(covered_mask(X)).tolist()
+    return _restrict(X, idxs, X.marked[idxs])
 
 
 def from_ordinal(alpha: FinOrd) -> Mewo:
     """View an ordinal as a mewo: same order, everything marked."""
-    return validate_mewo(alpha.size, alpha.lt, np.ones(alpha.size, dtype=bool))
-
-
-def _membership_matrix(u: SetUniverse, sets: list[SetHandle]) -> np.ndarray:
-    """The membership order of sets of u: m[a, b] means sets[a] is in sets[b]."""
-    n = len(sets)
-    m = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            m[a, b] = u.mem(sets[a], sets[b])
-    return m
+    order = sorted(range(alpha.size), key=alpha.pos.__getitem__)
+    preds = tuple(tuple(sorted(order[:p])) for p in alpha.pos)
+    return Mewo(preds, np.ones(alpha.size, dtype=bool))
 
 
 def _topo_order(X: Mewo) -> list[int]:
-    # Kahn over the (acyclic) direct relation; stable in index order
-    indeg = X.lt.sum(axis=0).astype(int)
-    ready = sorted(int(i) for i in np.flatnonzero(indeg == 0))
+    # Kahn over the (acyclic) direct relation, always taking the least ready element
+    succ = _transpose(X.preds)
+    indeg = [len(ps) for ps in X.preds]
+    ready = [x for x in range(X.size) if not indeg[x]]  # ascending, so a heap
     out: list[int] = []
-    indeg = list(indeg)
     while ready:
-        v = ready.pop(0)
+        v = heappop(ready)
         out.append(v)
-        for w in np.flatnonzero(X.lt[v]):
-            indeg[int(w)] -= 1
-            if indeg[int(w)] == 0:
-                ready.append(int(w))
-        ready.sort()
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                heappush(ready, w)
     return out
 
 
-def codes(X: Mewo, u: SetUniverse) -> MewoCode:
+def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
     """Mostowski codes: code(x) interns the set of its predecessors' codes."""
+    return _code_index(X, u)[0]
+
+
+def _code_index(X: Mewo, u: SetUniverse) -> tuple[tuple[SetHandle, ...], dict[int, int]]:
+    """The codes of X and the element of X with each code, keyed by set id."""
     # codes are deterministic per (universe, structure); the cache lives on
     # the universe, whose handles it holds, so the two are freed together
-    per_universe = u._mewo_codes
-    got = per_universe.get(X)
-    if got is not None:
-        return got
-    result: list[SetHandle | None] = [None] * X.size
-    for x in _topo_order(X):
-        result[x] = u.mk_set([result[p] for p in X.preds(x)])
-    got = MewoCode(tuple(result))
-    per_universe[X] = got
+    got = u._mewo_codes.get(X)
+    if got is None:
+        result: list[SetHandle | None] = [None] * X.size
+        for x in _topo_order(X):
+            result[x] = u.mk_set([result[p] for p in X.preds[x]])
+        index = {c.id: x for x, c in enumerate(result)}
+        assert len(index) == X.size, "codes must be injective on the carrier"
+        got = u._mewo_codes[X] = (tuple(result), index)
     return got
-
-
-def _code_index(X: Mewo, u: SetUniverse) -> tuple[MewoCode, dict[SetHandle, int]]:
-    cs = codes(X, u)
-    index = {cs[i]: i for i in range(X.size)}
-    assert len(index) == X.size, "codes must be injective on the carrier"
-    return cs, index
 
 
 def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
@@ -239,10 +227,10 @@ def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
         return False
     u = u if u is not None else SetUniverse()
     cx, _ = _code_index(X, u)
-    cy, index_y = _code_index(Y, u)
-    for x in range(X.size):
-        y = index_y.get(cx[x])
-        if y is None or bool(X.marked[x]) != bool(Y.marked[y]):
+    _, index_y = _code_index(Y, u)
+    for x, c in enumerate(cx):
+        y = index_y.get(c.id)
+        if y is None or X.marked[x] != Y.marked[y]:
             return False
     return True
 
@@ -258,8 +246,8 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> MewoSimWi
     cx, _ = _code_index(X, u)
     _, index_y = _code_index(Y, u)
     f: list[int] = []
-    for x in range(X.size):
-        y = index_y.get(cx[x])
+    for x, c in enumerate(cx):
+        y = index_y.get(c.id)
         if y is None:
             return None
         if X.marked[x] and not Y.marked[y]:
@@ -283,13 +271,13 @@ def bounded_sim_mewo(
     u = u if u is not None else SetUniverse()
     cx, _ = _code_index(X, u)
     target = u.mk_set([cx[x] for x in X.marked_elements()])
-    if len(u.hereditary_members(target)) != X.size:
+    if len(u._below_ids(target.id)) != X.size:
         return None
     _, index_y = _code_index(Y, u)
-    y = index_y.get(target)
+    y = index_y.get(target.id)
     if y is None or not Y.marked[y]:
         return None
-    return y, tuple(index_y[cx[x]] for x in range(X.size))
+    return y, tuple(index_y[c.id] for c in cx)
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int] | None:
@@ -297,10 +285,10 @@ def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int
     u = u if u is not None else SetUniverse()
     cx, _ = _code_index(X, u)
     cy, _ = _code_index(Y, u)
-    marked_codes = {cy[y]: y for y in Y.marked_elements()}
+    marked_codes = {cy[y].id: y for y in Y.marked_elements()}
     f: dict[int, int] = {}
     for x in X.marked_elements():
-        y = marked_codes.get(cx[x])
+        y = marked_codes.get(cx[x].id)
         if y is None:
             return None
         f[x] = y
@@ -324,13 +312,10 @@ def singleton(X: Mewo) -> Mewo:
     element and the new top may share predecessor sets); the failure is
     reported rather than repaired.
     """
-    n = X.size
-    lt = np.zeros((n + 1, n + 1), dtype=bool)
-    lt[:n, :n] = X.lt
-    lt[:n, n] = X.marked
-    marked = np.zeros(n + 1, dtype=bool)
-    marked[n] = True
-    return validate_mewo(n + 1, lt, marked)
+    top = tuple(X.marked_elements())
+    if top in X.preds:
+        raise ExtensionalityError(X.preds.index(top), X.size)
+    return Mewo(X.preds + (top,), np.arange(X.size + 1) == X.size)
 
 
 def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
@@ -340,27 +325,32 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
     membership, and an element is marked when some representative is
     marked in its member. Class representatives are the lexicographically
     least (member index, element index) pairs, and the carrier lists
-    classes in that order.
+    classes in that order. Distinct codes have distinct members and code
+    membership is wellfounded, so the result needs no validation.
     """
     u = u if u is not None else SetUniverse()
-    order: list[SetHandle] = []
-    reps: dict[SetHandle, int] = {}
+    order: list[int] = []  # the code id of each class
+    reps: dict[int, int] = {}  # code id -> class
     marked: list[bool] = []
-    for a, X in enumerate(F):
-        cs = codes(X, u)
-        for x in range(X.size):
-            c = cs[x]
-            pos = reps.get(c)
+    for X in F:
+        for x, c in enumerate(codes(X, u)):
+            pos = reps.get(c.id)
             if pos is None:
-                reps[c] = len(order)
-                order.append(c)
+                reps[c.id] = len(order)
+                order.append(c.id)
                 marked.append(bool(X.marked[x]))
             elif X.marked[x]:
                 marked[pos] = True
-    return validate_mewo(len(order), _membership_matrix(u, order), marked)
+    children = u._children
+    return Mewo(tuple(tuple(sorted(reps[c] for c in children[i])) for i in order), marked)
 
 
 # -- serialization ------------------------------------------------------------
+
+
+def _pairs(X: Mewo) -> list[tuple[int, int]]:
+    """The pairs i < j of X, ordered by i and then by j."""
+    return [(p, x) for p, xs in enumerate(_transpose(X.preds)) for x in xs]
 
 
 def _names(n: int) -> list[str]:
@@ -372,7 +362,7 @@ def _names(n: int) -> list[str]:
 def mewo_to_text(X: Mewo) -> str:
     names = _names(X.size)
     elems = " ".join(names)
-    edges = ", ".join(f"{names[i]}<{names[j]}" for i, j in lt_pairs(X.lt))
+    edges = ", ".join(f"{names[i]}<{names[j]}" for i, j in _pairs(X))
     marks = " ".join(names[i] for i in X.marked_elements())
     return (
         "mewo { "
@@ -386,17 +376,17 @@ def _mewo_of_names(names: list, edges: list, marks: list) -> Mewo:
     if len(index) != len(names):
         raise ValueError("duplicate element name")
     n = len(names)
-    lt = np.zeros((n, n), dtype=bool)
+    above: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         if i not in index or j not in index:
             raise ValueError(f"edge {i}<{j} uses an undeclared element")
-        lt[index[i], index[j]] = True
+        above[index[i]].add(index[j])
     marked = np.zeros(n, dtype=bool)
     for name in marks:
         if name not in index:
             raise ValueError(f"marked element {name} is not declared")
         marked[index[name]] = True
-    return validate_mewo(n, lt, marked)
+    return Mewo(_checked_preds([sorted(s) for s in above]), marked)
 
 
 def mewo_from_text(text: str) -> Mewo:
@@ -418,7 +408,7 @@ def mewo_to_json(X: Mewo) -> dict:
     names = _names(X.size)
     return {
         "elems": names,
-        "lt": [[names[i], names[j]] for i, j in lt_pairs(X.lt)],
+        "lt": [[names[i], names[j]] for i, j in _pairs(X)],
         "marked": [names[i] for i in X.marked_elements()],
     }
 
@@ -446,7 +436,7 @@ def mewo_to_dot(X: Mewo, name: str = "mewo") -> str:
     for i, label in enumerate(names):
         style = ' style=filled fillcolor=black fontcolor=white' if X.marked[i] else ""
         lines.append(f'  {label} [label="{label}"{style}];')
-    for i, j in lt_pairs(X.lt):
+    for i, j in _pairs(X):
         lines.append(f"  {names[i]} -> {names[j]};")
     lines.append("}")
     return "\n".join(lines)

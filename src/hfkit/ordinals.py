@@ -99,9 +99,33 @@ def lt_pairs(lt: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in np.argwhere(lt)]
 
 
-def _find_cycle(lt: np.ndarray) -> list[int] | None:
-    n = lt.shape[0]
-    succ = [[int(j) for j in np.flatnonzero(lt[i])] for i in range(n)]
+def _transpose(adj) -> list[list[int]]:
+    """Invert ascending adjacency lists: out[x] lists, ascending, the p with x in adj[p]."""
+    out: list[list[int]] = [[] for _ in adj]
+    for p, xs in enumerate(adj):
+        for x in xs:
+            out[x].append(p)
+    return out
+
+
+def _checked_preds(succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The ascending predecessor tuples of a relation given by its ascending
+    successor lists. Raises the first cycle that a depth-first walk from each
+    element in turn meets, else the first pair with equal predecessors."""
+    cycle = _find_cycle(succ)
+    if cycle is not None:
+        raise WellfoundednessError(cycle)
+    preds = tuple(map(tuple, _transpose(succ)))
+    seen: dict[tuple[int, ...], int] = {}
+    for x, key in enumerate(preds):
+        if key in seen:
+            raise ExtensionalityError(seen[key], x)
+        seen[key] = x
+    return preds
+
+
+def _find_cycle(succ: list[list[int]]) -> list[int] | None:
+    n = len(succ)
     color = [0] * n  # 0 fresh, 1 on stack, 2 done
     for start in range(n):
         if color[start]:
@@ -125,15 +149,6 @@ def _find_cycle(lt: np.ndarray) -> list[int] | None:
     return None
 
 
-def _check_extensional(lt: np.ndarray) -> None:
-    seen: dict[bytes, int] = {}
-    for x in range(lt.shape[0]):
-        key = lt[:, x].tobytes()
-        if key in seen:
-            raise ExtensionalityError(seen[key], x)
-        seen[key] = x
-
-
 def validate_ord(size: int, lt) -> FinOrd:
     """Validate a strict-order matrix as a finite ordinal.
 
@@ -144,10 +159,7 @@ def validate_ord(size: int, lt) -> FinOrd:
     m = np.array(lt, dtype=bool)
     if m.shape != (size, size):
         raise ValidationError(f"matrix shape {m.shape} does not match size {size}")
-    cycle = _find_cycle(m)
-    if cycle is not None:
-        raise WellfoundednessError(cycle)
-    _check_extensional(m)
+    _checked_preds([np.flatnonzero(row).tolist() for row in m])
     composed = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
     gaps = composed & ~m
     if gaps.any():

@@ -11,14 +11,15 @@ from .correspondence import (
     set_of_ordinal,
 )
 from .errors import EvalError, LimitExceededError
-from .mewos import Mewo, mewo_equal, mewo_to_dot, mewo_to_json, mewo_to_text
+from .mewos import Mewo, _names, mewo_equal, mewo_to_dot, mewo_to_json, mewo_to_text
 from .ordinals import FinOrd, ord_to_json, ord_to_text, same_order_type
 from .parser import Braces, EmptySet, Expr, Ident, Let, Numeral, Op, parse_program
 from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse, export_slice
 
 
-# Longest text `canon` or `dot` may build; numeral n renders in about 2.5 * 2**n
-# characters, so the default numeral bound alone would allow far more.
+# Longest text `canon`, `dot` or the rendering of an ordinal or a mewo may
+# build; numeral n renders in about 2.5 * 2**n characters, so the default
+# numeral bound alone would allow far more.
 MAX_RENDERED_CHARS = 1 << 22
 
 
@@ -49,6 +50,26 @@ def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], d
         parts = sorted((text[m] for m in ms), key=lambda s: (len(s), s))
         text[i] = "{" + ",".join(parts) + "}"
     return nodes, text
+
+
+def _text_length(value: FinOrd | Mewo) -> int:
+    """Length of the text form of an ordinal or a mewo, counted from its pairs."""
+    def listed(widths: list[int], sep: int) -> int:  # items joined by a separator
+        return sum(widths) + sep * (len(widths) - 1) if widths else 0
+
+    def clause(key: str, body: int) -> int:  # `key: body`, just `key:` when empty
+        return len(key) + 1 + (body + 1 if body else 0)
+
+    n = value.size
+    if isinstance(value, FinOrd):  # linear: each element is paired with every other
+        width = [len(str(x)) for x in range(n)]
+        pairs = [width[p] + width[x] + 1 for x in range(n) for p in range(x)]
+        return len(f"ord {{ size: {n};  }}") + clause("lt", listed(pairs, 2))
+    width = [len(name) for name in _names(n)]
+    pairs = [width[p] + width[x] + 1 for x, ps in enumerate(value.preds) for p in ps]
+    marks = [width[x] for x in value.marked_elements()]
+    return len("mewo { ; ;  }") + (
+        clause("elems", listed(width, 1)) + clause("lt", listed(pairs, 2)) + clause("marked", listed(marks, 1)))
 
 
 def canon(h: SetHandle) -> str:
@@ -199,8 +220,11 @@ def render(value) -> str:
         return value
     if isinstance(value, SetHandle):
         return canon(value)
-    if isinstance(value, FinOrd):
-        return ord_to_text(value)
-    if isinstance(value, Mewo):
-        return mewo_to_text(value)
+    if isinstance(value, (FinOrd, Mewo)):
+        need = _text_length(value)
+        if need > MAX_RENDERED_CHARS:
+            raise LimitExceededError(
+                f"rendering needs {need} characters, over the limit of {MAX_RENDERED_CHARS}"
+            )
+        return ord_to_text(value) if isinstance(value, FinOrd) else mewo_to_text(value)
     raise EvalError(f"no rendering for {type(value).__name__}")

@@ -9,6 +9,7 @@ import pytest
 from hfkit import (
     GenConfig,
     NotAnOrdinalError,
+    PointedGraph,
     SetUniverse,
     bounded_sim,
     bounded_sim_mewo,
@@ -30,6 +31,7 @@ from hfkit import (
     simulation_mewo,
     sup,
     ord_sum,
+    validate_mewo,
 )
 
 
@@ -196,6 +198,51 @@ def test_mewo_of_set_fixtures(fixtures_mewos, u):
 def test_mewo_of_set_literal_agrees(u):
     for h in gen_random_set(GenConfig(seed=13, max_width=4, max_depth=4, count=60), u):
         assert mewo_equal(mewo_of_set(h), mewo_of_set_literal(h))
+
+
+def test_mewo_of_set_literal_below_the_recursion_limit(u, low_recursion_limit):
+    # a 400-deep singleton chain with the limit at 150: the recursion runs bottom-up
+    h = u.empty()
+    for _ in range(400):
+        h = u.mk_set([h])
+    assert mewo_of_set_literal(h) == mewo_of_set(h)
+
+
+def test_mewo_of_set_literal_equals_the_fast_path(u):
+    # numerals list their classes in handle order on both paths, so they are equal
+    for n in range(65):
+        assert mewo_of_set_literal(u.von_neumann(n)) == mewo_of_set(u.von_neumann(n))
+    # a union lists its classes in order of first appearance, which can differ
+    # from handle order, so random sets agree as marked orders
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        succ = [[rng.randrange(v) for _ in range(rng.randint(0, min(v, 3)))] for v in range(n)]
+        h = u.from_graph(PointedGraph.make(succ, root=n - 1))
+        assert mewo_equal(mewo_of_set_literal(h), mewo_of_set(h))
+
+
+def test_mewo_of_set_on_the_large_collapse_root():
+    # the root of the acceptance-9 DAG has 32,673 hereditary members: an n x n
+    # matrix would take about 1 GB, the predecessor tuples take a few MB
+    rng = random.Random(99)
+    succ = [()] + [
+        tuple(rng.randrange(max(0, v - 50), v) for _ in range(rng.randint(0, 3)))
+        for v in range(1, 100_000)
+    ]
+    u = SetUniverse()
+    root = u.from_graph(PointedGraph(len(succ), tuple(succ), len(succ) - 1))
+    t0 = time.perf_counter()
+    X = mewo_of_set(root)
+    assert time.perf_counter() - t0 < 5.0
+    assert X.size == len(u.hereditary_members(root))
+    assert set_of_mewo(X, u) == root
+
+
+def test_mewo_of_set_agrees_with_the_validator(u):
+    for h in gen_random_set(GenConfig(seed=15, max_width=4, max_depth=4, count=40), u):
+        X = mewo_of_set(h)
+        assert validate_mewo(X.size, X.lt, X.marked) == X
 
 
 def test_mewo_of_set_is_covered(u):

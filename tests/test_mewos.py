@@ -15,7 +15,6 @@ from hfkit import (
     WellfoundednessError,
     bounded_sim_mewo,
     chain,
-    closure,
     codes,
     covered_part,
     down_plus,
@@ -31,6 +30,7 @@ from hfkit import (
     mewo_to_dot,
     mewo_to_json,
     mewo_to_text,
+    ord_from_text,
     partial_sim,
     principality_check,
     simulation_mewo,
@@ -38,7 +38,7 @@ from hfkit import (
     union,
     validate_mewo,
 )
-from hfkit.mewos import down_plus_carrier
+from hfkit.mewos import covered_mask, down_plus_carrier
 
 
 def permuted(X, perm):
@@ -80,26 +80,31 @@ def test_nontransitive_order_is_fine():
 
 
 def test_closure_chain():
+    # transitive reachability below an element, reflexive reachability to a mark
     lt = np.zeros((3, 3), bool)
     lt[0, 1] = lt[1, 2] = True
-    X = validate_mewo(3, lt, np.ones(3, bool))
-    plus, star = closure(X)
-    assert plus[0, 2] and plus[0, 1] and plus[1, 2]
-    assert star[0, 0] and star[1, 1]
+    X = validate_mewo(3, lt, np.array([False, False, True]))
+    assert down_plus_carrier(X, 2) == [0, 1]
+    assert down_plus_carrier(X, 1) == [0]
+    assert covered_mask(X).tolist() == [True, True, True]
+    assert covered_mask(validate_mewo(3, lt, np.array([False, True, False]))).tolist() == [
+        True, True, False]
 
 
 def test_closure_empty_relation():
     X = validate_mewo(1, np.zeros((1, 1), bool), np.ones(1, bool))
-    plus, star = closure(X)
-    assert not plus.any()
-    assert star[0, 0]
+    assert down_plus_carrier(X, 0) == []
+    assert covered_mask(X).tolist() == [True]
 
 
 def test_closure_idempotent(mewo_pool):
+    # the reachability down_plus_carrier reads is transitively closed
     for X in mewo_pool:
-        plus, _ = closure(X)
-        again = plus | ((plus.astype(np.uint8) @ plus.astype(np.uint8)) > 0)
-        assert np.array_equal(again, plus)
+        for x in range(X.size):
+            below = down_plus_carrier(X, x)
+            assert set(X.preds[x]) <= set(below)
+            for y in below:
+                assert set(down_plus_carrier(X, y)) <= set(below)
 
 
 def test_is_covered_fixtures(fixtures_mewos):
@@ -266,7 +271,7 @@ def test_bounded_sim_decides_on_codes_alone(small_mewo_pool, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("bounded_sim_mewo must decide through codes alone")
 
-    for name in ("down_plus", "down_plus_carrier", "closure", "mewo_equal"):
+    for name in ("down_plus", "down_plus_carrier", "mewo_equal"):
         monkeypatch.setattr(mewos_module, name, forbidden)
     u = SetUniverse()
     for X in small_mewo_pool:
@@ -388,6 +393,46 @@ def test_singleton_fixtures(fixtures_mewos):
 def test_singleton_of_covered_is_covered(covered_pool):
     for X in covered_pool:
         assert is_covered(singleton(X))
+
+
+def test_singleton_keeps_the_validator_witness(mewo_pool):
+    # the new top clashes with the element whose predecessors are the marked ones
+    for X in mewo_pool:
+        lt = np.zeros((X.size + 1, X.size + 1), dtype=bool)
+        lt[:X.size, :X.size] = X.lt
+        lt[:X.size, X.size] = X.marked
+        marked = np.arange(X.size + 1) == X.size
+        try:
+            expected = validate_mewo(X.size + 1, lt, marked)
+        except ExtensionalityError as exc:
+            with pytest.raises(ExtensionalityError) as got:
+                singleton(X)
+            assert got.value.args == exc.args
+        else:
+            assert singleton(X) == expected
+
+
+def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool):
+    # the validator rebuilds preds from the derived matrix: equal means same preds
+    built = [from_ordinal(chain(n)) for n in range(5)]
+    built.append(from_ordinal(ord_from_text("ord { size: 3; lt: 2<0, 2<1, 0<1 }")))
+    for X in mewo_pool:
+        built.append(covered_part(X))
+        built += [down_plus(X, x) for x in range(X.size)]
+    small = [X for X in covered_pool if X.size <= 3]
+    built += [singleton(X) for X in covered_pool]
+    built += [union([X, Y]) for X in small for Y in small[:12]]
+    for Z in built:
+        assert validate_mewo(Z.size, Z.lt, Z.marked) == Z
+
+
+def test_codes_cache_grows_by_one_per_structure(mewo_pool):
+    u = SetUniverse()
+    for k, X in enumerate(mewo_pool, start=1):
+        codes(X, u)
+        codes(validate_mewo(X.size, X.lt, X.marked), u)  # an equal structure
+        codes(X, u)
+        assert len(u._mewo_codes) == k
 
 
 def test_union_fixtures(fixtures_mewos):

@@ -6,17 +6,22 @@ import sys
 
 import pytest
 
+import hfkit.cli as cli_module
 import hfkit.session as session_module
 from hfkit import (
     EvalError,
     LimitExceededError,
+    Mewo,
     ParseError,
     PointedGraph,
     Session,
     SetUniverse,
     canon,
+    chain,
     mewo_of_set,
+    ord_from_text,
     parse,
+    render,
     run_suite,
     set_of_mewo,
 )
@@ -366,3 +371,48 @@ def test_cli_repl_refuses_canon_past_the_output_limit():
     res = run_cli("repl", stdin="canon 25\n")
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_cli_mewo_file_of_a_long_chain_builds_no_matrix(tmp_path, monkeypatch, capsys):
+    # a 30,000 x 30,000 matrix would take 900 MB; reader, validator and writers use pairs
+    n = 30_000
+    names = [f"v{i}" for i in range(n)]
+    pairs = [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)]
+    text = (f"mewo {{ elems: {' '.join(names)}; lt: {', '.join(a + '<' + b for a, b in pairs)}; "
+            f"marked: v{n - 1} }}")
+    path = tmp_path / "chain.mewo"
+    path.write_text(text + "\n")
+
+    def no_matrix(self):
+        raise AssertionError("the n x n matrix was built")
+
+    monkeypatch.setattr(Mewo, "lt", property(no_matrix))
+    outputs = {}
+    for fmt in ("text", "json", "dot"):
+        assert cli_module.main(["mewo", str(path), "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    assert outputs["text"] == text + "\n"
+    assert json.loads(outputs["json"]) == {"elems": names, "lt": pairs, "marked": [f"v{n - 1}"]}
+    edges = [line for line in outputs["dot"].splitlines() if " -> " in line]
+    assert edges == [f"  {a} -> {b};" for a, b in pairs]
+    as_json = tmp_path / "chain.json"
+    as_json.write_text(outputs["json"])
+    assert cli_module.main(["mewo", str(as_json)]) == 0
+    assert capsys.readouterr().out == outputs["text"]
+
+
+@pytest.mark.parametrize("stmt", ["tomewo 1024", "psi 1024"])
+def test_cli_repl_refuses_mewos_and_ordinals_past_the_output_limit(stmt):
+    res = run_cli("repl", stdin=stmt + "\n")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_render_counts_mewos_and_ordinals_exactly(mewo_pool, fixtures_mewos):
+    u = SetUniverse()
+    values = list(mewo_pool) + list(fixtures_mewos)
+    values += [mewo_of_set(u.von_neumann(n)) for n in (26, 27, 300)]
+    values += [chain(n) for n in (0, 1, 2, 11, 300)]
+    values.append(ord_from_text("ord { size: 3; lt: 2<0, 2<1, 0<1 }"))
+    for value in values:
+        assert session_module._text_length(value) == len(render(value))

@@ -1,0 +1,98 @@
+"""Property tests: generated sets, matrices and mewos against the naive references.
+
+They run under the derandomised profile registered in conftest.py, so every
+run draws the same examples.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hfkit import (  # noqa: E402
+    ExtensionalityError,
+    PointedGraph,
+    SetUniverse,
+    WellfoundednessError,
+    bounded_sim_mewo,
+    enum_bounded_sims,
+    enum_simulations,
+    mewo_equal,
+    mewo_of_set,
+    mewo_of_set_literal,
+    set_of_mewo,
+    simulation_mewo,
+    validate_mewo,
+)
+from hfkit.oracle import _has_cycle, _is_extensional  # noqa: E402
+
+
+@st.composite
+def dag_graphs(draw, max_vertices: int = 8) -> PointedGraph:
+    """A pointed DAG: every vertex points only to lower vertices, the root is the top."""
+    n = draw(st.integers(1, max_vertices))
+    succ = [draw(st.lists(st.integers(0, v - 1), max_size=3)) if v else [] for v in range(n)]
+    return PointedGraph.make(succ, root=n - 1)
+
+
+@st.composite
+def matrices(draw, max_size: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """An arbitrary relation with an arbitrary marking."""
+    n = draw(st.integers(0, max_size))
+    bits = draw(st.lists(st.booleans(), min_size=n * n + n, max_size=n * n + n))
+    return np.array(bits[: n * n], dtype=bool).reshape(n, n), np.array(bits[n * n:], dtype=bool)
+
+
+@st.composite
+def mewos(draw, max_size: int = 4):
+    """A valid mewo: a relation along a drawn linear order, kept when it is extensional."""
+    n = draw(st.integers(0, max_size))
+    order = draw(st.permutations(range(n)))
+    lt = np.zeros((n, n), dtype=bool)
+    for j in range(n):
+        for i in range(j):
+            lt[order[i], order[j]] = draw(st.booleans())
+    hypothesis.assume(_is_extensional(lt))
+    return validate_mewo(n, lt, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150)
+@given(dag_graphs())
+def test_set_and_mewo_round_trip(g):
+    u = SetUniverse()
+    h = u.from_graph(g)
+    X = mewo_of_set(h)
+    assert mewo_equal(mewo_of_set_literal(h), X)
+    assert set_of_mewo(X, u) == h
+
+
+@settings(max_examples=300)
+@given(matrices())
+def test_validate_mewo_accepts_exactly_the_mewos(m):
+    lt, marked = m
+    n = len(marked)
+    if _has_cycle(lt):
+        with pytest.raises(WellfoundednessError):
+            validate_mewo(n, lt, marked)
+    elif not _is_extensional(lt):
+        with pytest.raises(ExtensionalityError):
+            validate_mewo(n, lt, marked)
+    else:
+        X = validate_mewo(n, lt, marked)
+        assert np.array_equal(X.lt, lt) and np.array_equal(X.marked, marked)
+        assert X.preds == tuple(tuple(np.flatnonzero(lt[:, x]).tolist()) for x in range(n))
+
+
+@settings(max_examples=150)
+@given(mewos(), mewos())
+def test_decisions_agree_with_the_oracle(X, Y):
+    u = SetUniverse()
+    maps = enum_simulations(X, Y)
+    w = simulation_mewo(X, Y, u)
+    assert maps == ([w.mapping] if w else [])
+    got = bounded_sim_mewo(X, Y, u)
+    assert enum_bounded_sims(X, Y) == ([got] if got else [])
