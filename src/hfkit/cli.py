@@ -105,7 +105,12 @@ def _check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check" and args.max_size < 0:
+        parser.error("argument --max-size: must not be negative")
+    if args.command == "check" and not 0 <= args.max_depth <= DEFAULT_NUMERAL_LIMIT:
+        parser.error(f"argument --max-depth: must be in 0..{DEFAULT_NUMERAL_LIMIT}, the numeral bound")
     if args.command == "repl":
         return _repl(args)
     if args.command == "run":

@@ -54,11 +54,6 @@ def rank_ordinal(h: SetHandle) -> FinOrd:
     return sup([succ[m.id] for m in u.elements(h)])
 
 
-def _membership_matrix(u: SetUniverse, sets: list[SetHandle]) -> np.ndarray:
-    """The membership order of sets of u: m[a, b] means sets[a] is in sets[b]."""
-    return np.array([[u.mem(a, b) for b in sets] for a in sets], dtype=bool).reshape(len(sets), len(sets))
-
-
 @dataclass(frozen=True)
 class QuotientRank:
     """Rank of a hereditarily transitive set, read off a raw presentation.
@@ -79,25 +74,18 @@ def rank_quotient(h: SetHandle, presentation: list[SetHandle]) -> QuotientRank:
         raise NotAnOrdinalError("presentation does not denote the given set")
     if not u.is_st_ordinal(h):
         raise NotAnOrdinalError("set is not hereditarily transitive")
-    groups: dict[int, list[int]] = {}
-    order_of_class: list[SetHandle] = []
+    groups: dict[SetHandle, list[int]] = {}  # in order of first appearance
     for idx, member in enumerate(presentation):
-        if member.id not in groups:
-            groups[member.id] = []
-            order_of_class.append(member)
-        groups[member.id].append(idx)
-    classes = tuple(tuple(groups[m.id]) for m in order_of_class)
-    lt = _membership_matrix(u, order_of_class)
-    return QuotientRank(classes=classes, ordinal=validate_ord(len(classes), lt))
+        groups.setdefault(member, []).append(idx)
+    n = len(groups)
+    lt = np.array([[u.mem(a, b) for b in groups] for a in groups], dtype=bool).reshape(n, n)
+    return QuotientRank(classes=tuple(map(tuple, groups.values())), ordinal=validate_ord(n, lt))
 
 
 def elements_ordinal(h: SetHandle) -> FinOrd:
-    """The members of a hereditarily transitive set, ordered by membership."""
-    u = h.universe
-    if not u.is_st_ordinal(h):
-        raise NotAnOrdinalError("set is not hereditarily transitive")
-    members = u.elements(h)
-    return validate_ord(len(members), _membership_matrix(u, members))
+    """The members of a hereditarily transitive set, ordered by membership:
+    the quotient of the presentation that lists each member once."""
+    return rank_quotient(h, h.universe.elements(h)).ordinal
 
 
 def set_of_mewo(X: Mewo, u: SetUniverse) -> SetHandle:

@@ -34,7 +34,7 @@ from .ordinals import (
     _read_clauses,
     _transpose,
 )
-from .universe import SetHandle, SetUniverse
+from .universe import SetHandle, SetUniverse, _below
 
 
 class Mewo:
@@ -82,33 +82,6 @@ class MewoSimWitness:
 
     mapping: tuple[int, ...]
 
-    def clause_report(self, X: Mewo, Y: Mewo) -> dict[str, bool]:
-        """Re-check the three simulation clauses literally on the raw data."""
-        f = self.mapping
-        preserves_marking = all(
-            Y.marked[f[x]] for x in range(X.size) if X.marked[x]
-        )
-        monotone = all(
-            Y.lt[f[x1], f[x2]]
-            for x1 in range(X.size)
-            for x2 in range(X.size)
-            if X.lt[x1, x2]
-        )
-        initial_segment = all(
-            any(X.lt[x1, x2] and f[x1] == y for x1 in range(X.size))
-            for x2 in range(X.size)
-            for y in range(Y.size)
-            if Y.lt[y, f[x2]]
-        )
-        return {
-            "preserves_marking": preserves_marking,
-            "monotone": monotone,
-            "initial_segment": initial_segment,
-        }
-
-    def check(self, X: Mewo, Y: Mewo) -> bool:
-        return all(self.clause_report(X, Y).values())
-
 
 def validate_mewo(size: int, lt, marked) -> Mewo:
     """Validate a marked strict order: wellfounded and extensional, any marking."""
@@ -119,18 +92,6 @@ def validate_mewo(size: int, lt, marked) -> Mewo:
     if mk.shape != (size,):
         raise ValidationError(f"marking shape {mk.shape} does not match size {size}")
     return Mewo(_checked_preds([np.flatnonzero(row).tolist() for row in m]), mk, _freeze(m))
-
-
-def _below(X: Mewo, tops) -> set[int]:
-    """The elements transitively below some element of `tops`."""
-    seen: set[int] = set()
-    stack = list(tops)
-    while stack:
-        for p in X.preds[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
 
 
 def _restrict(X: Mewo, idxs: list[int], marked) -> Mewo:
@@ -146,7 +107,7 @@ def is_covered(X: Mewo) -> bool:
 
 def covered_mask(X: Mewo) -> np.ndarray:
     tops = X.marked_elements()
-    covered = _below(X, tops).union(tops)
+    covered = _below(X.preds, tops).union(tops)
     return np.array([x in covered for x in range(X.size)], dtype=bool)
 
 
@@ -165,7 +126,7 @@ def down_plus_carrier(X: Mewo, x: int) -> list[int]:
     """Original indices carried by down_plus(X, x), in carrier order."""
     if not (0 <= x < X.size):
         raise IndexError(f"element {x} out of range for size {X.size}")
-    return sorted(_below(X, [x]))
+    return sorted(_below(X.preds, [x]))
 
 
 def mark_all(X: Mewo) -> Mewo:
@@ -222,17 +183,10 @@ def _code_index(X: Mewo, u: SetUniverse) -> tuple[tuple[SetHandle, ...], dict[in
 
 
 def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
-    """Equality as marked orders: code bijection that matches markings."""
-    if X.size != Y.size:
-        return False
-    u = u if u is not None else SetUniverse()
-    cx, _ = _code_index(X, u)
-    _, index_y = _code_index(Y, u)
-    for x, c in enumerate(cx):
-        y = index_y.get(c.id)
-        if y is None or X.marked[x] != Y.marked[y]:
-            return False
-    return True
+    """Equality as marked orders: between equal sizes the simulation is a code
+    bijection, so X equals Y when it exists and reflects the marking too."""
+    w = simulation_mewo(X, Y, u) if X.size == Y.size else None
+    return w is not None and all(X.marked[x] == Y.marked[y] for x, y in enumerate(w.mapping))
 
 
 def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> MewoSimWitness | None:

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: simulations are found by trying
 every map or, for ordinals, by matching predecessor sets on the raw
 matrices, isomorphisms by trying every permutation, stages of the set
-hierarchy by taking powersets. None of it shares code with the
-optimized decision procedures it cross-checks.
+hierarchy by taking powersets. `is_simulation` is the one literal
+statement of the simulation clauses; witnesses are checked against it.
+None of it shares code with the optimized decision procedures it
+cross-checks: it reads `lt` and `marked`, never codes or positions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .mewos import Mewo, is_covered, validate_mewo
-from .ordinals import FinOrd
+from .ordinals import FinOrd, validate_ord
 from .universe import SetHandle, SetUniverse
 
 ENUM_SIM_LIMIT = 6
@@ -43,42 +45,36 @@ def _is_mewo_pair(X, Y) -> bool:
     raise TypeError("expected two FinOrds or two Mewos")
 
 
+def _clauses_hold(X, Y, f, with_marking: bool) -> bool:
+    n = X.size
+    lt_x, lt_y = X.lt, Y.lt
+    if with_marking and any(X.marked[x] and not Y.marked[f[x]] for x in range(n)):
+        return False
+    if any(lt_x[x1, x2] and not lt_y[f[x1], f[x2]] for x1 in range(n) for x2 in range(n)):
+        return False
+    return all(
+        any(lt_x[x1, x2] and f[x1] == y for x1 in range(n))
+        for x2 in range(n)
+        for y in range(Y.size)
+        if lt_y[y, f[x2]]
+    )
+
+
+def is_simulation(X, Y, f) -> bool:
+    """Is the element map f: X -> Y a simulation, by its clauses read off
+    `lt` and `marked`: marked elements go to marked elements (mewos only),
+    x1 < x2 gives f(x1) < f(x2), and everything below f(x2) is the image of
+    something below x2. The one literal reference for the simulation
+    witnesses of hfkit.ordinals and hfkit.mewos."""
+    return _clauses_hold(X, Y, f, _is_mewo_pair(X, Y))
+
+
 def enum_simulations(X, Y) -> list[tuple[int, ...]]:
-    """All maps X -> Y satisfying the simulation clauses, checked verbatim."""
+    """All maps X -> Y that is_simulation accepts, found by trying every one."""
     with_marking = _is_mewo_pair(X, Y)
     if X.size > ENUM_SIM_LIMIT or Y.size > ENUM_SIM_LIMIT:
         raise SizeLimitError(f"enum_simulations is bounded at size {ENUM_SIM_LIMIT}")
-    if X.size == 0:
-        return [()]
-    if Y.size == 0:
-        return []
-    lt_x = X.lt
-    lt_y = Y.lt
-    found = []
-    for f in product(range(Y.size), repeat=X.size):
-        if with_marking and any(
-            X.marked[x] and not Y.marked[f[x]] for x in range(X.size)
-        ):
-            continue
-        if any(
-            lt_x[x1, x2] and not lt_y[f[x1], f[x2]]
-            for x1 in range(X.size)
-            for x2 in range(X.size)
-        ):
-            continue
-        ok = True
-        for x2 in range(X.size):
-            for y in range(Y.size):
-                if lt_y[y, f[x2]] and not any(
-                    lt_x[x1, x2] and f[x1] == y for x1 in range(X.size)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(f)
-    return found
+    return [f for f in product(range(Y.size), repeat=X.size) if _clauses_hold(X, Y, f, with_marking)]
 
 
 def simulation_by_predecessors(alpha: FinOrd, beta: FinOrd) -> tuple[int, ...] | None:
@@ -139,31 +135,17 @@ def enum_bounded_sims(X, Y) -> list[tuple[int, tuple[int, ...]]]:
         raise SizeLimitError(f"enum_bounded_sims is bounded at size {ENUM_SIM_LIMIT}")
     found = []
     for b in range(Y.size):
+        if with_marking and not Y.marked[b]:
+            continue
+        reach = _below_transitively(Y.lt, b)
+        lt = Y.lt[np.ix_(reach, reach)]
         if with_marking:
-            if not Y.marked[b]:
-                continue
-            reach = _below_transitively(Y.lt, b)
-            seg = validate_mewo(
-                len(reach),
-                Y.lt[np.ix_(reach, reach)],
-                Y.lt[reach, b],
-            )
+            seg = validate_mewo(len(reach), lt, Y.lt[reach, b])
         else:
-            reach = [int(i) for i in np.flatnonzero(Y.lt[:, b])]
-            seg = _OrdView(len(reach), Y.lt[np.ix_(reach, reach)])
+            seg = validate_ord(len(reach), lt)
         for p in _iso_maps(X, seg, with_marking):
             found.append((b, tuple(reach[i] for i in p)))
     return found
-
-
-class _OrdView:
-    """Bare (size, lt) view used by the ordinal-side permutation search."""
-
-    __slots__ = ("size", "lt")
-
-    def __init__(self, size, lt):
-        self.size = size
-        self.lt = lt
 
 
 def _below_transitively(lt: np.ndarray, b: int) -> list[int]:
@@ -200,8 +182,6 @@ def enumerate_mewos(size: int) -> list[Mewo]:
     """
     if size > ENUM_MEWO_LIMIT:
         raise SizeLimitError(f"enumerate_mewos is bounded at size {ENUM_MEWO_LIMIT}")
-    if size == 0:
-        return [validate_mewo(0, np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool))]
     slots = [(i, j) for i in range(size) for j in range(size) if i != j]
     out: dict[tuple, Mewo] = {}
     for bits in range(1 << len(slots)):

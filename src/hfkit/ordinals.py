@@ -72,20 +72,6 @@ class SimWitness:
 
     mapping: tuple[int, ...]
 
-    def check(self, alpha: FinOrd, beta: FinOrd) -> bool:
-        """Verify monotonicity and the initial-segment property literally."""
-        f = self.mapping
-        for x1 in range(alpha.size):
-            for x2 in range(alpha.size):
-                if alpha.lt[x1, x2] and not beta.lt[f[x1], f[x2]]:
-                    return False
-        for x2 in range(alpha.size):
-            for y in range(beta.size):
-                if beta.lt[y, f[x2]]:
-                    if not any(alpha.lt[x1, x2] and f[x1] == y for x1 in range(alpha.size)):
-                        return False
-        return True
-
 
 @dataclass(frozen=True)
 class BoundedSimWitness:
@@ -187,11 +173,6 @@ def same_order_type(alpha: FinOrd, beta: FinOrd) -> bool:
     return order_type(alpha) == order_type(beta)
 
 
-def canonical_perm(alpha: FinOrd) -> tuple[int, ...]:
-    """perm[x] = linear position of x; relabeling by it yields chain(size)."""
-    return tuple(alpha.pos)
-
-
 def down(alpha: FinOrd, a: int) -> FinOrd:
     """Initial segment below a, carried by the original indices in order.
 
@@ -231,8 +212,7 @@ def bounded_sim(alpha: FinOrd, beta: FinOrd) -> BoundedSimWitness | None:
     the element of beta at position alpha.size, when beta is longer."""
     if alpha.size >= beta.size:
         return None
-    order = sorted(range(beta.size), key=beta.pos.__getitem__)
-    return BoundedSimWitness(bound=order[alpha.size], iso=tuple(order[p] for p in alpha.pos))
+    return BoundedSimWitness(bound=beta.pos.index(alpha.size), iso=simulation(alpha, beta).mapping)
 
 
 def ord_sum(alpha: FinOrd, beta: FinOrd) -> FinOrd:

@@ -17,10 +17,17 @@ from .parser import Braces, EmptySet, Expr, Ident, Let, Numeral, Op, parse_progr
 from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse, export_slice
 
 
-# Longest text `canon`, `dot` or the rendering of an ordinal or a mewo may
-# build; numeral n renders in about 2.5 * 2**n characters, so the default
-# numeral bound alone would allow far more.
+# Longest text `canon`, `dot`, `json` or the rendering of an ordinal or a
+# mewo may build; numeral n renders in about 2.5 * 2**n characters, so the
+# default numeral bound alone would allow far more.
 MAX_RENDERED_CHARS = 1 << 22
+
+
+def _refuse_past_limit(need: int) -> None:
+    if need > MAX_RENDERED_CHARS:
+        raise LimitExceededError(
+            f"rendering needs {need} characters, over the limit of {MAX_RENDERED_CHARS}"
+        )
 
 
 def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], dict[int, str]]:
@@ -40,11 +47,7 @@ def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], d
     for x in nodes:
         ms = members[x.id] = [m.id for m in u.elements(x)]
         size[x.id] = 1 + len(ms) + sum([size[m] for m in ms]) if ms else 2
-    need = sum(size.values()) if labels else size[h.id]
-    if need > MAX_RENDERED_CHARS:
-        raise LimitExceededError(
-            f"rendering needs {need} characters, over the limit of {MAX_RENDERED_CHARS}"
-        )
+    _refuse_past_limit(sum(size.values()) if labels else size[h.id])
     text: dict[int, str] = {}
     for i, ms in members.items():
         parts = sorted((text[m] for m in ms), key=lambda s: (len(s), s))
@@ -52,10 +55,11 @@ def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], d
     return nodes, text
 
 
-def _text_length(value: FinOrd | Mewo) -> int:
-    """Length of the text form of an ordinal or a mewo, counted from its pairs."""
-    def listed(widths: list[int], sep: int) -> int:  # items joined by a separator
-        return sum(widths) + sep * (len(widths) - 1) if widths else 0
+def _text_length(value: FinOrd | Mewo, fmt: str = "text") -> int:
+    """Length of the text, `json` or (mewos only) `dot` form of an ordinal or
+    a mewo, counted from its pairs before any of it is built."""
+    def listed(widths: list[int], sep: int, pad: int = 0) -> int:  # items, each `pad` wider, joined by `sep`
+        return sum(widths) + pad * len(widths) + sep * (len(widths) - 1) if widths else 0
 
     def clause(key: str, body: int) -> int:  # `key: body`, just `key:` when empty
         return len(key) + 1 + (body + 1 if body else 0)
@@ -63,11 +67,19 @@ def _text_length(value: FinOrd | Mewo) -> int:
     n = value.size
     if isinstance(value, FinOrd):  # linear: each element is paired with every other
         width = [len(str(x)) for x in range(n)]
-        pairs = [width[p] + width[x] + 1 for x in range(n) for p in range(x)]
+        pairs = [width[p] + width[x] + 1 for x in range(n) for p in range(x)]  # `i<j`
+        if fmt == "json":  # {"size":n,"pairs":[[i,j],...]}
+            return len(f'{{"size":{n},"pairs":[]}}') + listed(pairs, 1, 2)
         return len(f"ord {{ size: {n};  }}") + clause("lt", listed(pairs, 2))
     width = [len(name) for name in _names(n)]
-    pairs = [width[p] + width[x] + 1 for x, ps in enumerate(value.preds) for p in ps]
+    pairs = [width[p] + width[x] + 1 for x, ps in enumerate(value.preds) for p in ps]  # `a<b`
     marks = [width[x] for x in value.marked_elements()]
+    if fmt == "json":  # {"elems":["a",...],"lt":[["a","b"],...],"marked":["a",...]}
+        quoted = listed(width, 1, 2) + listed(pairs, 1, 6) + listed(marks, 1, 2)
+        return len('{"elems":[],"lt":[],"marked":[]}') + quoted
+    if fmt == "dot":  # `digraph mewo {`, `  a [label="a"];` per element, `  a -> b;` per pair, `}`
+        styled = len(" style=filled fillcolor=black fontcolor=white") * len(marks)
+        return len("digraph mewo {\n}") + listed([2 * w for w in width], 0, 15) + listed(pairs, 0, 7) + styled
     return len("mewo { ; ;  }") + (
         clause("elems", listed(width, 1)) + clause("lt", listed(pairs, 2)) + clause("marked", listed(marks, 1)))
 
@@ -178,6 +190,7 @@ class Session:
             if isinstance(v, SetHandle):
                 return set_to_dot(v)
             if isinstance(v, Mewo):
+                _refuse_past_limit(_text_length(v, "dot"))
                 return mewo_to_dot(v)
             raise EvalError(f"dot expects a set or a mewo, got {type(v).__name__}")
         if cmd == "json":
@@ -185,10 +198,10 @@ class Session:
             v = args[0]
             if isinstance(v, SetHandle):
                 return json.dumps(export_slice(v), separators=(",", ":"))
-            if isinstance(v, FinOrd):
-                return json.dumps(ord_to_json(v), separators=(",", ":"))
-            if isinstance(v, Mewo):
-                return json.dumps(mewo_to_json(v), separators=(",", ":"))
+            if isinstance(v, (FinOrd, Mewo)):
+                _refuse_past_limit(_text_length(v, "json"))
+                doc = ord_to_json(v) if isinstance(v, FinOrd) else mewo_to_json(v)
+                return json.dumps(doc, separators=(",", ":"))
             raise EvalError(f"json has no encoding for {type(v).__name__}")
         raise EvalError(f"unknown command {cmd!r}")
 
@@ -221,10 +234,6 @@ def render(value) -> str:
     if isinstance(value, SetHandle):
         return canon(value)
     if isinstance(value, (FinOrd, Mewo)):
-        need = _text_length(value)
-        if need > MAX_RENDERED_CHARS:
-            raise LimitExceededError(
-                f"rendering needs {need} characters, over the limit of {MAX_RENDERED_CHARS}"
-            )
+        _refuse_past_limit(_text_length(value))
         return ord_to_text(value) if isinstance(value, FinOrd) else mewo_to_text(value)
     raise EvalError(f"no rendering for {type(value).__name__}")

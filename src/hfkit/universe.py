@@ -81,6 +81,19 @@ class PointedGraph:
         return PointedGraph(self.n, self.successors, v)
 
 
+def _below(adj: Sequence[Sequence[int]], tops: Iterable[int], known=()) -> set[int]:
+    """The vertices one or more steps from `tops` along the lists `adj`,
+    not walking into or past vertices in `known`."""
+    seen: set[int] = set()
+    stack = list(tops)
+    while stack:
+        for c in adj[stack.pop()]:
+            if c not in seen and c not in known:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
 class SetUniverse:
     """Append-only interning arena; the cumulative hierarchy at desk scale.
 
@@ -215,15 +228,7 @@ class SetUniverse:
 
     def _below_ids(self, i: int, known=()) -> list[int]:
         """Sorted ids strictly below id i, not walking into or past ids in `known`."""
-        children = self._children
-        seen: set[int] = set()
-        stack = [i]
-        while stack:
-            for c in children[stack.pop()]:
-                if c not in seen and c not in known:
-                    seen.add(c)
-                    stack.append(c)
-        return sorted(seen)
+        return sorted(_below(self._children, [i], known))
 
     def check_acyclic(self) -> bool:
         """Re-verify that ids form a topological order of the membership digraph."""

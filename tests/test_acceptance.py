@@ -1,6 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run as `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+The laws that `hfkit check` also checks come from hfkit.suites; the
+criteria call them on larger pools.
 """
 
 from __future__ import annotations
@@ -8,8 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-
-import numpy as np
 
 from hfkit import (
     PointedGraph,
@@ -21,9 +21,7 @@ from hfkit import (
     covered_part,
     down,
     down_plus,
-    elements_ordinal,
     enum_bounded_sims,
-    enum_simulations,
     enumerate_v,
     equal_by_permutation,
     gen_random_mewo,
@@ -32,52 +30,33 @@ from hfkit import (
     is_covered,
     mark_all,
     mewo_equal,
-    mewo_of_set,
-    ord_sum,
     order_type,
     principality_check,
-    rank_ordinal,
-    rank_quotient,
+    run_suite,
     same_order_type,
-    set_of_mewo,
-    set_of_ordinal,
     simulation,
     simulation_mewo,
     sup,
     union,
-    validate_ord,
 )
-from hfkit.ordinals import down_carrier
+from hfkit.suites import (
+    collapse_matches_bisimilar,
+    nested_segments,
+    order_transport,
+    ordinal_roundtrips,
+    rank_descriptions,
+    segments_covered,
+    segments_of_sums,
+    set_mewo_roundtrips,
+    simulations_match_oracle,
+)
+from test_ordinals import labeled_ordinals
 
 
 def report(criterion: int, description: str, failures: list) -> None:
     status = "PASS" if not failures else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} - {description}")
     assert not failures, f"criterion {criterion}: {failures[:5]}"
-
-
-def relabel_ord(alpha, perm):
-    n = alpha.size
-    lt = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lt[a, b] = alpha.lt[perm[a], perm[b]]
-    return validate_ord(n, lt)
-
-
-def labeled_ordinals(max_size, all_perms_upto=4, samples=4, seed=0):
-    rng = random.Random(seed)
-    out = []
-    for n in range(max_size + 1):
-        if n <= all_perms_upto:
-            out.extend(relabel_ord(chain(n), list(p)) for p in itertools.permutations(range(n)))
-        else:
-            out.append(chain(n))
-            for _ in range(samples):
-                p = list(range(n))
-                rng.shuffle(p)
-                out.append(relabel_ord(chain(n), p))
-    return out
 
 
 def all_pointed_dags(max_n):
@@ -93,84 +72,47 @@ def all_pointed_dags(max_n):
 
 
 def test_criterion_1_theorem_33_roundtrips():
-    failures = []
     u = SetUniverse()
     st_ordinals = [h for h in enumerate_v(4, u) if u.is_st_ordinal(h)]
-    if len(st_ordinals) != 4:
-        failures.append(("stage-4 ordinal count", len(st_ordinals)))
-    for h in st_ordinals + [u.von_neumann(n) for n in range(13)]:
-        if set_of_ordinal(rank_ordinal(h), u) != h:
-            failures.append(("phi(psi(h)) != h", h.id))
-    for alpha in labeled_ordinals(8, all_perms_upto=4, samples=4):
-        if not same_order_type(rank_ordinal(set_of_ordinal(alpha, u)), alpha):
-            failures.append(("psi(phi(a)) !~ a", order_type(alpha)))
+    failures = [] if len(st_ordinals) == 4 else [("stage-4 ordinal count", len(st_ordinals))]
+    sets = st_ordinals + [u.von_neumann(n) for n in range(13)]
+    failures += ordinal_roundtrips(u, sets, labeled_ordinals(8, all_perms_upto=4, samples=4))
     report(1, "set/ordinal translations invert exactly", failures)
 
 
 def test_criterion_2_order_transport_trichotomy():
-    failures = []
-    u = SetUniverse()
-    pool = labeled_ordinals(6, all_perms_upto=4, samples=3, seed=2)
-    images = [set_of_ordinal(alpha, u) for alpha in pool]
-    for (a, ha) in zip(pool, images):
-        for (b, hb) in zip(pool, images):
-            if same_order_type(a, b) != (ha == hb):
-                failures.append(("equality", order_type(a), order_type(b)))
-            if (bounded_sim(a, b) is not None) != u.mem(ha, hb):
-                failures.append(("strict", order_type(a), order_type(b)))
-            if (simulation(a, b) is not None) != u.subset(ha, hb):
-                failures.append(("weak", order_type(a), order_type(b)))
+    failures = order_transport(SetUniverse(), labeled_ordinals(6, all_perms_upto=4, samples=3, seed=2))
     report(2, "=, <, <= transport to =, membership, inclusion", failures)
 
 
 def test_criterion_3_rank_descriptions_agree():
-    failures = []
     u = SetUniverse()
     rng = random.Random(45)
-    for trial in range(500):
-        n = rng.randint(0, 5)
-        h = u.von_neumann(n)
+    presented = []
+    for _ in range(500):
+        h = u.von_neumann(rng.randint(0, 5))
         members = u.elements(h)
         pres = list(members)
         while members and len(pres) < 6 and rng.random() < 0.7:
             pres.append(rng.choice(members))
         rng.shuffle(pres)
-        q = rank_quotient(h, pres)
-        r = rank_ordinal(h)
-        if not (same_order_type(q.ordinal, r) and same_order_type(elements_ordinal(h), r)):
-            failures.append(("trial", trial, n))
-    report(3, "quotient and element descriptions match the recursive rank", failures)
+        presented.append((h, pres))
+    report(3, "quotient and element descriptions match the recursive rank", rank_descriptions(presented))
 
 
 def test_criterion_4_theorem_76_roundtrips(covered_pool):
-    failures = []
     u = SetUniverse()
     sets = enumerate_v(4, u) + list(
         gen_random_set(GenConfig(seed=46, max_width=5, max_depth=5, count=1000), u)
     )
-    for h in sets:
-        if set_of_mewo(mewo_of_set(h), u) != h:
-            failures.append(("phi(psi(h)) != h", h.id))
     covered = covered_pool + list(
         gen_random_mewo(GenConfig(seed=47, max_width=7, max_depth=4, count=500), covered_only=True)
     )
-    for X in covered:
-        if not mewo_equal(X, mewo_of_set(set_of_mewo(X, u)), u):
-            failures.append(("psi(phi(X)) !~ X", X.size))
-    report(4, "set/covered-mewo translations invert", failures)
+    report(4, "set/covered-mewo translations invert", set_mewo_roundtrips(u, sets, covered))
 
 
-def test_criterion_5_counterexample_fixtures(fixtures_mewos):
-    bullet, _, cb, emp = fixtures_mewos
-    failures = []
-    if bounded_sim_mewo(bullet, cb) is None:
-        failures.append("missing bounded simulation into the two-chain")
-    if simulation_mewo(bullet, cb) is not None:
-        failures.append("unexpected full simulation into the two-chain")
-    if bounded_sim_mewo(emp, bullet) is None:
-        failures.append("missing bounded simulation from the empty order")
-    if bounded_sim_mewo(emp, cb) is not None:
-        failures.append("strict order composed transitively")
+def test_criterion_5_counterexample_fixtures():
+    failures = run_suite("counterexamples")["failures"]
     report(5, "strict order is neither weak-implying nor transitive", failures)
 
 
@@ -189,14 +131,10 @@ def test_criterion_6_covering_is_principality(mewo_pool, covered_pool, small_mew
 
 
 def test_criterion_7a_mewo_decisions_match_oracle(mewo_pool):
-    failures = []
     u = SetUniverse()
+    failures = simulations_match_oracle(mewo_pool, lambda X, Y: simulation_mewo(X, Y, u))
     for X in mewo_pool:
         for Y in mewo_pool:
-            maps = enum_simulations(X, Y)
-            w = simulation_mewo(X, Y, u)
-            if len(maps) > 1 or (w is None) != (not maps) or (w and [w.mapping] != maps):
-                failures.append(("simulation", X.size, Y.size))
             bs = bounded_sim_mewo(X, Y, u)
             ms = enum_bounded_sims(X, Y)
             if len(ms) > 1 or (bs is None) != (not ms) or (bs and [bs] != ms):
@@ -207,14 +145,10 @@ def test_criterion_7a_mewo_decisions_match_oracle(mewo_pool):
 
 
 def test_criterion_7b_ordinal_decisions_match_oracle():
-    failures = []
     pool = labeled_ordinals(5, all_perms_upto=4, samples=3, seed=7)
+    failures = simulations_match_oracle(pool, simulation)
     for a in pool:
         for b in pool:
-            maps = enum_simulations(a, b)
-            w = simulation(a, b)
-            if len(maps) > 1 or (w is None) != (not maps) or (w and [w.mapping] != maps):
-                failures.append(("simulation", order_type(a), order_type(b)))
             bs = bounded_sim(a, b)
             ms = enum_bounded_sims(a, b)
             if (bs is None) != (not ms) or (bs and [(bs.bound, bs.iso)] != ms):
@@ -239,10 +173,7 @@ def test_criterion_7c_collapse_agrees_with_bisimulation():
         if bisimilar(g1, g2):
             failures.append(("distinct handles, bisimilar", g1.n, g2.n))
     small = [g for g in graphs if g.n <= 4]
-    for g1 in small:
-        for g2 in small:
-            if (u.from_graph(g1) == u.from_graph(g2)) != bisimilar(g1, g2):
-                failures.append(("pairwise <=4", g1.n, g2.n))
+    failures += collapse_matches_bisimilar(u, itertools.product(small, repeat=2))
     rng = random.Random(48)
 
     def rand_graph():
@@ -253,34 +184,14 @@ def test_criterion_7c_collapse_agrees_with_bisimulation():
             succ.append(tuple(rng.randrange(v) for _ in range(k)) if v else ())
         return PointedGraph(n, tuple(succ), n - 1)
 
-    for _ in range(10_000):
-        g1, g2 = rand_graph(), rand_graph()
-        if (u.from_graph(g1) == u.from_graph(g2)) != bisimilar(g1, g2):
-            failures.append(("random pair",))
+    failures += collapse_matches_bisimilar(u, [(rand_graph(), rand_graph()) for _ in range(10_000)])
     report(7, "collapse equality is exactly bisimilarity", failures)
 
 
 def test_criterion_8_algebraic_laws(mewo_pool, covered_pool, small_mewo_pool):
-    failures = []
     u = SetUniverse()
-
-    # nested initial segments simplify
-    for alpha in labeled_ordinals(7, all_perms_upto=3, samples=2, seed=8):
-        for a in range(alpha.size):
-            seg = down(alpha, a)
-            for pos, b in enumerate(down_carrier(alpha, a)):
-                if down(seg, pos) != down(alpha, b):
-                    failures.append(("down.down", order_type(alpha)))
-
-    # segments of sums
-    for i in range(5):
-        for j in range(5):
-            s = ord_sum(chain(i), chain(j))
-            for a in range(i):
-                if down(s, a) != down(chain(i), a):
-                    failures.append(("sum.left", i, j))
-            if down(ord_sum(chain(i), chain(1)), i) != chain(i):
-                failures.append(("sum.top", i))
+    failures = nested_segments(labeled_ordinals(7, all_perms_upto=3, samples=2, seed=8))
+    failures += segments_of_sums(range(5))
 
     # segments of suprema come from components
     for k in (1, 2, 3):
@@ -296,10 +207,7 @@ def test_criterion_8_algebraic_laws(mewo_pool, covered_pool, small_mewo_pool):
                     failures.append(("sup.segment", sizes))
 
     # every mewo initial segment is covered
-    for X in mewo_pool:
-        for x in range(X.size):
-            if not is_covered(down_plus(X, x)):
-                failures.append(("segment.covered", X.size))
+    failures += segments_covered(mewo_pool)
 
     # strict drops into the fully marked codomain, and composes through it
     pool3 = small_mewo_pool

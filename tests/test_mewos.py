@@ -9,7 +9,6 @@ import pytest
 
 from hfkit import (
     ExtensionalityError,
-    MewoSimWitness,
     SetUniverse,
     ValidationError,
     WellfoundednessError,
@@ -23,6 +22,7 @@ from hfkit import (
     equal_by_permutation,
     from_ordinal,
     is_covered,
+    is_simulation,
     mark_all,
     mewo_equal,
     mewo_from_json,
@@ -152,8 +152,7 @@ def test_projection_from_segment_is_simulation(mewo_pool):
         target = mark_all(X)
         for x in range(X.size):
             seg = down_plus(X, x)
-            proj = MewoSimWitness(tuple(down_plus_carrier(X, x)))
-            assert proj.check(seg, target)
+            assert is_simulation(seg, target, tuple(down_plus_carrier(X, x)))
 
 
 def test_codes_two_chain(fixtures_mewos, u):
@@ -233,7 +232,7 @@ def test_simulation_agrees_with_oracle(small_mewo_pool):
             w = simulation_mewo(X, Y, u)
             if maps:
                 assert w is not None and w.mapping == maps[0]
-                assert w.check(X, Y)
+                assert is_simulation(X, Y, w.mapping)
             else:
                 assert w is None
 
@@ -330,7 +329,7 @@ def test_pointwise_code_criterion(small_mewo_pool):
                 if any(X.marked[x] and not Y.marked[f[x]] for x in range(X.size)):
                     continue
                 pointwise = all(cx[x] == cy[f[x]] for x in range(X.size))
-                assert pointwise == MewoSimWitness(f).check(X, Y)
+                assert pointwise == is_simulation(X, Y, f)
 
 
 def test_partial_sim_fixtures(fixtures_mewos):

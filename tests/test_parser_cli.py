@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,8 @@ from hfkit.parser import (
     parse_program,
 )
 from hfkit.session import MAX_RENDERED_CHARS, set_to_dot
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_parse_empty_set():
@@ -280,6 +283,29 @@ def test_cli_check_seeded_reports_identical():
     assert a.stdout == b.stdout and a.returncode == 0
 
 
+@pytest.mark.parametrize("pinned, args", [
+    ("check_all.json", ()),
+    ("check_all_seed7_max_size4.json", ("--seed", "7", "--max-size", "4")),
+])
+def test_cli_check_reports_match_the_pinned_files(pinned, args):
+    res = run_cli("check", "--suite", "all", *args)
+    assert res.returncode == 0
+    assert res.stdout == (DATA / pinned).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("args, status", [
+    (("--max-depth", "2000"), 2),
+    (("--max-depth", "-1"), 2),
+    (("--max-size", "-1"), 2),
+    (("--max-depth", "1024"), 0),
+])
+def test_cli_check_bounds(args, status):
+    res = run_cli("check", "--suite", "sets", *args)
+    assert res.returncode == status and "Traceback" not in res.stderr
+    if status == 2:
+        assert res.stdout == "" and "error: argument --max-" in res.stderr
+
+
 def test_cli_repl_and_batch_agree(tmp_path):
     text = "let x = {{},{{}}}\nrank x\nx in 3\ncanon {2,0,1}\n"
     script = tmp_path / "session.hf"
@@ -401,7 +427,13 @@ def test_cli_mewo_file_of_a_long_chain_builds_no_matrix(tmp_path, monkeypatch, c
     assert capsys.readouterr().out == outputs["text"]
 
 
-@pytest.mark.parametrize("stmt", ["tomewo 1024", "psi 1024"])
+@pytest.mark.parametrize("stmt", [
+    "tomewo 1024",
+    "psi 1024",
+    "let m = tomewo 1024\ndot m",
+    "let m = tomewo 1024\njson m",
+    "let p = psi 1024\njson p",
+])
 def test_cli_repl_refuses_mewos_and_ordinals_past_the_output_limit(stmt):
     res = run_cli("repl", stdin=stmt + "\n")
     assert res.returncode == 1 and res.stdout == ""
@@ -414,5 +446,9 @@ def test_render_counts_mewos_and_ordinals_exactly(mewo_pool, fixtures_mewos):
     values += [mewo_of_set(u.von_neumann(n)) for n in (26, 27, 300)]
     values += [chain(n) for n in (0, 1, 2, 11, 300)]
     values.append(ord_from_text("ord { size: 3; lt: 2<0, 2<1, 0<1 }"))
+    session = Session(u)
     for value in values:
         assert session_module._text_length(value) == len(render(value))
+        assert session_module._text_length(value, "json") == len(session.apply("json", [value]))
+        if isinstance(value, Mewo):
+            assert session_module._text_length(value, "dot") == len(session.apply("dot", [value]))
