@@ -51,7 +51,6 @@ from .ordinals import (
 )
 from .mewos import (
     Mewo,
-    MewoSimWitness,
     bounded_sim_mewo,
     codes,
     covered_part,
@@ -97,5 +96,7 @@ from .oracle import (
 from .parser import parse, parse_program, format_expr
 from .session import Session, canon, render, set_to_dot
 from .suites import run_suite
+
+MewoSimWitness = SimWitness  # one witness class; mewo witnesses keep their exported name
 
 __version__ = "0.1.0"

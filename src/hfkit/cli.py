@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import EvalError, HfkitError, ParseError
+from .errors import HfkitError
 from .mewos import mewo_from_json, mewo_from_text, mewo_to_dot, mewo_to_json, mewo_to_text
 from .session import Session
 from .suites import SUITE_NAMES, run_suite
@@ -17,12 +17,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hfkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    repl = sub.add_parser("repl", help="interactive statement evaluator")
-    repl.add_argument("--max-numeral", type=int, default=DEFAULT_NUMERAL_LIMIT)
+    sub.add_parser("repl", help="interactive statement evaluator")
 
     run = sub.add_parser("run", help="evaluate a statement file")
     run.add_argument("file")
-    run.add_argument("--max-numeral", type=int, default=DEFAULT_NUMERAL_LIMIT)
 
     mewo = sub.add_parser("mewo", help="load a mewo file and re-emit it")
     mewo.add_argument("file")
@@ -37,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _repl(args) -> int:
-    session = Session(numeral_bound=args.max_numeral)
+def _repl() -> int:
+    session = Session()
     interactive = sys.stdin.isatty()
     while True:
         if interactive:
@@ -50,20 +48,20 @@ def _repl(args) -> int:
         try:
             for out in session.run_program(line):
                 print(out)
-        except (ParseError, EvalError, HfkitError) as exc:
+        except HfkitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             if not interactive:
                 return 1
 
 
 def _run_file(args) -> int:
-    session = Session(numeral_bound=args.max_numeral)
+    session = Session()
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     try:
         for out in session.run_program(text):
             print(out)
-    except (ParseError, EvalError, HfkitError) as exc:
+    except HfkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -112,7 +110,7 @@ def main(argv=None) -> int:
     if args.command == "check" and not 0 <= args.max_depth <= DEFAULT_NUMERAL_LIMIT:
         parser.error(f"argument --max-depth: must be in 0..{DEFAULT_NUMERAL_LIMIT}, the numeral bound")
     if args.command == "repl":
-        return _repl(args)
+        return _repl()
     if args.command == "run":
         return _run_file(args)
     if args.command == "mewo":

@@ -2,8 +2,8 @@
 
 Ordinal side: `set_of_ordinal` turns an ordinal into the set of the images
 of its initial segments (a hereditarily transitive set), `rank_ordinal`
-computes the rank of any set by the literal supremum-of-successors
-recursion, and `rank_quotient` / `elements_ordinal` give the non-recursive
+computes the rank of any set by the supremum-of-successors recursion,
+and `rank_quotient` / `elements_ordinal` give the non-recursive
 descriptions of the rank of a hereditarily transitive set.
 
 Mewo side: `set_of_mewo` interns the codes of the marked elements;
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotAnOrdinalError
 from .mewos import Mewo, codes, singleton, union
-from .ordinals import FinOrd, chain, down, ord_sum, sup, validate_ord
+from .ordinals import FinOrd, chain, down, validate_ord
 from .universe import SetHandle, SetUniverse
 
 
@@ -33,7 +33,7 @@ def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
     the length of alpha is not bounded by the interpreter's recursion limit.
     """
     images: list[SetHandle] = []  # images[k]: the image of the segment at position k
-    for a in sorted(range(alpha.size), key=alpha.pos.__getitem__):
+    for a in alpha.in_order():
         images.append(u.mk_set([images[p] for p in down(alpha, a).pos]))
     return u.mk_set(images)
 
@@ -41,17 +41,13 @@ def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
 def rank_ordinal(h: SetHandle) -> FinOrd:
     """Rank of any set: the supremum over members of (member rank) + 1.
 
-    The recursion is evaluated bottom-up over the hereditary members, whose
-    handle order is a topological order of membership, keeping one
-    successor rank per set. Iterative, so the rank is not bounded by the
-    interpreter's recursion limit; every step is position arithmetic on
-    canonical ordinals, so the cost is one step per membership edge below h.
+    Every rank in this recursion is a canonical chain: the supremum of
+    chains is the longest one and the successor of chain(k) is chain(k + 1).
+    So the recursion runs on lengths, as `SetUniverse.rank_nat` (iterative,
+    one step per membership edge below h), and only the result is built as
+    an ordinal: no chain per hereditary member is held.
     """
-    u = h.universe
-    succ: dict[int, FinOrd] = {}  # set id -> its rank + 1
-    for x in u.hereditary_members(h):
-        succ[x.id] = ord_sum(sup([succ[m.id] for m in u.elements(x)]), chain(1))
-    return sup([succ[m.id] for m in u.elements(h)])
+    return chain(h.universe.rank_nat(h))
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def mewo_of_set(h: SetHandle) -> Mewo:
     return Mewo(tuple(tuple(pos[c] for c in children[j]) for j in ids), [j in direct for j in ids])
 
 
-def mewo_of_set_literal(h: SetHandle, scratch: SetUniverse | None = None) -> Mewo:
+def mewo_of_set_literal(h: SetHandle) -> Mewo:
     """Present a set as a covered mewo by the defining recursion:
     the union over members of the singleton of the member's presentation.
     Evaluated bottom-up over the hereditary members in handle order, one
@@ -120,7 +116,7 @@ def mewo_of_set_literal(h: SetHandle, scratch: SetUniverse | None = None) -> Mew
     """
     u = h.universe
     i = u._own(h)
-    scratch = scratch if scratch is not None else SetUniverse()
+    scratch = SetUniverse()
     children = u._children
     singletons: dict[int, Mewo] = {}  # set id -> singleton of its presentation
     for j in u._below_ids(i):

@@ -19,7 +19,6 @@ searches in hfkit.oracle stay the authoritative cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from .errors import ExtensionalityError, ValidationError
 from .ordinals import (
     FinOrd,
+    SimWitness,
     _checked_preds,
     _clause,
     _freeze,
@@ -74,13 +74,6 @@ class Mewo:
 
     def marked_elements(self) -> list[int]:
         return np.flatnonzero(self.marked).tolist()
-
-
-@dataclass(frozen=True)
-class MewoSimWitness:
-    """Element map certifying a simulation between two mewos."""
-
-    mapping: tuple[int, ...]
 
 
 def validate_mewo(size: int, lt, marked) -> Mewo:
@@ -141,7 +134,7 @@ def covered_part(X: Mewo) -> Mewo:
 
 def from_ordinal(alpha: FinOrd) -> Mewo:
     """View an ordinal as a mewo: same order, everything marked."""
-    order = sorted(range(alpha.size), key=alpha.pos.__getitem__)
+    order = alpha.in_order()
     preds = tuple(tuple(sorted(order[:p])) for p in alpha.pos)
     return Mewo(preds, np.ones(alpha.size, dtype=bool))
 
@@ -189,7 +182,7 @@ def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
     return w is not None and all(X.marked[x] == Y.marked[y] for x, y in enumerate(w.mapping))
 
 
-def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> MewoSimWitness | None:
+def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitness | None:
     """The unique marking-preserving simulation X -> Y, or None.
 
     An element map is a simulation exactly when it matches initial
@@ -207,7 +200,7 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> MewoSimWi
         if X.marked[x] and not Y.marked[y]:
             return None
         f.append(y)
-    return MewoSimWitness(tuple(f))
+    return SimWitness(tuple(f))
 
 
 def bounded_sim_mewo(
@@ -384,9 +377,9 @@ def mewo_from_json(doc: dict) -> Mewo:
     return _mewo_of_names(doc["elems"], lt, doc["marked"])
 
 
-def mewo_to_dot(X: Mewo, name: str = "mewo") -> str:
+def mewo_to_dot(X: Mewo) -> str:
     names = _names(X.size)
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph mewo {"]
     for i, label in enumerate(names):
         style = ' style=filled fillcolor=black fontcolor=white' if X.marked[i] else ""
         lines.append(f'  {label} [label="{label}"{style}];')

@@ -45,6 +45,13 @@ def _is_mewo_pair(X, Y) -> bool:
     raise TypeError("expected two FinOrds or two Mewos")
 
 
+def _enumerable_pair(X, Y, name: str) -> bool:
+    with_marking = _is_mewo_pair(X, Y)
+    if X.size > ENUM_SIM_LIMIT or Y.size > ENUM_SIM_LIMIT:
+        raise SizeLimitError(f"{name} is bounded at size {ENUM_SIM_LIMIT}")
+    return with_marking
+
+
 def _clauses_hold(X, Y, f, with_marking: bool) -> bool:
     n = X.size
     lt_x, lt_y = X.lt, Y.lt
@@ -71,9 +78,7 @@ def is_simulation(X, Y, f) -> bool:
 
 def enum_simulations(X, Y) -> list[tuple[int, ...]]:
     """All maps X -> Y that is_simulation accepts, found by trying every one."""
-    with_marking = _is_mewo_pair(X, Y)
-    if X.size > ENUM_SIM_LIMIT or Y.size > ENUM_SIM_LIMIT:
-        raise SizeLimitError(f"enum_simulations is bounded at size {ENUM_SIM_LIMIT}")
+    with_marking = _enumerable_pair(X, Y, "enum_simulations")
     return [f for f in product(range(Y.size), repeat=X.size) if _clauses_hold(X, Y, f, with_marking)]
 
 
@@ -117,9 +122,7 @@ def _iso_maps(X, Y, with_marking: bool) -> list[tuple[int, ...]]:
 
 def equal_by_permutation(X, Y) -> bool:
     """Isomorphism by exhaustive permutation search (order and marking)."""
-    with_marking = _is_mewo_pair(X, Y)
-    if X.size > ENUM_SIM_LIMIT or Y.size > ENUM_SIM_LIMIT:
-        raise SizeLimitError(f"equal_by_permutation is bounded at size {ENUM_SIM_LIMIT}")
+    with_marking = _enumerable_pair(X, Y, "equal_by_permutation")
     return bool(_iso_maps(X, Y, with_marking))
 
 
@@ -130,9 +133,7 @@ def enum_bounded_sims(X, Y) -> list[tuple[int, tuple[int, ...]]]:
     inherited order with direct predecessors marked; for ordinals any
     bound qualifies.
     """
-    with_marking = _is_mewo_pair(X, Y)
-    if X.size > ENUM_SIM_LIMIT or Y.size > ENUM_SIM_LIMIT:
-        raise SizeLimitError(f"enum_bounded_sims is bounded at size {ENUM_SIM_LIMIT}")
+    with_marking = _enumerable_pair(X, Y, "enum_bounded_sims")
     found = []
     for b in range(Y.size):
         if with_marking and not Y.marked[b]:

@@ -6,9 +6,7 @@ pos[x]; x < y exactly when pos[x] < pos[y]. The read-only matrix `lt`
 in from an outside relation: it checks wellfoundedness, extensionality and
 transitivity with a witness, and asserts the linearity they force on a
 finite carrier. Everything built from validated ordinals is linear by
-construction, so it is position arithmetic, never validated again. A
-canonical carrier (pos[x] = x) keeps its positions as a range, so segments
-and sums of canonical ordinals copy nothing per element.
+construction, so it is position arithmetic, never validated again.
 """
 
 from __future__ import annotations
@@ -39,12 +37,8 @@ class FinOrd:
     __slots__ = ("size", "pos", "_lt")
 
     def __init__(self, pos: Iterable[int]):
-        if not isinstance(pos, range):
-            pos = tuple(pos)
-            if pos == tuple(range(len(pos))):
-                pos = range(len(pos))
-        self.size = len(pos)
-        self.pos = pos
+        self.pos = tuple(pos)
+        self.size = len(self.pos)
         self._lt = None
 
     @property
@@ -55,8 +49,11 @@ class FinOrd:
             self._lt = _freeze(p[:, None] < p[None, :])
         return self._lt
 
+    def in_order(self) -> list[int]:
+        """The elements in order: the element at each position."""
+        return sorted(range(self.size), key=self.pos.__getitem__)
+
     def __eq__(self, other):
-        # positions are normalized, so a canonical carrier is always a range
         return isinstance(other, FinOrd) and self.pos == other.pos
 
     def __hash__(self):
@@ -68,7 +65,7 @@ class FinOrd:
 
 @dataclass(frozen=True)
 class SimWitness:
-    """The (unique) simulation as an element map domain -> codomain."""
+    """The (unique) simulation of ordinals or of mewos as an element map."""
 
     mapping: tuple[int, ...]
 
@@ -182,8 +179,6 @@ def down(alpha: FinOrd, a: int) -> FinOrd:
     if not (0 <= a < alpha.size):
         raise IndexError(f"element {a} out of range for size {alpha.size}")
     k = alpha.pos[a]
-    if isinstance(alpha.pos, range):
-        return FinOrd(alpha.pos[:k])
     return FinOrd(p for p in alpha.pos if p < k)
 
 
@@ -203,7 +198,7 @@ def simulation(alpha: FinOrd, beta: FinOrd) -> SimWitness | None:
     """
     if alpha.size > beta.size:
         return None
-    order = sorted(range(beta.size), key=beta.pos.__getitem__)
+    order = beta.in_order()
     return SimWitness(tuple(order[p] for p in alpha.pos))
 
 
@@ -217,10 +212,7 @@ def bounded_sim(alpha: FinOrd, beta: FinOrd) -> BoundedSimWitness | None:
 
 def ord_sum(alpha: FinOrd, beta: FinOrd) -> FinOrd:
     """Order the disjoint union with every alpha element below every beta element."""
-    n = alpha.size
-    if isinstance(alpha.pos, range) and isinstance(beta.pos, range):
-        return chain(n + beta.size)
-    return FinOrd((*alpha.pos, *(n + p for p in beta.pos)))
+    return FinOrd((*alpha.pos, *(alpha.size + p for p in beta.pos)))
 
 
 def sup_classes(family: list[FinOrd]) -> list[list[tuple[int, int]]]:

@@ -41,11 +41,6 @@ MAX_BRACE_DEPTH = 256
 
 
 @dataclass(frozen=True)
-class EmptySet:
-    pass
-
-
-@dataclass(frozen=True)
 class Braces:
     items: tuple
 
@@ -72,7 +67,7 @@ class Let:
     value: object
 
 
-Expr = object  # EmptySet | Braces | Numeral | Ident | Op
+Expr = object  # Braces | Numeral | Ident | Op
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -154,7 +149,7 @@ class _Parser:
             self.next()
             if self.peek().kind == "}":
                 self.next()
-                return EmptySet()
+                return Braces(())
             self.depth += 1
             items = [self.expr()]
             while self.peek().kind == ",":
@@ -234,8 +229,6 @@ def parse_program(text: str) -> list:
 
 def format_expr(e: Expr) -> str:
     """Structure-preserving printer; parse(format_expr(e)) == e."""
-    if isinstance(e, EmptySet):
-        return "{}"
     if isinstance(e, Braces):
         return "{" + ", ".join(format_expr(x) for x in e.items) + "}"
     if isinstance(e, Numeral):

@@ -13,8 +13,8 @@ from .correspondence import (
 from .errors import EvalError, LimitExceededError
 from .mewos import Mewo, _names, mewo_equal, mewo_to_dot, mewo_to_json, mewo_to_text
 from .ordinals import FinOrd, ord_to_json, ord_to_text, same_order_type
-from .parser import Braces, EmptySet, Expr, Ident, Let, Numeral, Op, parse_program
-from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse, export_slice
+from .parser import Braces, Expr, Ident, Let, Numeral, Op, parse_program
+from .universe import SetHandle, SetUniverse, export_slice
 
 
 # Longest text `canon`, `dot`, `json` or the rendering of an ordinal or a
@@ -38,7 +38,8 @@ def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], d
     first pass adds up lengths, the text of a set with k > 0 members being
     2 braces plus their lengths plus k - 1 commas; past `MAX_RENDERED_CHARS` (for h,
     or for all nodes together when `labels` is set) it raises
-    `LimitExceededError` before any text is built.
+    `LimitExceededError` before any text is built. Without `labels`, only
+    the text of h is kept: a member's text goes once its last parent has it.
     """
     u = h.universe
     nodes = u.hereditary_members(h) + [h]
@@ -48,40 +49,46 @@ def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], d
         ms = members[x.id] = [m.id for m in u.elements(x)]
         size[x.id] = 1 + len(ms) + sum([size[m] for m in ms]) if ms else 2
     _refuse_past_limit(sum(size.values()) if labels else size[h.id])
+    last = {} if labels else {m: i for i, ms in members.items() for m in ms}  # each member's last parent
     text: dict[int, str] = {}
     for i, ms in members.items():
         parts = sorted((text[m] for m in ms), key=lambda s: (len(s), s))
         text[i] = "{" + ",".join(parts) + "}"
+        for m in ms:
+            if last.get(m) == i:
+                del text[m]
     return nodes, text
 
 
 def _text_length(value: FinOrd | Mewo, fmt: str = "text") -> int:
     """Length of the text, `json` or (mewos only) `dot` form of an ordinal or
     a mewo, counted from its pairs before any of it is built."""
-    def listed(widths: list[int], sep: int, pad: int = 0) -> int:  # items, each `pad` wider, joined by `sep`
-        return sum(widths) + pad * len(widths) + sep * (len(widths) - 1) if widths else 0
+    def listed(total: int, count: int, sep: int, pad: int = 0) -> int:  # `count` items, `total` wide in all, each `pad` wider, `sep` apart
+        return total + pad * count + sep * (count - 1) if count else 0
 
     def clause(key: str, body: int) -> int:  # `key: body`, just `key:` when empty
         return len(key) + 1 + (body + 1 if body else 0)
 
     n = value.size
-    if isinstance(value, FinOrd):  # linear: each element is paired with every other
-        width = [len(str(x)) for x in range(n)]
-        pairs = [width[p] + width[x] + 1 for x in range(n) for p in range(x)]  # `i<j`
+    if isinstance(value, FinOrd):  # linear: n(n-1)/2 pairs `i<j`, each element in n - 1 of them
+        count = n * (n - 1) // 2
+        pairs = (n - 1) * sum(len(str(x)) for x in range(n)) + count
         if fmt == "json":  # {"size":n,"pairs":[[i,j],...]}
-            return len(f'{{"size":{n},"pairs":[]}}') + listed(pairs, 1, 2)
-        return len(f"ord {{ size: {n};  }}") + clause("lt", listed(pairs, 2))
+            return len(f'{{"size":{n},"pairs":[]}}') + listed(pairs, count, 1, 2)
+        return len(f"ord {{ size: {n};  }}") + clause("lt", listed(pairs, count, 2))
     width = [len(name) for name in _names(n)]
-    pairs = [width[p] + width[x] + 1 for x, ps in enumerate(value.preds) for p in ps]  # `a<b`
+    count = sum(map(len, value.preds))
+    pairs = sum(width[p] + width[x] + 1 for x, ps in enumerate(value.preds) for p in ps)  # `a<b`
     marks = [width[x] for x in value.marked_elements()]
+    marked = (sum(marks), len(marks))
     if fmt == "json":  # {"elems":["a",...],"lt":[["a","b"],...],"marked":["a",...]}
-        quoted = listed(width, 1, 2) + listed(pairs, 1, 6) + listed(marks, 1, 2)
+        quoted = listed(sum(width), n, 1, 2) + listed(pairs, count, 1, 6) + listed(*marked, 1, 2)
         return len('{"elems":[],"lt":[],"marked":[]}') + quoted
     if fmt == "dot":  # `digraph mewo {`, `  a [label="a"];` per element, `  a -> b;` per pair, `}`
         styled = len(" style=filled fillcolor=black fontcolor=white") * len(marks)
-        return len("digraph mewo {\n}") + listed([2 * w for w in width], 0, 15) + listed(pairs, 0, 7) + styled
-    return len("mewo { ; ;  }") + (
-        clause("elems", listed(width, 1)) + clause("lt", listed(pairs, 2)) + clause("marked", listed(marks, 1)))
+        return len("digraph mewo {\n}") + listed(2 * sum(width), n, 0, 15) + listed(pairs, count, 0, 7) + styled
+    return len("mewo { ; ;  }") + clause("elems", listed(sum(width), n, 1)) + (
+        clause("lt", listed(pairs, count, 2)) + clause("marked", listed(*marked, 1)))
 
 
 def canon(h: SetHandle) -> str:
@@ -89,11 +96,11 @@ def canon(h: SetHandle) -> str:
     return _canon_table(h)[1][h.id]
 
 
-def set_to_dot(h: SetHandle, name: str = "set") -> str:
+def set_to_dot(h: SetHandle) -> str:
     """Membership digraph of the sets reachable from h, child -> parent."""
     u = h.universe
     nodes, text = _canon_table(h, labels=True)
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph set {"]
     for m in nodes:
         lines.append(f'  n{m.id} [label="{text[m.id]}"];')
     for m in nodes:
@@ -106,16 +113,13 @@ def set_to_dot(h: SetHandle, name: str = "set") -> str:
 class Session:
     """Bindings plus the universe they live in. Bindings never rebind."""
 
-    def __init__(self, universe: SetUniverse | None = None, numeral_bound: int = DEFAULT_NUMERAL_LIMIT):
+    def __init__(self, universe: SetUniverse | None = None):
         self.universe = universe if universe is not None else SetUniverse()
-        self.numeral_bound = numeral_bound
         self.bindings: dict[str, object] = {}
 
     # -- expression evaluation ------------------------------------------------
 
     def eval(self, expr: Expr):
-        if isinstance(expr, EmptySet):
-            return self.universe.empty()
         if isinstance(expr, Braces):
             members = []
             for item in expr.items:
@@ -125,7 +129,7 @@ class Session:
                 members.append(v)
             return self.universe.mk_set(members)
         if isinstance(expr, Numeral):
-            return self.universe.von_neumann(expr.value, self.numeral_bound)
+            return self.universe.von_neumann(expr.value)
         if isinstance(expr, Ident):
             if expr.name not in self.bindings:
                 raise EvalError(f"unbound name {expr.name!r}")

@@ -114,7 +114,6 @@ class SetUniverse:
         self._transitive: dict[int, bool] = {}
         self._st_ordinal: dict[int, bool] = {}
         self._numerals: list[int] = []
-        self._numeral_lock = threading.Lock()
         # Mostowski codes of mewos, filled by hfkit.mewos.codes
         self._mewo_codes: dict = {}
 
@@ -194,20 +193,20 @@ class SetUniverse:
             self._st_ordinal[hi] = cached
         return cached
 
-    def von_neumann(self, n: int, limit: int = DEFAULT_NUMERAL_LIMIT) -> SetHandle:
+    def von_neumann(self, n: int) -> SetHandle:
         """The n-th von Neumann numeral, built by n+1 := n and its members."""
         if n < 0:
             raise ValueError("numerals are non-negative")
-        if n > limit:
-            raise LimitExceededError(f"numeral {n} exceeds the configured bound {limit}")
-        # a lock of its own: mk_set takes _lock, which is not re-entrant
-        with self._numeral_lock:
+        if n > DEFAULT_NUMERAL_LIMIT:
+            raise LimitExceededError(f"numeral {n} exceeds the bound {DEFAULT_NUMERAL_LIMIT}")
+        with self._lock:
             numerals = self._numerals
             if not numerals:
-                numerals.append(self.empty().id)
+                numerals.append(self._intern_ids(()))
             while len(numerals) <= n:
-                prev = SetHandle(self, numerals[-1])
-                numerals.append(self.mk_set(prev.elements() + [prev]).id)
+                prev = numerals[-1]
+                # already sorted: prev's id is larger than the ids of its members
+                numerals.append(self._intern_ids(self._children[prev] + (prev,)))
             return SetHandle(self, numerals[n])
 
     def rank_nat(self, h: SetHandle) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,21 @@ def test_rank_ordinal_at_the_numeral_bound(u):
     assert seconds < 2.0
 
 
+def test_rank_ordinal_of_a_deep_chain_builds_one_chain(u):
+    # a chain per hereditary member would hold 3000 * 2999 / 2 positions
+    h = u.empty()
+    for _ in range(3000):
+        h = u.mk_set([h])
+    tracemalloc.start()
+    try:
+        alpha = rank_ordinal(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert alpha == chain(3000)
+
+
 def test_rank_ordinal_base(u):
     assert order_type(rank_ordinal(u.empty())) == 0
 
@@ -96,8 +112,12 @@ def test_rank_ordinal_on_numerals(u):
 
 
 def test_rank_ordinal_matches_rank_nat(u):
+    def literal(h):  # the recursion on ordinals: sup over members of (member rank) + 1
+        return sup([ord_sum(literal(m), chain(1)) for m in u.elements(h)])
+
     for h in gen_random_set(GenConfig(seed=2, max_width=4, max_depth=4, count=80), u):
         assert order_type(rank_ordinal(h)) == u.rank_nat(h)
+        assert rank_ordinal(h) == literal(h)
 
 
 def test_rank_ordinal_accepts_non_ordinals(u):

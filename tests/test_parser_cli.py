@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,6 @@ from hfkit import (
 from hfkit.parser import (
     MAX_BRACE_DEPTH,
     Braces,
-    EmptySet,
     Ident,
     Let,
     Numeral,
@@ -43,11 +43,11 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_parse_empty_set():
-    assert parse("{}") == EmptySet()
+    assert parse("{}") == Braces(())
 
 
 def test_parse_nested():
-    assert parse("{{},{{}}}") == Braces((EmptySet(), Braces((EmptySet(),))))
+    assert parse("{{},{{}}}") == Braces((Braces(()), Braces((Braces(()),))))
 
 
 def test_parse_error_position():
@@ -78,12 +78,12 @@ def test_parse_numeral_and_ident():
 def test_parse_infix_and_prefix():
     assert parse("2 in 3") == Op("in", (Numeral(2), Numeral(3)))
     assert parse("in 2 3") == Op("in", (Numeral(2), Numeral(3)))
-    assert parse("rank {{{}}}") == Op("rank", (Braces((Braces((EmptySet(),)),)),))
+    assert parse("rank {{{}}}") == Op("rank", (Braces((Braces((Braces(()),)),)),))
 
 
 def test_parse_program_let():
     stmts = parse_program("let x = {{}}\ncanon x\n")
-    assert stmts[0] == Let("x", Braces((EmptySet(),)))
+    assert stmts[0] == Let("x", Braces((Braces(()),)))
     assert stmts[1] == Op("canon", (Ident("x"),))
 
 
@@ -94,11 +94,11 @@ def test_parse_rejects_trailing_junk():
 
 def test_format_expr_roundtrip():
     samples = [
-        EmptySet(),
-        Braces((EmptySet(), Braces((EmptySet(),)))),
+        Braces(()),
+        Braces((Braces(()), Braces((Braces(()),)))),
         Numeral(7),
         Op("in", (Numeral(2), Numeral(3))),
-        Op("rank", (Braces((EmptySet(),)),)),
+        Op("rank", (Braces((Braces(()),)),)),
     ]
     for ast in samples:
         assert parse(format_expr(ast)) == ast
@@ -168,9 +168,9 @@ def test_eval_unbound_and_shadowing():
 
 
 def test_eval_numeral_bound():
-    s = Session(numeral_bound=5)
-    with pytest.raises(Exception) as exc:
-        s.run_program("canon 6")
+    s = Session()
+    with pytest.raises(LimitExceededError) as exc:
+        s.run_program("canon 1025")
     assert "bound" in str(exc.value)
 
 
@@ -227,6 +227,23 @@ def test_canon_and_dot_refuse_output_past_the_limit(monkeypatch):
     assert s.run_program("canon 4") == [canon(s.universe.von_neumann(4))]
     with pytest.raises(LimitExceededError):
         s.run_program("canon 5")
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canon_drops_each_member_text_after_its_last_parent():
+    s = Session()
+    s.run_program("let x0 = 14\n" + "\n".join(f"let x{k} = {{x{k - 1}}}" for k in range(1, 201)))
+    text, peak = _traced_peak(canon, s.bindings["x200"])
+    assert peak < 1 << 20
+    assert text == "{" * 200 + canon(s.universe.von_neumann(14)) + "}" * 200 and len(text) == 41_359
 
 
 # -- suites ---------------------------------------------------------------------
@@ -304,6 +321,15 @@ def test_cli_check_bounds(args, status):
     assert res.returncode == status and "Traceback" not in res.stderr
     if status == 2:
         assert res.stdout == "" and "error: argument --max-" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["repl", "run"])
+def test_cli_has_no_numeral_bound_option(command, tmp_path):
+    script = tmp_path / "empty.hf"
+    script.write_text("")
+    args = ("repl",) if command == "repl" else ("run", str(script))
+    res = run_cli(*args, "--max-numeral", "5", stdin="")
+    assert res.returncode == 2 and "unrecognized arguments: --max-numeral 5" in res.stderr
 
 
 def test_cli_repl_and_batch_agree(tmp_path):
@@ -452,3 +478,10 @@ def test_render_counts_mewos_and_ordinals_exactly(mewo_pool, fixtures_mewos):
         assert session_module._text_length(value, "json") == len(session.apply("json", [value]))
         if isinstance(value, Mewo):
             assert session_module._text_length(value, "dot") == len(session.apply("dot", [value]))
+
+
+def test_text_length_of_a_long_ordinal_lists_no_pairs():
+    alpha = chain(5_000)
+    for fmt in ("text", "json"):
+        _, peak = _traced_peak(session_module._text_length, alpha, fmt)
+        assert peak < 1 << 20

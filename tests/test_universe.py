@@ -126,7 +126,7 @@ def test_von_neumann_by_iteration(u):
 
 def test_von_neumann_limit(u):
     with pytest.raises(LimitExceededError):
-        u.von_neumann(50, limit=10)
+        u.von_neumann(1025)
 
 
 def test_rank(u):
