@@ -12,6 +12,7 @@ from .errors import (
     EvalError,
     ExtensionalityError,
     ForeignHandleError,
+    FormatError,
     HfkitError,
     LimitExceededError,
     NotAnOrdinalError,

@@ -6,9 +6,9 @@ import argparse
 import json
 import sys
 
-from .errors import HfkitError
-from .mewos import mewo_from_json, mewo_from_text, mewo_to_dot, mewo_to_json, mewo_to_text
-from .session import Session
+from .errors import FormatError, HfkitError
+from .mewos import mewo_from_json, mewo_from_text
+from .session import Session, render
 from .suites import SUITE_NAMES, run_suite
 from .universe import DEFAULT_NUMERAL_LIMIT
 
@@ -54,36 +54,32 @@ def _repl() -> int:
                 return 1
 
 
-def _run_file(args) -> int:
-    session = Session()
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read is an HfkitError."""
     try:
-        for out in session.run_program(text):
-            print(out)
-    except HfkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HfkitError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _run_file(args) -> int:
+    for out in Session().run_program(_read(args.file)):
+        print(out)
     return 0
 
 
 def _mewo_file(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read().strip()
-    try:
-        if text.startswith("{"):
-            X = mewo_from_json(json.loads(text))
-        else:
-            X = mewo_from_text(text)
-    except (ValueError, HfkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "text":
-        print(mewo_to_text(X))
-    elif args.format == "json":
-        print(json.dumps(mewo_to_json(X), separators=(",", ":")))
+    text = _read(args.file).strip()
+    if text.startswith("{"):
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting past the limit
+            raise FormatError(str(exc)) from None
+        X = mewo_from_json(doc)
     else:
-        print(mewo_to_dot(X))
+        X = mewo_from_text(text)
+    print(render(X, args.format))
     return 0
 
 
@@ -111,11 +107,11 @@ def main(argv=None) -> int:
         parser.error(f"argument --max-depth: must be in 0..{DEFAULT_NUMERAL_LIMIT}, the numeral bound")
     if args.command == "repl":
         return _repl()
-    if args.command == "run":
-        return _run_file(args)
-    if args.command == "mewo":
-        return _mewo_file(args)
-    return _check(args)
+    try:
+        return {"run": _run_file, "mewo": _mewo_file, "check": _check}[args.command](args)
+    except HfkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -57,6 +57,10 @@ class SizeLimitError(HfkitError):
     """Brute-force oracle invoked beyond its guaranteed size bound."""
 
 
+class FormatError(HfkitError, ValueError):
+    """A document (text or JSON form of an ordinal, a mewo or a slice) is malformed."""
+
+
 class ParseError(HfkitError):
     def __init__(self, line, col, message, expected=()):
         self.line = line

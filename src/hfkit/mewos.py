@@ -23,8 +23,9 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .errors import ExtensionalityError, ValidationError
+from .errors import ExtensionalityError, FormatError, ValidationError
 from .ordinals import (
+    BoundedSimWitness,
     FinOrd,
     SimWitness,
     _checked_preds,
@@ -203,9 +204,7 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitnes
     return SimWitness(tuple(f))
 
 
-def bounded_sim_mewo(
-    X: Mewo, Y: Mewo, u: SetUniverse | None = None
-) -> tuple[int, tuple[int, ...]] | None:
+def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedSimWitness | None:
     """The unique marked bound y with X equal to down_plus(Y, y), plus the
     equivalence as a map from X onto original Y indices.
 
@@ -224,7 +223,7 @@ def bounded_sim_mewo(
     y = index_y.get(target.id)
     if y is None or not Y.marked[y]:
         return None
-    return y, tuple(index_y[c.id] for c in cx)
+    return BoundedSimWitness(y, tuple(index_y[c.id] for c in cx))
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int] | None:
@@ -321,17 +320,17 @@ def mewo_to_text(X: Mewo) -> str:
 def _mewo_of_names(names: list, edges: list, marks: list) -> Mewo:
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
-        raise ValueError("duplicate element name")
+        raise FormatError("duplicate element name")
     n = len(names)
     above: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         if i not in index or j not in index:
-            raise ValueError(f"edge {i}<{j} uses an undeclared element")
+            raise FormatError(f"edge {i}<{j} uses an undeclared element")
         above[index[i]].add(index[j])
     marked = np.zeros(n, dtype=bool)
     for name in marks:
         if name not in index:
-            raise ValueError(f"marked element {name} is not declared")
+            raise FormatError(f"marked element {name} is not declared")
         marked[index[name]] = True
     return Mewo(_checked_preds([sorted(s) for s in above]), marked)
 
@@ -367,13 +366,13 @@ def mewo_from_json(doc: dict) -> Mewo:
         return isinstance(v, list) and all(isinstance(name, str) for name in v)
 
     if not isinstance(doc, dict):
-        raise ValueError("a JSON mewo is an object with keys 'elems', 'lt' and 'marked'")
+        raise FormatError("a JSON mewo is an object with keys 'elems', 'lt' and 'marked'")
     for key in ("elems", "marked"):
         if not are_names(doc.get(key)):
-            raise ValueError(f"key {key!r} must be a list of element names")
+            raise FormatError(f"key {key!r} must be a list of element names")
     lt = doc.get("lt")
     if not (isinstance(lt, list) and all(are_names(p) and len(p) == 2 for p in lt)):
-        raise ValueError("key 'lt' must be a list of [name, name] pairs")
+        raise FormatError("key 'lt' must be a list of [name, name] pairs")
     return _mewo_of_names(doc["elems"], lt, doc["marked"])
 
 

@@ -11,13 +11,13 @@ construction, so it is position arithmetic, never validated again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (
     ExtensionalityError,
+    FormatError,
     TransitivityError,
     ValidationError,
     WellfoundednessError,
@@ -60,26 +60,20 @@ class FinOrd:
         return hash(self.pos)
 
     def __repr__(self):
-        return f"FinOrd(size={self.size}, pairs={lt_pairs(self.lt)})"
+        return f"FinOrd(pos={self.pos})"
 
 
-@dataclass(frozen=True)
-class SimWitness:
+class SimWitness(NamedTuple):
     """The (unique) simulation of ordinals or of mewos as an element map."""
 
     mapping: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundedSimWitness:
-    """Isomorphism of the domain onto the initial segment below `bound`."""
+class BoundedSimWitness(NamedTuple):
+    """Isomorphism of the domain onto the initial segment below `bound`, of ordinals or of mewos."""
 
     bound: int
     iso: tuple[int, ...]
-
-
-def lt_pairs(lt: np.ndarray) -> list[tuple[int, int]]:
-    return [(int(i), int(j)) for i, j in np.argwhere(lt)]
 
 
 def _transpose(adj) -> list[list[int]]:
@@ -243,8 +237,14 @@ def sup(family: list[FinOrd]) -> FinOrd:
 # -- serialization ------------------------------------------------------------
 
 
+def _pairs(alpha: FinOrd) -> Iterator[tuple[int, int]]:
+    """The pairs i < j of alpha, ordered by i and then by j, read off the positions."""
+    order = alpha.in_order()
+    return ((i, j) for i, p in enumerate(alpha.pos) for j in sorted(order[p + 1 :]))
+
+
 def ord_to_json(alpha: FinOrd) -> dict:
-    return {"size": alpha.size, "pairs": sorted([i, j] for i, j in lt_pairs(alpha.lt))}
+    return {"size": alpha.size, "pairs": [[i, j] for i, j in _pairs(alpha)]}
 
 
 def ord_from_json(doc: dict) -> FinOrd:
@@ -263,7 +263,7 @@ def _clause(key: str, body: str) -> str:
 
 
 def ord_to_text(alpha: FinOrd) -> str:
-    pairs = ", ".join(f"{i}<{j}" for i, j in sorted(lt_pairs(alpha.lt)))
+    pairs = ", ".join(f"{i}<{j}" for i, j in _pairs(alpha))
     return f"ord {{ size: {alpha.size}; {_clause('lt', pairs)} }}"
 
 
@@ -274,14 +274,14 @@ def _read_clauses(text: str, kind: str, usage: str, keys: tuple[str, ...]):
     """
     head, brace, body = text.strip().partition("{")
     if not (head.strip() == kind and brace and body.endswith("}")):
-        raise ValueError(f"expected {usage!r}")
+        raise FormatError(f"expected {usage!r}")
     for clause in body[:-1].split(";"):
         clause = clause.strip()
         if clause:
             key, _, val = clause.partition(":")
             key = key.strip()
             if key not in keys:
-                raise ValueError(f"unknown clause {key!r}")
+                raise FormatError(f"unknown clause {key!r}")
             yield key, val
 
 
@@ -296,14 +296,21 @@ def _lt_items(val: str, read) -> list[tuple]:
     return items
 
 
+def _index(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{text.strip()!r} is not an integer") from None
+
+
 def ord_from_text(text: str) -> FinOrd:
     size = None
     pairs: list[tuple[int, int]] = []
     for key, val in _read_clauses(text, "ord", "ord { size: n; lt: i<j, ... }", ("size", "lt")):
         if key == "size":
-            size = int(val)
+            size = _index(val)
         else:
-            pairs += _lt_items(val, int)
+            pairs += _lt_items(val, _index)
     if size is None:
-        raise ValueError("missing size clause")
+        raise FormatError("missing size clause")
     return ord_from_json({"size": size, "pairs": pairs})

@@ -1,4 +1,10 @@
-"""Statement evaluation over a universe, with canonical value printing."""
+"""Statement evaluation over a universe, with one renderer for every value.
+
+`COMMAND_TABLE` gives each command the kinds its arguments may have (set,
+ordinal, mewo) and the function that computes its result; `Session.apply`
+checks a call against it. `render(value, fmt)` writes every value as text,
+JSON or DOT, refusing output past `MAX_RENDERED_CHARS` before building it.
+"""
 
 from __future__ import annotations
 
@@ -100,14 +106,40 @@ def set_to_dot(h: SetHandle) -> str:
     """Membership digraph of the sets reachable from h, child -> parent."""
     u = h.universe
     nodes, text = _canon_table(h, labels=True)
-    lines = ["digraph set {"]
-    for m in nodes:
-        lines.append(f'  n{m.id} [label="{text[m.id]}"];')
-    for m in nodes:
-        for c in u.elements(m):
-            lines.append(f"  n{c.id} -> n{m.id};")
-    lines.append("}")
-    return "\n".join(lines)
+    lines = [f'  n{m.id} [label="{text[m.id]}"];' for m in nodes]
+    lines += [f"  n{c.id} -> n{m.id};" for m in nodes for c in u.elements(m)]
+    return "\n".join(["digraph set {", *lines, "}"])
+
+
+def _equal(u: SetUniverse, a, b) -> bool:
+    if type(a) is not type(b):
+        raise EvalError("eq expects two values of the same kind")
+    if isinstance(a, SetHandle):
+        return a == b
+    return same_order_type(a, b) if isinstance(a, FinOrd) else mewo_equal(a, b)
+
+
+_SET, _ORD, _MEWO = (SetHandle,), (FinOrd,), (Mewo,)
+_ANY = (SetHandle, FinOrd, Mewo)
+_KIND_NAMES = {SetHandle: "a set", FinOrd: "an ordinal", Mewo: "a mewo"}
+
+# Per command: the kinds each argument may have, and its result from the universe
+# and the arguments (through lambdas, so a function wrapped at run time is seen).
+COMMAND_TABLE = {
+    "canon": ((_SET,), lambda u, h: canon(h)),
+    "rank": ((_SET,), lambda u, h: u.rank_nat(h)),
+    "ord?": ((_SET,), lambda u, h: u.is_st_ordinal(h)),
+    "transitive?": ((_SET,), lambda u, h: u.is_transitive_set(h)),
+    "in": ((_SET, _SET), lambda u, x, y: u.mem(x, y)),
+    "sub": ((_SET, _SET), lambda u, x, y: u.subset(x, y)),
+    "phi": ((_ORD,), lambda u, alpha: set_of_ordinal(alpha, u)),
+    "psi": ((_SET,), lambda u, h: rank_ordinal(h)),
+    "tomewo": ((_SET,), lambda u, h: mewo_of_set(h)),
+    "tov": ((_MEWO,), lambda u, X: set_of_mewo(X, u)),
+    "eq": ((_ANY, _ANY), _equal),
+    "dot": (((SetHandle, Mewo),), lambda u, v: render(v, "dot")),
+    "json": ((_ANY,), lambda u, v: render(v, "json")),
+}
 
 
 class Session:
@@ -138,76 +170,18 @@ class Session:
             return self.apply(expr.name, [self.eval(a) for a in expr.args])
         raise EvalError(f"cannot evaluate {expr!r}")
 
-    def _want_set(self, cmd: str, v) -> SetHandle:
-        if not isinstance(v, SetHandle):
-            raise EvalError(f"{cmd} expects a set, got {type(v).__name__}")
-        return v
-
-    def _want_arity(self, cmd: str, args: list, n: int) -> None:
-        if len(args) != n:
-            raise EvalError(f"{cmd} expects {n} argument(s), got {len(args)}")
-
     def apply(self, cmd: str, args: list):
-        u = self.universe
-        if cmd in ("canon", "rank", "ord?", "transitive?", "psi", "tomewo"):
-            self._want_arity(cmd, args, 1)
-            h = self._want_set(cmd, args[0])
-            if cmd == "canon":
-                return canon(h)
-            if cmd == "rank":
-                return u.rank_nat(h)
-            if cmd == "ord?":
-                return u.is_st_ordinal(h)
-            if cmd == "transitive?":
-                return u.is_transitive_set(h)
-            if cmd == "psi":
-                return rank_ordinal(h)
-            return mewo_of_set(h)
-        if cmd in ("in", "sub"):
-            self._want_arity(cmd, args, 2)
-            x = self._want_set(cmd, args[0])
-            y = self._want_set(cmd, args[1])
-            return u.mem(x, y) if cmd == "in" else u.subset(x, y)
-        if cmd == "phi":
-            self._want_arity(cmd, args, 1)
-            if not isinstance(args[0], FinOrd):
-                raise EvalError(f"phi expects an ordinal, got {type(args[0]).__name__}")
-            return set_of_ordinal(args[0], u)
-        if cmd == "tov":
-            self._want_arity(cmd, args, 1)
-            if not isinstance(args[0], Mewo):
-                raise EvalError(f"tov expects a mewo, got {type(args[0]).__name__}")
-            return set_of_mewo(args[0], u)
-        if cmd == "eq":
-            self._want_arity(cmd, args, 2)
-            a, b = args
-            if isinstance(a, SetHandle) and isinstance(b, SetHandle):
-                return a == b
-            if isinstance(a, FinOrd) and isinstance(b, FinOrd):
-                return same_order_type(a, b)
-            if isinstance(a, Mewo) and isinstance(b, Mewo):
-                return mewo_equal(a, b)
-            raise EvalError("eq expects two values of the same kind")
-        if cmd == "dot":
-            self._want_arity(cmd, args, 1)
-            v = args[0]
-            if isinstance(v, SetHandle):
-                return set_to_dot(v)
-            if isinstance(v, Mewo):
-                _refuse_past_limit(_text_length(v, "dot"))
-                return mewo_to_dot(v)
-            raise EvalError(f"dot expects a set or a mewo, got {type(v).__name__}")
-        if cmd == "json":
-            self._want_arity(cmd, args, 1)
-            v = args[0]
-            if isinstance(v, SetHandle):
-                return json.dumps(export_slice(v), separators=(",", ":"))
-            if isinstance(v, (FinOrd, Mewo)):
-                _refuse_past_limit(_text_length(v, "json"))
-                doc = ord_to_json(v) if isinstance(v, FinOrd) else mewo_to_json(v)
-                return json.dumps(doc, separators=(",", ":"))
-            raise EvalError(f"json has no encoding for {type(v).__name__}")
-        raise EvalError(f"unknown command {cmd!r}")
+        if cmd not in COMMAND_TABLE:
+            raise EvalError(f"unknown command {cmd!r}")
+        kinds, fn = COMMAND_TABLE[cmd]
+        if len(args) != len(kinds):
+            raise EvalError(f"{cmd} expects {len(kinds)} argument(s), got {len(args)}")
+        for allowed, v in zip(kinds, args):
+            if not isinstance(v, allowed):
+                *rest, last = [_KIND_NAMES[k] for k in allowed]
+                wanted = f"{', '.join(rest)} or {last}" if rest else last
+                raise EvalError(f"{cmd} expects {wanted}, got {type(v).__name__}")
+        return fn(self.universe, *args)
 
     # -- statements -------------------------------------------------------------
 
@@ -220,24 +194,24 @@ class Session:
         return render(self.eval(stmt))
 
     def run_program(self, text: str) -> list[str]:
-        out = []
-        for stmt in parse_program(text):
-            line = self.run_stmt(stmt)
-            if line is not None:
-                out.append(line)
-        return out
+        lines = (self.run_stmt(stmt) for stmt in parse_program(text))
+        return [line for line in lines if line is not None]
 
 
-def render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
+def render(value, fmt: str = "text") -> str:
+    """`value` as `fmt`: `text` for every value, `json` for sets, ordinals and
+    mewos, `dot` for sets and mewos. Ordinals and mewos are measured first and
+    refused past `MAX_RENDERED_CHARS`; `canon` and `set_to_dot` measure sets."""
     if isinstance(value, SetHandle):
-        return canon(value)
-    if isinstance(value, (FinOrd, Mewo)):
-        _refuse_past_limit(_text_length(value))
-        return ord_to_text(value) if isinstance(value, FinOrd) else mewo_to_text(value)
-    raise EvalError(f"no rendering for {type(value).__name__}")
+        doc = {"text": canon, "json": export_slice, "dot": set_to_dot}[fmt](value)
+    elif isinstance(value, Mewo) or (isinstance(value, FinOrd) and fmt != "dot"):
+        _refuse_past_limit(_text_length(value, fmt))
+        if isinstance(value, FinOrd):
+            doc = ord_to_text(value) if fmt == "text" else ord_to_json(value)
+        else:
+            doc = {"text": mewo_to_text, "json": mewo_to_json, "dot": mewo_to_dot}[fmt](value)
+    elif fmt == "text" and isinstance(value, (bool, int, str)):
+        return ("true" if value else "false") if isinstance(value, bool) else str(value)
+    else:
+        raise EvalError(f"no {fmt} rendering for {type(value).__name__}")
+    return json.dumps(doc, separators=(",", ":")) if fmt == "json" else doc

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CyclicError, ForeignHandleError, LimitExceededError
+from .errors import CyclicError, ForeignHandleError, FormatError, LimitExceededError
 
 DEFAULT_NODE_LIMIT = 1 << 20
 DEFAULT_NUMERAL_LIMIT = 1024
@@ -371,22 +371,22 @@ def export_slice(h: SetHandle) -> dict:
 def import_slice(doc: dict, u: SetUniverse) -> SetHandle:
     """Intern the set a slice presents, under the universe lock taken once."""
     if not (isinstance(doc, dict) and isinstance(doc.get("nodes"), (list, tuple)) and "root" in doc):
-        raise ValueError("a slice is an object with a list of nodes and a root")
+        raise FormatError("a slice is an object with a list of nodes and a root")
     nodes, root = doc["nodes"], doc["root"]
     if type(root) is not int or not 0 <= root < len(nodes):
-        raise ValueError(f"root {root!r} is not a node position")
+        raise FormatError(f"root {root!r} is not a node position")
     ids: list[int] = []
     intern = u._intern_ids
     with u._lock:
         for pos, child_positions in enumerate(nodes):
             if not isinstance(child_positions, (list, tuple)):
-                raise ValueError(f"node {pos} is not a list of child positions")
+                raise FormatError(f"node {pos} is not a list of child positions")
             kids = set()
             for c in child_positions:
                 if type(c) is not int:
-                    raise ValueError(f"node {pos} has a child position {c!r} that is not an integer")
+                    raise FormatError(f"node {pos} has a child position {c!r} that is not an integer")
                 if not 0 <= c < pos:
-                    raise ValueError(f"node {pos} references a non-earlier node")
+                    raise FormatError(f"node {pos} references a non-earlier node")
                 kids.add(ids[c])
             ids.append(intern(tuple(sorted(kids))))
     return SetHandle(u, ids[root])

@@ -21,7 +21,6 @@ from hfkit import (
     covered_part,
     down,
     down_plus,
-    enum_bounded_sims,
     enumerate_v,
     equal_by_permutation,
     gen_random_mewo,
@@ -30,7 +29,6 @@ from hfkit import (
     is_covered,
     mark_all,
     mewo_equal,
-    order_type,
     principality_check,
     run_suite,
     same_order_type,
@@ -40,6 +38,7 @@ from hfkit import (
     union,
 )
 from hfkit.suites import (
+    bounded_sims_match_oracle,
     collapse_matches_bisimilar,
     nested_segments,
     order_transport,
@@ -133,12 +132,9 @@ def test_criterion_6_covering_is_principality(mewo_pool, covered_pool, small_mew
 def test_criterion_7a_mewo_decisions_match_oracle(mewo_pool):
     u = SetUniverse()
     failures = simulations_match_oracle(mewo_pool, lambda X, Y: simulation_mewo(X, Y, u))
+    failures += bounded_sims_match_oracle(mewo_pool, lambda X, Y: bounded_sim_mewo(X, Y, u))
     for X in mewo_pool:
         for Y in mewo_pool:
-            bs = bounded_sim_mewo(X, Y, u)
-            ms = enum_bounded_sims(X, Y)
-            if len(ms) > 1 or (bs is None) != (not ms) or (bs and [bs] != ms):
-                failures.append(("bounded", X.size, Y.size))
             if mewo_equal(X, Y, u) != equal_by_permutation(X, Y):
                 failures.append(("equality", X.size, Y.size))
     report(7, "mewo decisions agree with brute force on every small pair", failures)
@@ -146,13 +142,7 @@ def test_criterion_7a_mewo_decisions_match_oracle(mewo_pool):
 
 def test_criterion_7b_ordinal_decisions_match_oracle():
     pool = labeled_ordinals(5, all_perms_upto=4, samples=3, seed=7)
-    failures = simulations_match_oracle(pool, simulation)
-    for a in pool:
-        for b in pool:
-            bs = bounded_sim(a, b)
-            ms = enum_bounded_sims(a, b)
-            if (bs is None) != (not ms) or (bs and [(bs.bound, bs.iso)] != ms):
-                failures.append(("bounded", order_type(a), order_type(b)))
+    failures = simulations_match_oracle(pool, simulation) + bounded_sims_match_oracle(pool, bounded_sim)
     report(7, "ordinal decisions agree with brute force on every small pair", failures)
 
 

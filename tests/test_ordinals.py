@@ -30,7 +30,7 @@ from hfkit import (
     sup_classes,
     validate_ord,
 )
-from hfkit.ordinals import down_carrier
+from hfkit.ordinals import FinOrd, _clause, down_carrier
 
 
 def relabel(alpha, perm):
@@ -311,6 +311,26 @@ def test_json_roundtrip():
         assert ord_from_json(ord_to_json(alpha)) == alpha
     doc = ord_to_json(chain(3))
     assert doc["pairs"] == sorted(doc["pairs"])
+
+
+def test_writers_read_positions_not_the_matrix(monkeypatch):
+    for alpha in labeled_ordinals(5):  # the pairs as the matrix lists them
+        pairs = sorted((int(i), int(j)) for i, j in np.argwhere(alpha.lt))
+        listed = ", ".join(f"{i}<{j}" for i, j in pairs)
+        assert ord_to_text(alpha) == f"ord {{ size: {alpha.size}; {_clause('lt', listed)} }}"
+        assert ord_to_json(alpha) == {"size": alpha.size, "pairs": [list(p) for p in pairs]}
+
+    def no_matrix(self):
+        raise AssertionError("the n x n matrix was built")
+
+    monkeypatch.setattr(FinOrd, "lt", property(no_matrix))
+    for n in (3000, 600):  # 600: the writers list n(n-1)/2 pairs, 4.5M at 3000
+        for alpha in (chain(n), FinOrd(reversed(range(n)))):
+            assert repr(alpha) == f"FinOrd(pos={alpha.pos})"
+            if n == 600:
+                text, doc = ord_to_text(alpha), ord_to_json(alpha)
+                assert text.count("<") == len(doc["pairs"]) == n * (n - 1) // 2
+                assert ord_from_json(doc) == alpha
 
 
 def test_text_rejects_garbage():

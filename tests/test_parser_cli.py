@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,8 @@ import hfkit.cli as cli_module
 import hfkit.session as session_module
 from hfkit import (
     EvalError,
+    FormatError,
+    HfkitError,
     LimitExceededError,
     Mewo,
     ParseError,
@@ -20,6 +23,9 @@ from hfkit import (
     SetUniverse,
     canon,
     chain,
+    import_slice,
+    mewo_from_json,
+    mewo_from_text,
     mewo_of_set,
     ord_from_text,
     parse,
@@ -28,6 +34,7 @@ from hfkit import (
     set_of_mewo,
 )
 from hfkit.parser import (
+    COMMANDS,
     MAX_BRACE_DEPTH,
     Braces,
     Ident,
@@ -37,7 +44,7 @@ from hfkit.parser import (
     format_expr,
     parse_program,
 )
-from hfkit.session import MAX_RENDERED_CHARS, set_to_dot
+from hfkit.session import COMMAND_TABLE, MAX_RENDERED_CHARS, set_to_dot
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,6 +164,23 @@ def test_eval_mewo_rendering():
     s = Session()
     out = s.run_program("let m = tomewo {{{}}}\nm")
     assert out == ["mewo { elems: a b; lt: a<b; marked: b }"]
+
+
+def test_session_table_has_one_entry_per_command():
+    assert sorted(COMMAND_TABLE) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("program, message", [
+    ("canon {} {}", "canon expects 1 argument(s), got 2"),
+    ("let r = rank 2\njson r", "json expects a set, an ordinal or a mewo, got int"),
+    ("let a = psi 2\ndot a", "dot expects a set or a mewo, got FinOrd"),
+    ("let m = tomewo 1\nphi m", "phi expects an ordinal, got Mewo"),
+    ("let a = psi 1\n1 eq a", "eq expects two values of the same kind"),
+    ("let a = psi 1\nin 1 a", "in expects a set, got FinOrd"),
+])
+def test_eval_checks_arity_and_kinds_from_the_table(program, message):
+    with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+        Session().run_program(program)
 
 
 def test_eval_unbound_and_shadowing():
@@ -423,6 +447,58 @@ def test_cli_repl_refuses_canon_past_the_output_limit():
     res = run_cli("repl", stdin="canon 25\n")
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command, name, content", [
+    ("run", "missing.hf", None),
+    ("run", "folder", "mkdir"),
+    ("run", "latin1.hf", b"canon {}\n\xe9\n"),
+    ("mewo", "missing.mewo", None),
+    ("mewo", "latin1.mewo", b"mewo { elems: \xe9; lt: ; marked: }\n"),
+    ("mewo", "deep.json", b'{"a":' * 100_000 + b"1" + b"}" * 100_000),
+], ids=["run-missing", "run-directory", "run-latin1", "mewo-missing", "mewo-latin1", "mewo-deep-json"])
+def test_cli_unreadable_input_is_an_error_line(command, name, content, tmp_path):
+    path = tmp_path / name
+    if content == "mkdir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    res = run_cli(command, str(path))
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_cli_mewo_refuses_output_past_the_limit(tmp_path, monkeypatch, capsys):
+    text = "mewo { elems: a b; lt: a<b; marked: b }"
+    path = tmp_path / "two.mewo"
+    path.write_text(text + "\n")
+    needs = {fmt: len(render(mewo_from_text(text), fmt)) for fmt in ("text", "json", "dot")}
+    for fmt, need in needs.items():
+        monkeypatch.setattr(session_module, "MAX_RENDERED_CHARS", need)
+        assert cli_module.main(["mewo", str(path), "--format", fmt]) == 0
+        assert len(capsys.readouterr().out) == need + 1
+        monkeypatch.setattr(session_module, "MAX_RENDERED_CHARS", need - 1)
+        assert cli_module.main(["mewo", str(path), "--format", fmt]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: rendering needs")
+
+
+@pytest.mark.parametrize("read, doc", [
+    (ord_from_text, "ord { size: two }"),
+    (ord_from_text, "ord { size: 2; lt: 0<x }"),
+    (ord_from_text, "ord { size: 2; lt: 0 }"),
+    (ord_from_text, "ord { lt: 0<1 }"),
+    (ord_from_text, "ord { size: 2; gt: 1<0 }"),
+    (mewo_from_text, "mewo { elems: a a }"),
+    (mewo_from_text, "mewo { elems: a; lt: a<b }"),
+    (mewo_from_text, "mewo { elems: a; marked: b }"),
+    (mewo_from_json, {"elems": ["a"], "lt": [["a"]], "marked": []}),
+    (lambda doc: import_slice(doc, SetUniverse()), {"nodes": [[], ["0"]], "root": 1}),
+])
+def test_readers_raise_format_errors(read, doc):
+    with pytest.raises(FormatError) as exc:
+        read(doc)
+    assert isinstance(exc.value, HfkitError) and isinstance(exc.value, ValueError)
 
 
 def test_cli_mewo_file_of_a_long_chain_builds_no_matrix(tmp_path, monkeypatch, capsys):
