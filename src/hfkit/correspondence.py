@@ -6,7 +6,9 @@ computes the rank of any set by the supremum-of-successors recursion,
 and `rank_quotient` / `elements_ordinal` give the non-recursive
 descriptions of the rank of a hereditarily transitive set.
 
-Mewo side: `set_of_mewo` interns the codes of the marked elements;
+Mewo side: `set_of_mewo` interns the codes of the marked elements, in the
+collapse that gives the codes; an ordinal is the mewo with every element
+marked, so `set_of_ordinal` is `set_of_mewo` of `from_ordinal`.
 `mewo_of_set` presents a set as the mewo of its hereditary members with
 the direct members marked. Both round-trip on covered mewos.
 """
@@ -17,25 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnOrdinalError
-from .mewos import Mewo, codes, singleton, union
-from .ordinals import FinOrd, chain, down, validate_ord
-from .universe import SetHandle, SetUniverse
+from .errors import LimitExceededError, NotAnOrdinalError
+from .mewos import Mewo, _collapse, from_ordinal, singleton, union
+from .ordinals import FinOrd, chain, validate_ord
+from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse
 
 
 def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
     """The set whose members are the images of all initial segments of alpha.
 
     This is the recursion phi(alpha) = {phi(down(alpha, a)) | a in alpha},
-    memoised per segment. alpha has one segment per position, and the
-    segments of the segment at position k are those of alpha at positions
-    below k, so the images are made bottom-up in position order. Iterative:
-    the length of alpha is not bounded by the interpreter's recursion limit.
+    the set of the mewo with every element marked, whose code of a is the
+    image of the segment below a. phi(alpha) is numeral |alpha|, so alpha
+    is held to the numeral bound.
     """
-    images: list[SetHandle] = []  # images[k]: the image of the segment at position k
-    for a in alpha.in_order():
-        images.append(u.mk_set([images[p] for p in down(alpha, a).pos]))
-    return u.mk_set(images)
+    if alpha.size > DEFAULT_NUMERAL_LIMIT:
+        raise LimitExceededError(
+            f"ordinal of size {alpha.size} exceeds the numeral bound {DEFAULT_NUMERAL_LIMIT}"
+        )
+    return set_of_mewo(from_ordinal(alpha), u)
 
 
 def rank_ordinal(h: SetHandle) -> FinOrd:
@@ -85,9 +87,9 @@ def elements_ordinal(h: SetHandle) -> FinOrd:
 
 
 def set_of_mewo(X: Mewo, u: SetUniverse) -> SetHandle:
-    """The set whose members are the codes of the marked elements."""
-    cs = codes(X, u)
-    return u.mk_set([cs[x] for x in X.marked_elements()])
+    """The set whose members are the codes of the marked elements: the root
+    of the collapse of X's presentation."""
+    return SetHandle(u, _collapse(X, u)[0][X.size])
 
 
 def mewo_of_set(h: SetHandle) -> Mewo:

@@ -9,17 +9,19 @@ present members of members.
 
 Equality, simulation and bounded simulation are decided through Mostowski
 codes alone: each element is collapsed bottom-up to the canonical set of
-its direct predecessors' codes. Extensionality plus wellfoundedness make
-this coding injective on the carrier, so matching codes decides structure
-equality. X < Y (X is the segment below a marked element of Y) holds
-exactly when X is covered and the set of the codes of X's marked elements
-is the code of a marked element of Y. The brute-force permutation and map
-searches in hfkit.oracle stay the authoritative cross-check.
+its direct predecessors' codes, by one walk of the universe's collapse
+that also gives the set the mewo presents. Extensionality plus
+wellfoundedness make this coding injective on the carrier, so matching
+codes decides structure equality. X < Y (X is the segment below a marked
+element of Y) holds exactly when X is covered and the set of the codes of
+X's marked elements is the code of a marked element of Y. The brute-force
+permutation and map searches in hfkit.oracle stay the authoritative
+cross-check.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+import weakref
 
 import numpy as np
 
@@ -42,7 +44,7 @@ class Mewo:
     """A validated marked order. Construct via validate_mewo or the builders;
     the constructor trusts `preds` to be wellfounded and extensional."""
 
-    __slots__ = ("size", "preds", "marked", "_lt", "_key", "_hash")
+    __slots__ = ("size", "preds", "marked", "_lt", "_key", "_hash", "_collapsed")
 
     def __init__(self, preds: tuple[tuple[int, ...], ...], marked, lt: np.ndarray | None = None):
         self.size = len(preds)
@@ -51,6 +53,7 @@ class Mewo:
         self._lt = lt
         self._key = (preds, self.marked.tobytes())  # what equality compares
         self._hash = None
+        self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
 
     @property
     def lt(self) -> np.ndarray:
@@ -140,40 +143,23 @@ def from_ordinal(alpha: FinOrd) -> Mewo:
     return Mewo(preds, np.ones(alpha.size, dtype=bool))
 
 
-def _topo_order(X: Mewo) -> list[int]:
-    # Kahn over the (acyclic) direct relation, always taking the least ready element
-    succ = _transpose(X.preds)
-    indeg = [len(ps) for ps in X.preds]
-    ready = [x for x in range(X.size) if not indeg[x]]  # ascending, so a heap
-    out: list[int] = []
-    while ready:
-        v = heappop(ready)
-        out.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                heappush(ready, w)
-    return out
-
-
 def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
     """Mostowski codes: code(x) interns the set of its predecessors' codes."""
-    return _code_index(X, u)[0]
+    return tuple(SetHandle(u, i) for i in _collapse(X, u)[0][:X.size])
 
 
-def _code_index(X: Mewo, u: SetUniverse) -> tuple[tuple[SetHandle, ...], dict[int, int]]:
-    """The codes of X and the element of X with each code, keyed by set id."""
-    # codes are deterministic per (universe, structure); the cache lives on
-    # the universe, whose handles it holds, so the two are freed together
-    got = u._mewo_codes.get(X)
-    if got is None:
-        result: list[SetHandle | None] = [None] * X.size
-        for x in _topo_order(X):
-            result[x] = u.mk_set([result[p] for p in X.preds[x]])
-        index = {c.id: x for x, c in enumerate(result)}
+def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
+    """The collapse in u of `preds` plus a root over the marked elements: the
+    code id of each element, then the id of the set X presents; and the
+    element of X with each code id. Kept on X for the last universe, held
+    weakly: the universe keeps no per-mewo state."""
+    got = X._collapsed
+    if got is None or got[0]() is not u:
+        ids = u._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
+        index = dict(zip(ids, range(X.size)))
         assert len(index) == X.size, "codes must be injective on the carrier"
-        got = u._mewo_codes[X] = (tuple(result), index)
-    return got
+        got = X._collapsed = (weakref.ref(u), ids, index)
+    return got[1], got[2]
 
 
 def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
@@ -191,17 +177,12 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitnes
     elements to marked elements.
     """
     u = u if u is not None else SetUniverse()
-    cx, _ = _code_index(X, u)
-    _, index_y = _code_index(Y, u)
-    f: list[int] = []
-    for x, c in enumerate(cx):
-        y = index_y.get(c.id)
-        if y is None:
-            return None
-        if X.marked[x] and not Y.marked[y]:
-            return None
-        f.append(y)
-    return SimWitness(tuple(f))
+    cx, _ = _collapse(X, u)
+    _, index_y = _collapse(Y, u)
+    f = tuple(index_y.get(c) for c in cx[:X.size])
+    if None in f or any(X.marked[x] and not Y.marked[y] for x, y in enumerate(f)):
+        return None
+    return SimWitness(f)
 
 
 def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedSimWitness | None:
@@ -215,30 +196,25 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedS
     equivalence sends each x to the element of Y with the same code.
     """
     u = u if u is not None else SetUniverse()
-    cx, _ = _code_index(X, u)
-    target = u.mk_set([cx[x] for x in X.marked_elements()])
-    if len(u._below_ids(target.id)) != X.size:
+    cx, _ = _collapse(X, u)
+    target = cx[X.size]  # the set of the codes of X's marked elements
+    if len(u._below_ids(target)) != X.size:
         return None
-    _, index_y = _code_index(Y, u)
-    y = index_y.get(target.id)
+    _, index_y = _collapse(Y, u)
+    y = index_y.get(target)
     if y is None or not Y.marked[y]:
         return None
-    return BoundedSimWitness(y, tuple(index_y[c.id] for c in cx))
+    return BoundedSimWitness(y, tuple(index_y[c] for c in cx[:X.size]))
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int] | None:
     """Map each marked x to the unique marked y with the same initial segment."""
     u = u if u is not None else SetUniverse()
-    cx, _ = _code_index(X, u)
-    cy, _ = _code_index(Y, u)
-    marked_codes = {cy[y].id: y for y in Y.marked_elements()}
-    f: dict[int, int] = {}
-    for x in X.marked_elements():
-        y = marked_codes.get(cx[x].id)
-        if y is None:
-            return None
-        f[x] = y
-    return f
+    cx, _ = _collapse(X, u)
+    cy, _ = _collapse(Y, u)
+    marked_codes = {cy[y]: y for y in Y.marked_elements()}
+    f = {x: marked_codes.get(cx[x]) for x in X.marked_elements()}
+    return None if None in f.values() else f
 
 
 def principality_check(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
@@ -279,11 +255,11 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
     reps: dict[int, int] = {}  # code id -> class
     marked: list[bool] = []
     for X in F:
-        for x, c in enumerate(codes(X, u)):
-            pos = reps.get(c.id)
+        for x, c in enumerate(_collapse(X, u)[0][:X.size]):
+            pos = reps.get(c)
             if pos is None:
-                reps[c.id] = len(order)
-                order.append(c.id)
+                reps[c] = len(order)
+                order.append(c)
                 marked.append(bool(X.marked[x]))
             elif X.marked[x]:
                 marked[pos] = True

@@ -248,10 +248,18 @@ def ord_to_json(alpha: FinOrd) -> dict:
 
 
 def ord_from_json(doc: dict) -> FinOrd:
-    size = int(doc["size"])
+    """Read `{"size": n, "pairs": [[i, j], ...]}`. A pair out of range is a
+    ValidationError; any other malformed document is a FormatError."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("pairs"), (list, tuple))):
+        raise FormatError("a JSON ordinal is an object with a size and a list of pairs")
+    size = doc.get("size")
+    if type(size) is not int or size < 0:
+        raise FormatError(f"size {size!r} is not a non-negative integer")
     lt = np.zeros((size, size), dtype=bool)
     for pair in doc["pairs"]:
-        i, j = (int(v) for v in pair)
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int for v in pair)):
+            raise FormatError(f"pair {pair!r} is not two integer indices")
+        i, j = pair
         if not (0 <= i < size and 0 <= j < size):
             raise ValidationError(f"pair [{i}, {j}] is out of range for size {size}")
         lt[i, j] = True

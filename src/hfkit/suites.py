@@ -379,15 +379,24 @@ _SUITES = {
 }
 
 
+def _cases(suite: str, *args):
+    """The cases of one suite; an exception raised inside it ends the suite
+    as one failing case that names it."""
+    try:
+        yield from _SUITES[suite](*args)
+    except Exception as exc:
+        yield f"{suite}.raised", "the rest of the suite", "no exception", f"{type(exc).__name__}: {exc}"
+
+
 def run_suite(name: str, seed: int = 42, max_size: int = 4, max_depth: int = 4) -> dict:
     """Run one suite (or all) and return the machine-readable report."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    picked = _SUITES.values() if name == "all" else [_SUITES[name]]
+    picked = _SUITES if name == "all" else [name]
     cases = [
         dict(zip(("name", "input", "expected", "got"), case))
-        for fn in picked
-        for case in fn(seed, max_size, max_depth)
+        for suite in picked
+        for case in _cases(suite, seed, max_size, max_depth)
     ]
     return {
         "suite": name,

@@ -114,8 +114,6 @@ class SetUniverse:
         self._transitive: dict[int, bool] = {}
         self._st_ordinal: dict[int, bool] = {}
         self._numerals: list[int] = []
-        # Mostowski codes of mewos, filled by hfkit.mewos.codes
-        self._mewo_codes: dict = {}
 
     def __len__(self) -> int:
         return len(self._children)
@@ -245,11 +243,14 @@ class SetUniverse:
         identical handles. Rejects any cycle reachable from the root. The
         whole collapse runs under the universe lock, taken once per call.
         """
+        return SetHandle(self, self._collapse_ids(g.successors, [g.root])[g.root])
+
+    def _collapse_ids(self, succ: Sequence[Sequence[int]], starts: Iterable[int]) -> list[int]:
+        """The walk of `from_graph` on the presentation `succ`, from each of
+        `starts` in turn: the set id of every vertex reached, -1 elsewhere."""
         WHITE, GRAY = -1, -2
-        succ = g.successors
-        result = [WHITE] * g.n  # WHITE, GRAY, or the set id of a finished vertex
-        result[g.root] = GRAY
-        stack = [(g.root, iter(succ[g.root]))]
+        result = [WHITE] * len(succ)  # WHITE, GRAY, or the set id of a finished vertex
+        stack = [(-1, iter(starts))]  # a virtual vertex -1 whose successors are the starts
         intern = self._intern_ids
         with self._lock:
             while stack:
@@ -264,9 +265,10 @@ class SetUniverse:
                         path = [x for x, _ in stack]
                         raise CyclicError(path[path.index(w):])
                 else:
-                    result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
+                    if v >= 0:
+                        result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
                     stack.pop()
-        return SetHandle(self, result[g.root])
+        return result
 
 
 # -- bisimulation oracle on raw graphs ---------------------------------------

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -27,6 +29,7 @@ from hfkit import (
     mewo_equal,
     mewo_from_json,
     mewo_from_text,
+    mewo_of_set,
     mewo_to_dot,
     mewo_to_json,
     mewo_to_text,
@@ -38,7 +41,7 @@ from hfkit import (
     union,
     validate_mewo,
 )
-from hfkit.mewos import covered_mask, down_plus_carrier
+from hfkit.mewos import Mewo, covered_mask, down_plus_carrier
 
 
 def permuted(X, perm):
@@ -425,13 +428,76 @@ def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool):
         assert validate_mewo(Z.size, Z.lt, Z.marked) == Z
 
 
-def test_codes_cache_grows_by_one_per_structure(mewo_pool):
+def _universe_state(u):
+    """Per attribute of u: its size, or the value itself when it has none,
+    and every Mewo found in an attribute or one level inside one."""
+    sizes, held = {}, []
+    for key, value in vars(u).items():
+        parts = [value]
+        if isinstance(value, dict):
+            parts += [*value, *value.values()]
+        elif isinstance(value, (list, tuple, set)):
+            parts += list(value)
+        held += [p for p in parts if isinstance(p, Mewo)]
+        sizes[key] = len(value) if hasattr(value, "__len__") else value
+    return sizes, held
+
+
+def test_codes_cache_keeps_no_state_on_the_universe(mewo_pool):
     u = SetUniverse()
-    for k, X in enumerate(mewo_pool, start=1):
+    for X in mewo_pool:
         codes(X, u)
+        before = len(u)
         codes(validate_mewo(X.size, X.lt, X.marked), u)  # an equal structure
         codes(X, u)
-        assert len(u._mewo_codes) == k
+        assert len(u) == before
+    assert _universe_state(u)[1] == []
+    # 2,048 distinct mewos: the sets of the subsets of the first 11 numerals
+    v = SetUniverse()
+    numerals = [v.von_neumann(k) for k in range(11)]
+    family = [mewo_of_set(v.mk_set(s)) for r in range(12) for s in itertools.combinations(numerals, r)]
+    assert len(set(family)) == 2048
+    u = SetUniverse()
+    top = from_ordinal(chain(11))
+    simulation_mewo(top, top, u)
+    sizes, _ = _universe_state(u)
+    for X in family:
+        assert simulation_mewo(X, top, u) is not None
+    after, held = _universe_state(u)
+    assert held == []
+    # only the arena grew, by the 2,048 sets the family presents
+    assert after["_children"] == after["_intern"] == sizes["_children"] + 2048 - 12
+    assert {k: v for k, v in after.items() if k not in ("_children", "_intern")} == {
+        k: v for k, v in sizes.items() if k not in ("_children", "_intern")
+    }
+
+
+def test_codes_cache_shared_by_threads_in_two_universes(covered_pool):
+    # the threads flip the cache of each mewo between two universes while reading it
+    pool = [Mewo(X.preds, X.marked) for X in covered_pool[:20]]  # fresh copies, no cache yet
+    expected = [simulation_mewo(X, Y) for X in covered_pool[:20] for Y in covered_pool[:20]]
+    universes = [SetUniverse(), SetUniverse()]
+    h = universes[1].empty()
+    for _ in range(10):  # so that one set has different ids in the two universes
+        h = universes[1].mk_set([h])
+    results = [None] * 4
+
+    def worker(k):
+        results[k] = [simulation_mewo(X, Y, universes[(k + i) % 2])
+                      for i, (X, Y) in enumerate(itertools.product(pool, pool))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == expected for r in results)
 
 
 def test_union_fixtures(fixtures_mewos):

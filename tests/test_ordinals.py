@@ -9,6 +9,7 @@ import pytest
 
 from hfkit import (
     ExtensionalityError,
+    FormatError,
     TransitivityError,
     ValidationError,
     WellfoundednessError,
@@ -359,6 +360,18 @@ def test_json_rejects_out_of_range_pairs():
     for pair in ([0, -1], [0, 5], [-2, 1]):
         with pytest.raises(ValidationError, match=re.escape(str(pair))):
             ord_from_json({"size": 2, "pairs": [pair]})
+
+
+@pytest.mark.parametrize("doc", [
+    {"size": 2},
+    {"size": 2, "pairs": [[0]]},
+    [1],
+    {"size": -1, "pairs": []},
+    {"size": 2, "pairs": [[0, True]]},
+], ids=["no-pairs", "short-pair", "not-an-object", "negative-size", "bool-index"])
+def test_json_rejects_malformed_documents(doc):
+    with pytest.raises(FormatError):
+        ord_from_json(doc)
 
 
 def test_lt_is_derived_from_positions():

@@ -292,6 +292,29 @@ def test_run_suite_counterexamples():
     assert report["cases"] >= 4
 
 
+def test_check_reports_a_raising_case_as_a_failure(monkeypatch, capsys):
+    import hfkit.suites as suites_module
+
+    real_down = suites_module.down
+
+    def down(alpha, a):  # a fast path that raises on non-canonical carriers
+        if alpha.pos != tuple(range(alpha.size)):
+            raise IndexError(f"element {a} out of range for size 0")
+        return real_down(alpha, a)
+
+    others = sum(run_suite(name)["cases"] for name in ("sets", "mewos", "correspondence", "counterexamples"))
+    monkeypatch.setattr(suites_module, "down", down)
+    assert cli_module.main(["check", "--suite", "all", "--format", "text"]) == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert ("  FAIL ordinals.raised [the rest of the suite]: expected no exception, "
+            "got IndexError: element 0 out of range for size 0") in out.out.splitlines()
+    report = run_suite("all")
+    # the 3 ordinal cases before segments.iterate, the raised case, every other suite
+    assert report["cases"] == 3 + 1 + others
+    assert [f["name"] for f in report["failures"]] == ["ordinals.raised"]
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("nope")
@@ -433,6 +456,17 @@ def test_cli_run_canon_of_a_deep_chain(tmp_path):
     res = run_cli("run", str(script))
     assert res.returncode == 0 and "Traceback" not in res.stderr
     assert res.stdout.strip() == "{" * 1201 + "}" * 1201
+
+
+def test_cli_run_refuses_phi_past_the_numeral_bound(tmp_path):
+    # psi of a 1,100-deep chain is an ordinal of size 1,100; phi of it would be numeral 1,100
+    lines = ["let a0 = {}"] + [f"let a{k} = {{a{k - 1}}}" for k in range(1, 1101)]
+    script = tmp_path / "phi.hf"
+    script.write_text("\n".join(lines + ["let p = psi a1100", "phi p"]) + "\n")
+    res = run_cli("run", str(script))
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert "numeral bound 1024" in res.stderr
 
 
 def test_cli_run_rejects_braces_past_the_bound(tmp_path):

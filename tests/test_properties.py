@@ -1,4 +1,4 @@
-"""Property tests: generated sets, matrices and mewos against the naive references.
+"""Property tests: generated sets, matrices, mewos and ordinals against the naive references.
 
 They run under the derandomised profile registered in conftest.py, so every
 run draws the same examples.
@@ -18,16 +18,24 @@ from hfkit import (  # noqa: E402
     PointedGraph,
     SetUniverse,
     WellfoundednessError,
+    bounded_sim,
     bounded_sim_mewo,
     enum_bounded_sims,
     enum_simulations,
     mewo_equal,
     mewo_of_set,
     mewo_of_set_literal,
+    ord_from_json,
+    ord_from_text,
+    ord_to_json,
+    ord_to_text,
     set_of_mewo,
+    set_of_ordinal,
+    simulation,
     simulation_mewo,
     validate_mewo,
 )
+from hfkit.ordinals import FinOrd  # noqa: E402
 from hfkit.oracle import _has_cycle, _is_extensional  # noqa: E402
 
 
@@ -58,6 +66,13 @@ def mewos(draw, max_size: int = 4):
             lt[order[i], order[j]] = draw(st.booleans())
     hypothesis.assume(_is_extensional(lt))
     return validate_mewo(n, lt, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@st.composite
+def ordinals(draw, max_size: int = 5) -> FinOrd:
+    """A relabeled ordinal: element x at the drawn position pos[x]."""
+    n = draw(st.integers(0, max_size))
+    return FinOrd(draw(st.permutations(range(n))))
 
 
 @settings(max_examples=150)
@@ -96,3 +111,21 @@ def test_decisions_agree_with_the_oracle(X, Y):
     assert maps == ([w.mapping] if w else [])
     got = bounded_sim_mewo(X, Y, u)
     assert enum_bounded_sims(X, Y) == ([got] if got else [])
+
+
+@settings(max_examples=150)
+@given(ordinals(), ordinals())
+def test_ordinal_decisions_agree_with_the_oracle(alpha, beta):
+    w = simulation(alpha, beta)
+    assert enum_simulations(alpha, beta) == ([w.mapping] if w else [])
+    got = bounded_sim(alpha, beta)
+    assert enum_bounded_sims(alpha, beta) == ([got] if got else [])
+
+
+@settings(max_examples=100)
+@given(ordinals())
+def test_ordinal_is_a_numeral_and_round_trips(alpha):
+    u = SetUniverse()
+    assert set_of_ordinal(alpha, u) == u.von_neumann(alpha.size)
+    assert ord_from_text(ord_to_text(alpha)) == alpha
+    assert ord_from_json(ord_to_json(alpha)) == alpha
