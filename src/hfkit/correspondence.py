@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import LimitExceededError, NotAnOrdinalError
 from .mewos import Mewo, _collapse, from_ordinal, singleton, union
 from .ordinals import FinOrd, chain, validate_ord
@@ -75,9 +73,8 @@ def rank_quotient(h: SetHandle, presentation: list[SetHandle]) -> QuotientRank:
     groups: dict[SetHandle, list[int]] = {}  # in order of first appearance
     for idx, member in enumerate(presentation):
         groups.setdefault(member, []).append(idx)
-    n = len(groups)
-    lt = np.array([[u.mem(a, b) for b in groups] for a in groups], dtype=bool).reshape(n, n)
-    return QuotientRank(classes=tuple(map(tuple, groups.values())), ordinal=validate_ord(n, lt))
+    lt = [[u.mem(a, b) for b in groups] for a in groups]
+    return QuotientRank(classes=tuple(map(tuple, groups.values())), ordinal=validate_ord(len(lt), lt))
 
 
 def elements_ordinal(h: SetHandle) -> FinOrd:

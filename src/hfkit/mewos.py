@@ -2,10 +2,11 @@
 
 A mewo is a carrier 0..n-1 with an acyclic, extensional direct relation
 (transitivity is NOT required), stored as `preds`, the ascending tuple of
-each element's direct predecessors, plus a marking bitset; the read-only
-matrix `lt` is derived on first use. Marked elements play the role of the
-top-level members of the set the structure presents; the other elements
-present members of members.
+each element's direct predecessors, plus `marks`, one bool per element.
+The read-only numpy views `lt` and `marked` are derived on first use; they
+are the only place this module imports numpy. Marked elements play the
+role of the top-level members of the set the structure presents; the
+other elements present members of members.
 
 Equality, simulation and bounded simulation are decided through Mostowski
 codes alone: each element is collapsed bottom-up to the canonical set of
@@ -23,18 +24,17 @@ from __future__ import annotations
 
 import weakref
 
-import numpy as np
-
-from .errors import ExtensionalityError, FormatError, ValidationError
+from .errors import ExtensionalityError, FormatError
 from .ordinals import (
     BoundedSimWitness,
     FinOrd,
     SimWitness,
     _checked_preds,
     _clause,
-    _freeze,
+    _entries,
     _lt_items,
     _read_clauses,
+    _successors,
     _transpose,
 )
 from .universe import SetHandle, SetUniverse, _below
@@ -42,28 +42,42 @@ from .universe import SetHandle, SetUniverse, _below
 
 class Mewo:
     """A validated marked order. Construct via validate_mewo or the builders;
-    the constructor trusts `preds` to be wellfounded and extensional."""
+    the constructor trusts `preds` to be wellfounded and extensional and
+    `marks` to hold one bool per element."""
 
-    __slots__ = ("size", "preds", "marked", "_lt", "_key", "_hash", "_collapsed")
+    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_key", "_hash", "_collapsed")
 
-    def __init__(self, preds: tuple[tuple[int, ...], ...], marked, lt: np.ndarray | None = None):
+    def __init__(self, preds: tuple[tuple[int, ...], ...], marks):
         self.size = len(preds)
         self.preds = preds
-        self.marked = _freeze(np.array(marked, dtype=bool).reshape(self.size))
-        self._lt = lt
-        self._key = (preds, self.marked.tobytes())  # what equality compares
+        self.marks = tuple(marks)
+        self._lt = self._marked = None
+        self._key = (preds, self.marks)  # what equality compares
         self._hash = None
         self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
 
     @property
-    def lt(self) -> np.ndarray:
-        """The direct relation as a read-only matrix; lt[i, j] means i < j."""
+    def lt(self):
+        """The direct relation as a read-only numpy matrix; lt[i, j] means i < j."""
         if self._lt is None:
+            import numpy as np
+
             m = np.zeros((self.size, self.size), dtype=bool)
             m[[p for ps in self.preds for p in ps],
               [x for x, ps in enumerate(self.preds) for _ in ps]] = True
-            self._lt = _freeze(m)
+            m.setflags(write=False)
+            self._lt = m
         return self._lt
+
+    @property
+    def marked(self):
+        """The marking as a read-only numpy vector of bools."""
+        if self._marked is None:
+            import numpy as np
+
+            self._marked = np.array(self.marks, dtype=bool)
+            self._marked.setflags(write=False)
+        return self._marked
 
     def __eq__(self, other):
         return isinstance(other, Mewo) and self._key == other._key
@@ -77,18 +91,15 @@ class Mewo:
         return f"Mewo(size={self.size}, lt={_pairs(self)}, marked={self.marked_elements()})"
 
     def marked_elements(self) -> list[int]:
-        return np.flatnonzero(self.marked).tolist()
+        return [x for x, m in enumerate(self.marks) if m]
 
 
 def validate_mewo(size: int, lt, marked) -> Mewo:
-    """Validate a marked strict order: wellfounded and extensional, any marking."""
-    m = np.array(lt, dtype=bool)
-    mk = np.array(marked, dtype=bool)
-    if m.shape != (size, size):
-        raise ValidationError(f"matrix shape {m.shape} does not match size {size}")
-    if mk.shape != (size,):
-        raise ValidationError(f"marking shape {mk.shape} does not match size {size}")
-    return Mewo(_checked_preds([np.flatnonzero(row).tolist() for row in m]), mk, _freeze(m))
+    """Validate a marked strict order, given as a 0/1 matrix and a 0/1
+    marking (nested lists, tuples or numpy arrays): wellfounded and
+    extensional, any marking."""
+    succ = _successors(size, lt)
+    return Mewo(_checked_preds(succ), map(bool, _entries(marked, size, "the marking")))
 
 
 def _restrict(X: Mewo, idxs: list[int], marked) -> Mewo:
@@ -99,13 +110,13 @@ def _restrict(X: Mewo, idxs: list[int], marked) -> Mewo:
 
 def is_covered(X: Mewo) -> bool:
     """Every element sits reflexive-transitively below some marked element."""
-    return bool(covered_mask(X).all())
+    return all(covered_mask(X))
 
 
-def covered_mask(X: Mewo) -> np.ndarray:
+def covered_mask(X: Mewo) -> list[bool]:
     tops = X.marked_elements()
     covered = _below(X.preds, tops).union(tops)
-    return np.array([x in covered for x in range(X.size)], dtype=bool)
+    return [x in covered for x in range(X.size)]
 
 
 def down_plus(X: Mewo, x: int) -> Mewo:
@@ -127,20 +138,20 @@ def down_plus_carrier(X: Mewo, x: int) -> list[int]:
 
 
 def mark_all(X: Mewo) -> Mewo:
-    return Mewo(X.preds, np.ones(X.size, dtype=bool))
+    return Mewo(X.preds, (True,) * X.size)
 
 
 def covered_part(X: Mewo) -> Mewo:
     """Restriction to the covered elements; always covered itself."""
-    idxs = np.flatnonzero(covered_mask(X)).tolist()
-    return _restrict(X, idxs, X.marked[idxs])
+    idxs = [x for x, c in enumerate(covered_mask(X)) if c]
+    return _restrict(X, idxs, [X.marks[i] for i in idxs])
 
 
 def from_ordinal(alpha: FinOrd) -> Mewo:
     """View an ordinal as a mewo: same order, everything marked."""
     order = alpha.in_order()
     preds = tuple(tuple(sorted(order[:p])) for p in alpha.pos)
-    return Mewo(preds, np.ones(alpha.size, dtype=bool))
+    return Mewo(preds, (True,) * alpha.size)
 
 
 def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
@@ -166,7 +177,7 @@ def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
     """Equality as marked orders: between equal sizes the simulation is a code
     bijection, so X equals Y when it exists and reflects the marking too."""
     w = simulation_mewo(X, Y, u) if X.size == Y.size else None
-    return w is not None and all(X.marked[x] == Y.marked[y] for x, y in enumerate(w.mapping))
+    return w is not None and all(X.marks[x] == Y.marks[y] for x, y in enumerate(w.mapping))
 
 
 def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitness | None:
@@ -180,7 +191,7 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitnes
     cx, _ = _collapse(X, u)
     _, index_y = _collapse(Y, u)
     f = tuple(index_y.get(c) for c in cx[:X.size])
-    if None in f or any(X.marked[x] and not Y.marked[y] for x, y in enumerate(f)):
+    if None in f or any(X.marks[x] and not Y.marks[y] for x, y in enumerate(f)):
         return None
     return SimWitness(f)
 
@@ -202,7 +213,7 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedS
         return None
     _, index_y = _collapse(Y, u)
     y = index_y.get(target)
-    if y is None or not Y.marked[y]:
+    if y is None or not Y.marks[y]:
         return None
     return BoundedSimWitness(y, tuple(index_y[c] for c in cx[:X.size]))
 
@@ -237,7 +248,7 @@ def singleton(X: Mewo) -> Mewo:
     top = tuple(X.marked_elements())
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
-    return Mewo(X.preds + (top,), np.arange(X.size + 1) == X.size)
+    return Mewo(X.preds + (top,), (False,) * X.size + (True,))
 
 
 def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
@@ -260,8 +271,8 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
             if pos is None:
                 reps[c] = len(order)
                 order.append(c)
-                marked.append(bool(X.marked[x]))
-            elif X.marked[x]:
+                marked.append(X.marks[x])
+            elif X.marks[x]:
                 marked[pos] = True
     children = u._children
     return Mewo(tuple(tuple(sorted(reps[c] for c in children[i])) for i in order), marked)
@@ -303,7 +314,7 @@ def _mewo_of_names(names: list, edges: list, marks: list) -> Mewo:
         if i not in index or j not in index:
             raise FormatError(f"edge {i}<{j} uses an undeclared element")
         above[index[i]].add(index[j])
-    marked = np.zeros(n, dtype=bool)
+    marked = [False] * n
     for name in marks:
         if name not in index:
             raise FormatError(f"marked element {name} is not declared")
@@ -356,7 +367,7 @@ def mewo_to_dot(X: Mewo) -> str:
     names = _names(X.size)
     lines = ["digraph mewo {"]
     for i, label in enumerate(names):
-        style = ' style=filled fillcolor=black fontcolor=white' if X.marked[i] else ""
+        style = ' style=filled fillcolor=black fontcolor=white' if X.marks[i] else ""
         lines.append(f'  {label} [label="{label}"{style}];')
     for i, j in _pairs(X):
         lines.append(f"  {names[i]} -> {names[j]};")

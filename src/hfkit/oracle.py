@@ -6,7 +6,10 @@ matrices, isomorphisms by trying every permutation, stages of the set
 hierarchy by taking powersets. `is_simulation` is the one literal
 statement of the simulation clauses; witnesses are checked against it.
 None of it shares code with the optimized decision procedures it
-cross-checks: it reads `lt` and `marked`, never codes or positions.
+cross-checks: it reads `lt` and `marked`, never codes or positions, and
+turns them into nested lists once per call. The generators build their
+relations as nested lists of bools and never read those views, so
+enumerating or generating mewos does not import numpy.
 """
 
 from __future__ import annotations
@@ -15,11 +18,9 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
-import numpy as np
-
 from .errors import SizeLimitError
 from .mewos import Mewo, is_covered, validate_mewo
-from .ordinals import FinOrd, validate_ord
+from .ordinals import FinOrd
 from .universe import SetHandle, SetUniverse
 
 ENUM_SIM_LIMIT = 6
@@ -37,33 +38,30 @@ class GenConfig:
     count: int = 100
 
 
-def _is_mewo_pair(X, Y) -> bool:
-    if isinstance(X, Mewo) and isinstance(Y, Mewo):
-        return True
-    if isinstance(X, FinOrd) and isinstance(Y, FinOrd):
+def _pair_lists(X, Y, bounded: str = "") -> tuple:
+    """`lt` of X and of Y as nested lists, each followed by its `marked` as
+    a list for two mewos, or by None for two ordinals. With `bounded`, the
+    name of the caller, sizes past ENUM_SIM_LIMIT are refused."""
+    with_marking = isinstance(X, Mewo) and isinstance(Y, Mewo)
+    if not (with_marking or isinstance(X, FinOrd) and isinstance(Y, FinOrd)):
+        raise TypeError("expected two FinOrds or two Mewos")
+    if bounded and max(X.size, Y.size) > ENUM_SIM_LIMIT:
+        raise SizeLimitError(f"{bounded} is bounded at size {ENUM_SIM_LIMIT}")
+    mx, my = (X.marked.tolist(), Y.marked.tolist()) if with_marking else (None, None)
+    return X.lt.tolist(), mx, Y.lt.tolist(), my
+
+
+def _clauses_hold(lt_x, marked_x, lt_y, marked_y, f) -> bool:
+    n, m = len(lt_x), len(lt_y)
+    if marked_x is not None and any(marked_x[x] and not marked_y[f[x]] for x in range(n)):
         return False
-    raise TypeError("expected two FinOrds or two Mewos")
-
-
-def _enumerable_pair(X, Y, name: str) -> bool:
-    with_marking = _is_mewo_pair(X, Y)
-    if X.size > ENUM_SIM_LIMIT or Y.size > ENUM_SIM_LIMIT:
-        raise SizeLimitError(f"{name} is bounded at size {ENUM_SIM_LIMIT}")
-    return with_marking
-
-
-def _clauses_hold(X, Y, f, with_marking: bool) -> bool:
-    n = X.size
-    lt_x, lt_y = X.lt, Y.lt
-    if with_marking and any(X.marked[x] and not Y.marked[f[x]] for x in range(n)):
-        return False
-    if any(lt_x[x1, x2] and not lt_y[f[x1], f[x2]] for x1 in range(n) for x2 in range(n)):
+    if any(lt_x[x1][x2] and not lt_y[f[x1]][f[x2]] for x1 in range(n) for x2 in range(n)):
         return False
     return all(
-        any(lt_x[x1, x2] and f[x1] == y for x1 in range(n))
+        any(lt_x[x1][x2] and f[x1] == y for x1 in range(n))
         for x2 in range(n)
-        for y in range(Y.size)
-        if lt_y[y, f[x2]]
+        for y in range(m)
+        if lt_y[y][f[x2]]
     )
 
 
@@ -73,13 +71,13 @@ def is_simulation(X, Y, f) -> bool:
     x1 < x2 gives f(x1) < f(x2), and everything below f(x2) is the image of
     something below x2. The one literal reference for the simulation
     witnesses of hfkit.ordinals and hfkit.mewos."""
-    return _clauses_hold(X, Y, f, _is_mewo_pair(X, Y))
+    return _clauses_hold(*_pair_lists(X, Y), f)
 
 
 def enum_simulations(X, Y) -> list[tuple[int, ...]]:
     """All maps X -> Y that is_simulation accepts, found by trying every one."""
-    with_marking = _enumerable_pair(X, Y, "enum_simulations")
-    return [f for f in product(range(Y.size), repeat=X.size) if _clauses_hold(X, Y, f, with_marking)]
+    lists = _pair_lists(X, Y, "enum_simulations")
+    return [f for f in product(range(Y.size), repeat=X.size) if _clauses_hold(*lists, f)]
 
 
 def simulation_by_predecessors(alpha: FinOrd, beta: FinOrd) -> tuple[int, ...] | None:
@@ -90,40 +88,33 @@ def simulation_by_predecessors(alpha: FinOrd, beta: FinOrd) -> tuple[int, ...] |
     some x has no such y. Reads only the `lt` matrices, never the positions
     the fast path in hfkit.ordinals uses.
     """
-    pred_sets_y = {
-        frozenset(int(i) for i in np.flatnonzero(beta.lt[:, y])): y for y in range(beta.size)
-    }
+    la, lb = alpha.lt.tolist(), beta.lt.tolist()
+    pred_sets_y = {frozenset(i for i, row in enumerate(lb) if row[y]): y for y in range(beta.size)}
     f: dict[int, int] = {}
-    for x in sorted(range(alpha.size), key=lambda x: int(alpha.lt[:, x].sum())):
-        y = pred_sets_y.get(frozenset(f[int(p)] for p in np.flatnonzero(alpha.lt[:, x])))
+    for x in sorted(range(alpha.size), key=lambda x: sum(row[x] for row in la)):
+        y = pred_sets_y.get(frozenset(f[p] for p, row in enumerate(la) if row[x]))
         if y is None:
             return None
         f[x] = y
     return tuple(f[x] for x in range(alpha.size))
 
 
-def _iso_maps(X, Y, with_marking: bool) -> list[tuple[int, ...]]:
-    if X.size != Y.size:
+def _iso_maps(lt_x, marked_x, lt_y, marked_y) -> list[tuple[int, ...]]:
+    n = len(lt_x)
+    if n != len(lt_y):
         return []
     out = []
-    for p in permutations(range(Y.size)):
-        if with_marking and any(
-            bool(X.marked[x]) != bool(Y.marked[p[x]]) for x in range(X.size)
-        ):
+    for p in permutations(range(n)):
+        if marked_x is not None and any(marked_x[x] != marked_y[p[x]] for x in range(n)):
             continue
-        if all(
-            bool(X.lt[a, b]) == bool(Y.lt[p[a], p[b]])
-            for a in range(X.size)
-            for b in range(X.size)
-        ):
+        if all(lt_x[a][b] == lt_y[p[a]][p[b]] for a in range(n) for b in range(n)):
             out.append(p)
     return out
 
 
 def equal_by_permutation(X, Y) -> bool:
     """Isomorphism by exhaustive permutation search (order and marking)."""
-    with_marking = _enumerable_pair(X, Y, "equal_by_permutation")
-    return bool(_iso_maps(X, Y, with_marking))
+    return bool(_iso_maps(*_pair_lists(X, Y, "equal_by_permutation")))
 
 
 def enum_bounded_sims(X, Y) -> list[tuple[int, tuple[int, ...]]]:
@@ -133,31 +124,28 @@ def enum_bounded_sims(X, Y) -> list[tuple[int, tuple[int, ...]]]:
     inherited order with direct predecessors marked; for ordinals any
     bound qualifies.
     """
-    with_marking = _enumerable_pair(X, Y, "enum_bounded_sims")
+    lt_x, marked_x, lt_y, marked_y = _pair_lists(X, Y, "enum_bounded_sims")
     found = []
     for b in range(Y.size):
-        if with_marking and not Y.marked[b]:
+        if marked_y is not None and not marked_y[b]:
             continue
-        reach = _below_transitively(Y.lt, b)
-        lt = Y.lt[np.ix_(reach, reach)]
-        if with_marking:
-            seg = validate_mewo(len(reach), lt, Y.lt[reach, b])
-        else:
-            seg = validate_ord(len(reach), lt)
-        for p in _iso_maps(X, seg, with_marking):
+        reach = _below_transitively(lt_y, b)
+        seg = [[lt_y[i][j] for j in reach] for i in reach]
+        seg_marked = None if marked_y is None else [lt_y[i][b] for i in reach]
+        for p in _iso_maps(lt_x, marked_x, seg, seg_marked):
             found.append((b, tuple(reach[i] for i in p)))
     return found
 
 
-def _below_transitively(lt: np.ndarray, b: int) -> list[int]:
-    todo = [int(i) for i in np.flatnonzero(lt[:, b])]
+def _below_transitively(lt, b: int) -> list[int]:
+    todo = [i for i, row in enumerate(lt) if row[b]]
     seen = set(todo)
     while todo:
         v = todo.pop()
-        for w in np.flatnonzero(lt[:, v]):
-            if int(w) not in seen:
-                seen.add(int(w))
-                todo.append(int(w))
+        for w, row in enumerate(lt):
+            if row[v] and w not in seen:
+                seen.add(w)
+                todo.append(w)
     return sorted(seen)
 
 
@@ -186,43 +174,40 @@ def enumerate_mewos(size: int) -> list[Mewo]:
     slots = [(i, j) for i in range(size) for j in range(size) if i != j]
     out: dict[tuple, Mewo] = {}
     for bits in range(1 << len(slots)):
-        lt = np.zeros((size, size), dtype=bool)
+        lt = [[False] * size for _ in range(size)]
         for k, (i, j) in enumerate(slots):
             if bits >> k & 1:
-                lt[i, j] = True
+                lt[i][j] = True
         if _has_cycle(lt) or not _is_extensional(lt):
             continue
         for mbits in range(1 << size):
-            marked = np.array([mbits >> i & 1 == 1 for i in range(size)], dtype=bool)
+            marked = [mbits >> i & 1 == 1 for i in range(size)]
             key = _canonical_key(lt, marked)
             if key not in out:
                 out[key] = validate_mewo(size, lt, marked)
     return [out[k] for k in sorted(out)]
 
 
-def _has_cycle(lt: np.ndarray) -> bool:
-    n = lt.shape[0]
-    reach = lt.copy()
-    for _ in range(n):
-        reach = reach | ((reach.astype(np.uint8) @ lt.astype(np.uint8)) > 0)
-    return bool(reach.diagonal().any())
+def _has_cycle(lt) -> bool:
+    n = len(lt)
+    reach = [list(row) for row in lt]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return any(reach[i][i] for i in range(n))
 
 
-def _is_extensional(lt: np.ndarray) -> bool:
-    cols = {lt[:, x].tobytes() for x in range(lt.shape[0])}
-    return len(cols) == lt.shape[0]
+def _is_extensional(lt) -> bool:
+    return len({tuple(row[x] for row in lt) for x in range(len(lt))}) == len(lt)
 
 
-def _canonical_key(lt: np.ndarray, marked: np.ndarray) -> tuple:
-    n = lt.shape[0]
-    best = None
-    for p in permutations(range(n)):
-        perm = list(p)
-        relab = lt[np.ix_(perm, perm)]
-        key = (relab.tobytes(), marked[perm].tobytes())
-        if best is None or key < best:
-            best = key
-    return best
+def _canonical_key(lt, marked) -> tuple:
+    """The least (relabeled matrix, relabeled marking), both read row-major."""
+    return min(
+        (tuple(lt[a][b] for a in p for b in p), tuple(marked[a] for a in p))
+        for p in permutations(range(len(lt)))
+    )
 
 
 def gen_random_set(cfg: GenConfig, u: SetUniverse):
@@ -251,14 +236,14 @@ def gen_random_mewo(cfg: GenConfig, covered_only: bool = False):
     produced = 0
     while produced < cfg.count:
         n = rng.randint(0, max(1, cfg.max_width))
-        lt = np.zeros((n, n), dtype=bool)
+        lt = [[False] * n for _ in range(n)]
         for j in range(n):
             for i in range(j):
                 if rng.random() < 0.45:
-                    lt[i, j] = True
+                    lt[i][j] = True
         lt = _collapse_to_extensional(lt)
-        m = lt.shape[0]
-        marked = np.array([rng.random() < 0.6 for _ in range(m)], dtype=bool)
+        m = len(lt)
+        marked = [rng.random() < 0.6 for _ in range(m)]
         X = validate_mewo(m, lt, marked)
         if covered_only and not is_covered(X):
             continue
@@ -266,13 +251,13 @@ def gen_random_mewo(cfg: GenConfig, covered_only: bool = False):
         yield X
 
 
-def _collapse_to_extensional(lt: np.ndarray) -> np.ndarray:
+def _collapse_to_extensional(lt: list[list[bool]]) -> list[list[bool]]:
     while True:
-        n = lt.shape[0]
-        seen: dict[bytes, int] = {}
+        n = len(lt)
+        seen: dict[tuple[bool, ...], int] = {}
         dup = None
         for x in range(n):
-            key = lt[:, x].tobytes()
+            key = tuple(row[x] for row in lt)
             if key in seen:
                 dup = (seen[key], x)
                 break
@@ -281,6 +266,6 @@ def _collapse_to_extensional(lt: np.ndarray) -> np.ndarray:
             return lt
         keep, drop = dup
         # successors of the dropped element fold into the kept one
-        lt[keep] = lt[keep] | lt[drop]
+        lt[keep] = [a or b for a, b in zip(lt[keep], lt[drop])]
         live = [i for i in range(n) if i != drop]
-        lt = lt[np.ix_(live, live)]
+        lt = [[lt[i][j] for j in live] for i in live]

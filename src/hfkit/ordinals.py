@@ -1,19 +1,18 @@
 """Finite ordinals as linear positions.
 
 A FinOrd is a carrier 0..n-1 in which element x sits at the linear position
-pos[x]; x < y exactly when pos[x] < pos[y]. The read-only matrix `lt`
-(lt[i, j] means i < j) is derived on first use. validate_ord is the only way
-in from an outside relation: it checks wellfoundedness, extensionality and
-transitivity with a witness, and asserts the linearity they force on a
-finite carrier. Everything built from validated ordinals is linear by
-construction, so it is position arithmetic, never validated again.
+pos[x]; x < y exactly when pos[x] < pos[y]. The read-only numpy matrix `lt`
+(lt[i, j] means i < j) is derived on first use, the one numpy import here.
+validate_ord (from a matrix) and the readers (from pairs) are the only ways
+in: they check wellfoundedness, extensionality and transitivity with a
+witness, and assert the linearity they force on a finite carrier.
+Everything built from validated ordinals is linear by construction, so it
+is position arithmetic, never validated again.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from .errors import (
     ExtensionalityError,
@@ -22,11 +21,6 @@ from .errors import (
     ValidationError,
     WellfoundednessError,
 )
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 class FinOrd:
@@ -42,11 +36,14 @@ class FinOrd:
         self._lt = None
 
     @property
-    def lt(self) -> np.ndarray:
-        """The strict order as a read-only matrix; lt[i, j] means i < j."""
+    def lt(self):
+        """The strict order as a read-only numpy matrix; lt[i, j] means i < j."""
         if self._lt is None:
+            import numpy as np
+
             p = np.asarray(self.pos, dtype=np.intp)
-            self._lt = _freeze(p[:, None] < p[None, :])
+            self._lt = p[:, None] < p[None, :]
+            self._lt.setflags(write=False)
         return self._lt
 
     def in_order(self) -> list[int]:
@@ -126,27 +123,49 @@ def _find_cycle(succ: list[list[int]]) -> list[int] | None:
     return None
 
 
+def _entries(v, size: int, what: str) -> list | tuple:
+    """v, a list, tuple or numpy array, as a list or tuple of `size` entries."""
+    v = v.tolist() if hasattr(v, "tolist") else v
+    if not isinstance(v, (list, tuple)) or len(v) != size:
+        raise ValidationError(f"{what} is not a list of {size} entries")
+    return v
+
+
+def _successors(size: int, lt) -> list[list[int]]:
+    """The ascending successor lists of a size x size 0/1 matrix, read row by row."""
+    rows = _entries(lt, size, "the matrix")
+    return [[j for j, v in enumerate(_entries(row, size, f"row {i}")) if v] for i, row in enumerate(rows)]
+
+
 def validate_ord(size: int, lt) -> FinOrd:
-    """Validate a strict-order matrix as a finite ordinal.
+    """Validate a strict-order matrix (nested lists, tuples or a numpy array)
+    as a finite ordinal.
 
     Raises the first failing axiom with a witness: a cycle, a pair with
     equal predecessor sets, or a transitivity triple. The position of an
     element is then its number of predecessors.
     """
-    m = np.array(lt, dtype=bool)
-    if m.shape != (size, size):
-        raise ValidationError(f"matrix shape {m.shape} does not match size {size}")
-    _checked_preds([np.flatnonzero(row).tolist() for row in m])
-    composed = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-    gaps = composed & ~m
-    if gaps.any():
-        x, z = (int(v) for v in np.argwhere(gaps)[0])
-        y = int(next(i for i in np.flatnonzero(m[x]) if m[i, z]))
-        raise TransitivityError(x, y, z)
+    return _checked_ord(_successors(size, lt))
+
+
+def _checked_ord(succ) -> FinOrd:
+    """The ordinal of the relation with the ascending successor lists `succ`.
+    A transitivity gap is reported at its least x, then least z, then the
+    least y with x < y < z."""
+    preds = _checked_preds(succ)
+    bits = [sum(1 << j for j in s) for s in succ]
+    for x, s in enumerate(succ):
+        reach = 0
+        for y in s:
+            reach |= bits[y]
+        gap = reach & ~bits[x]
+        if gap:
+            z = (gap & -gap).bit_length() - 1
+            raise TransitivityError(x, next(y for y in s if bits[y] >> z & 1), z)
     # finite + wellfounded + extensional + transitive forces linearity;
     # a failure here is a validator bug, not bad input
-    assert bool((m | m.T | np.eye(size, dtype=bool)).all()), "validated order is not linear"
-    return FinOrd(m.sum(axis=0).tolist())
+    assert all(len(s) + len(p) == len(succ) - 1 for s, p in zip(succ, preds)), "validated order is not linear"
+    return FinOrd(map(len, preds))
 
 
 def chain(n: int) -> FinOrd:
@@ -255,15 +274,15 @@ def ord_from_json(doc: dict) -> FinOrd:
     size = doc.get("size")
     if type(size) is not int or size < 0:
         raise FormatError(f"size {size!r} is not a non-negative integer")
-    lt = np.zeros((size, size), dtype=bool)
+    above: dict[int, set[int]] = {}
     for pair in doc["pairs"]:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int for v in pair)):
             raise FormatError(f"pair {pair!r} is not two integer indices")
         i, j = pair
         if not (0 <= i < size and 0 <= j < size):
             raise ValidationError(f"pair [{i}, {j}] is out of range for size {size}")
-        lt[i, j] = True
-    return validate_ord(size, lt)
+        above.setdefault(i, set()).add(j)
+    return _checked_ord([sorted(above[i]) if i in above else () for i in range(size)])
 
 
 def _clause(key: str, body: str) -> str:

@@ -16,6 +16,7 @@ import os
 import threading
 from bisect import bisect_left
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -146,6 +147,20 @@ class SetUniverse:
             self._intern[key] = idx
         return idx
 
+    @contextmanager
+    def _interning(self):
+        """Hold `_lock` for a block that interns through the step it is
+        given; if the block raises, every set it interned is forgotten."""
+        with self._lock:
+            mark = len(self._children)
+            try:
+                yield self._intern_ids
+            except BaseException:
+                for key in self._children[mark:]:
+                    del self._intern[key]
+                del self._children[mark:]
+                raise
+
     def empty(self) -> SetHandle:
         return self.mk_set(())
 
@@ -247,12 +262,12 @@ class SetUniverse:
 
     def _collapse_ids(self, succ: Sequence[Sequence[int]], starts: Iterable[int]) -> list[int]:
         """The walk of `from_graph` on the presentation `succ`, from each of
-        `starts` in turn: the set id of every vertex reached, -1 elsewhere."""
+        `starts` in turn: the set id of every vertex reached, -1 elsewhere.
+        A walk that raises interns nothing."""
         WHITE, GRAY = -1, -2
         result = [WHITE] * len(succ)  # WHITE, GRAY, or the set id of a finished vertex
         stack = [(-1, iter(starts))]  # a virtual vertex -1 whose successors are the starts
-        intern = self._intern_ids
-        with self._lock:
+        with self._interning() as intern:
             while stack:
                 v, todo = stack[-1]
                 for w in todo:
@@ -371,15 +386,15 @@ def export_slice(h: SetHandle) -> dict:
 
 
 def import_slice(doc: dict, u: SetUniverse) -> SetHandle:
-    """Intern the set a slice presents, under the universe lock taken once."""
+    """Intern the set a slice presents, under the universe lock taken once.
+    A rejected slice interns nothing."""
     if not (isinstance(doc, dict) and isinstance(doc.get("nodes"), (list, tuple)) and "root" in doc):
         raise FormatError("a slice is an object with a list of nodes and a root")
     nodes, root = doc["nodes"], doc["root"]
     if type(root) is not int or not 0 <= root < len(nodes):
         raise FormatError(f"root {root!r} is not a node position")
     ids: list[int] = []
-    intern = u._intern_ids
-    with u._lock:
+    with u._interning() as intern:
         for pos, child_positions in enumerate(nodes):
             if not isinstance(child_positions, (list, tuple)):
                 raise FormatError(f"node {pos} is not a list of child positions")

@@ -75,6 +75,19 @@ def test_validate_shape():
         validate_mewo(2, np.zeros((2, 2), bool), np.zeros(3, bool))
 
 
+@pytest.mark.parametrize("as_vector", [list, tuple, lambda v: np.array(v, dtype=bool)])
+def test_validate_reads_every_matrix_form(as_vector, fixtures_mewos):
+    # rows and markings as lists, tuples or numpy arrays; the empty mewo from empty ones
+    emp = fixtures_mewos[3]
+    assert validate_mewo(0, as_vector([]), as_vector([])) == emp
+    cb = validate_mewo(2, [as_vector([0, 1]), as_vector([0, 0])], as_vector([0, 1]))
+    assert cb == fixtures_mewos[2] and cb.marks == (False, True)
+    with pytest.raises(ValidationError, match="row 1 is not a list of 2 entries"):
+        validate_mewo(2, [as_vector([False, True]), as_vector([False])], as_vector([False, True]))
+    with pytest.raises(ValidationError, match="marking is not a list of 2 entries"):
+        validate_mewo(2, [as_vector([False, True]), as_vector([False, False])], as_vector([True]))
+
+
 def test_nontransitive_order_is_fine():
     lt = np.zeros((3, 3), bool)
     lt[0, 1] = lt[1, 2] = True
@@ -89,15 +102,14 @@ def test_closure_chain():
     X = validate_mewo(3, lt, np.array([False, False, True]))
     assert down_plus_carrier(X, 2) == [0, 1]
     assert down_plus_carrier(X, 1) == [0]
-    assert covered_mask(X).tolist() == [True, True, True]
-    assert covered_mask(validate_mewo(3, lt, np.array([False, True, False]))).tolist() == [
-        True, True, False]
+    assert covered_mask(X) == [True, True, True]
+    assert covered_mask(validate_mewo(3, lt, np.array([False, True, False]))) == [True, True, False]
 
 
 def test_closure_empty_relation():
     X = validate_mewo(1, np.zeros((1, 1), bool), np.ones(1, bool))
     assert down_plus_carrier(X, 0) == []
-    assert covered_mask(X).tolist() == [True]
+    assert covered_mask(X) == [True]
 
 
 def test_closure_idempotent(mewo_pool):
@@ -474,7 +486,7 @@ def test_codes_cache_keeps_no_state_on_the_universe(mewo_pool):
 
 def test_codes_cache_shared_by_threads_in_two_universes(covered_pool):
     # the threads flip the cache of each mewo between two universes while reading it
-    pool = [Mewo(X.preds, X.marked) for X in covered_pool[:20]]  # fresh copies, no cache yet
+    pool = [Mewo(X.preds, X.marks) for X in covered_pool[:20]]  # fresh copies, no cache yet
     expected = [simulation_mewo(X, Y) for X in covered_pool[:20] for Y in covered_pool[:20]]
     universes = [SetUniverse(), SetUniverse()]
     h = universes[1].empty()

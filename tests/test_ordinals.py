@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,72 @@ def test_validate_transitivity_witness():
 def test_validate_shape_mismatch():
     with pytest.raises(ValidationError):
         validate_ord(2, np.zeros((3, 3), dtype=bool))
+
+
+# A matrix may come as nested lists, as nested tuples, as a list of numpy
+# rows or as one numpy array (which cannot be ragged).
+MATRIX_FORMS = {
+    "lists": lambda rows: [list(r) for r in rows],
+    "tuples": lambda rows: tuple(tuple(r) for r in rows),
+    "array rows": lambda rows: [np.array(r, dtype=bool) for r in rows],
+    "array": lambda rows: np.array(rows, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("form", MATRIX_FORMS)
+def test_validate_reads_every_matrix_form(form):
+    as_matrix = MATRIX_FORMS[form]
+    assert validate_ord(0, as_matrix([])) == chain(0)
+    assert validate_ord(2, as_matrix([[False, False], [True, False]])) == FinOrd((1, 0))
+    with pytest.raises(ValidationError, match="not a list of 2 entries"):
+        validate_ord(2, as_matrix([[False] * 3] * 3))
+    if form != "array":
+        with pytest.raises(ValidationError, match="row 1 is not a list of 2 entries"):
+            validate_ord(2, as_matrix([[False, True], [False]]))
+
+
+def test_validate_witnesses_on_every_small_matrix():
+    # the first failing axiom, and for transitivity the least x, then z, then y;
+    # every irreflexive relation on 4 elements
+    n = 4
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in range(1 << len(slots)):
+        lt = [[False] * n for _ in range(n)]
+        for k, (i, j) in enumerate(slots):
+            lt[i][j] = bool(bits >> k & 1)
+        cols = [tuple(row[x] for row in lt) for x in range(n)]
+        try:
+            alpha = validate_ord(n, lt)
+        except WellfoundednessError as exc:
+            cyc = exc.cycle
+            assert all(lt[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            continue
+        except ExtensionalityError as exc:
+            x, y = exc.pair
+            assert x < y and cols[x] == cols[y] and len(set(cols[:y])) == y
+            continue
+        except TransitivityError as exc:
+            gaps = [(x, z) for x in range(n) for z in range(n)
+                    if not lt[x][z] and any(lt[x][y] and lt[y][z] for y in range(n))]
+            x, z = gaps[0]
+            assert exc.triple == (x, next(y for y in range(n) if lt[x][y] and lt[y][z]), z)
+            continue
+        assert len(set(cols)) == n
+        assert all(lt[i][j] == (alpha.pos[i] < alpha.pos[j]) for i in range(n) for j in range(n))
+
+
+def test_readers_allocate_no_matrix():
+    # a 30-byte document for a huge carrier is refused in memory linear in its size
+    for read, doc in ((ord_from_json, {"size": 100000, "pairs": []}),
+                      (ord_from_text, "ord { size: 100000; lt: }")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExtensionalityError):
+                read(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_down_of_chain():

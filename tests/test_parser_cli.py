@@ -341,6 +341,43 @@ def test_cli_check_exit_codes():
     assert usage.returncode == 2
 
 
+# Imports hfkit, enumerates the size-4 mewo pool and runs the CLI on a
+# program, a repl input and both mewo file forms in every format, all in one
+# interpreter; numpy is only for the `lt` and `marked` views, which none read.
+NUMPY_FREE_RUN = """
+import io
+import sys
+
+import hfkit
+import hfkit.cli
+
+assert len(hfkit.enumerate_mewos(4)) == 144
+program, text_mewo, json_mewo = sys.argv[1:]
+assert hfkit.cli.main(["run", program]) == 0
+sys.stdin = io.StringIO("let m = tomewo 3\\nm\\ntov m\\n")
+assert hfkit.cli.main(["repl"]) == 0
+for path in (text_mewo, json_mewo):
+    for fmt in ("text", "json", "dot"):
+        assert hfkit.cli.main(["mewo", path, "--format", fmt]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_cli_paths_do_not_import_numpy(tmp_path):
+    program = tmp_path / "p.hf"
+    program.write_text("let a = psi {{},{{}}}\nphi a\nlet m = tomewo {{{}}}\nm\ntov m\njson a\ndot m\n")
+    text_mewo = tmp_path / "m.mewo"
+    text_mewo.write_text("mewo { elems: a b c; lt: a<b, b<c; marked: a c }\n")
+    json_mewo = tmp_path / "m.json"
+    json_mewo.write_text('{"elems": ["a", "b"], "lt": [["a", "b"]], "marked": ["b"]}\n')
+    got = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN, str(program), str(text_mewo), str(json_mewo)],
+        capture_output=True, text=True,
+    )
+    assert got.returncode == 0, got.stderr
+    assert "mewo { elems: a b c; lt: a<b, b<c; marked: a c }" in got.stdout
+
+
 def test_cli_check_seeded_reports_identical():
     a = run_cli("check", "--suite", "sets", "--seed", "42", "--max-size", "4")
     b = run_cli("check", "--suite", "sets", "--seed", "42", "--max-size", "4")

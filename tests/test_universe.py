@@ -327,13 +327,13 @@ def test_lock_released_after_a_failed_collapse():
     tight = SetUniverse(node_limit=3)
     with pytest.raises(LimitExceededError):
         tight.from_graph(three)
-    assert len(tight) == 3
+    assert len(tight) == 0  # a rejected collapse interns nothing
     assert _mk_set_returns_on_another_thread(tight)
 
     tight = SetUniverse(node_limit=3)
     with pytest.raises(LimitExceededError):
         import_slice(export_slice(SetUniverse().von_neumann(3)), tight)
-    assert len(tight) == 3
+    assert len(tight) == 0
     assert _mk_set_returns_on_another_thread(tight)
 
 
@@ -510,3 +510,22 @@ def test_import_slice_rejects_positions_that_are_not_integers(u):
     for doc in ({"root": 0}, {"nodes": 5, "root": 0}, {"nodes": [[]]}, [[]]):
         with pytest.raises(ValueError, match="a slice is an object"):
             import_slice(doc, u)
+
+
+def test_rejected_inputs_intern_nothing():
+    # a slice that fails at its fifth node, and a root over a 4-chain plus a 2-cycle
+    slice_doc = {"nodes": [[], [0], [0, 1], [0, 1, 2], ["x"]], "root": 0}
+    chain_and_cycle = PointedGraph.make([[1, 5], [2], [3], [4], [], [6], [5]])
+    u = SetUniverse()
+    u.mk_set([u.empty()])
+    before, keys = len(u), dict(u._intern)
+    with pytest.raises(ValueError, match="node 4"):
+        import_slice(slice_doc, u)
+    assert (len(u), u._intern) == (before, keys)
+    with pytest.raises(CyclicError):
+        u.from_graph(chain_and_cycle)
+    assert (len(u), u._intern) == (before, keys)
+    h = u.mk_set([u.mk_set([u.mk_set([])])])
+    assert h.id == before and u.rank_nat(h) == 2
+    assert import_slice(export_slice(h), u) == h
+    assert u.check_acyclic() and len(u._intern) == len(u)
