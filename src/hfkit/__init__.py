@@ -91,6 +91,7 @@ from .oracle import (
     equal_by_permutation,
     gen_random_mewo,
     gen_random_set,
+    is_hereditarily_transitive,
     is_simulation,
     simulation_by_predecessors,
 )

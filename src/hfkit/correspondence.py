@@ -4,13 +4,20 @@ Ordinal side: `set_of_ordinal` turns an ordinal into the set of the images
 of its initial segments (a hereditarily transitive set), `rank_ordinal`
 computes the rank of any set by the supremum-of-successors recursion,
 and `rank_quotient` / `elements_ordinal` give the non-recursive
-descriptions of the rank of a hereditarily transitive set.
+descriptions of the rank of a hereditarily transitive set. Such a set is
+recognized by `SetUniverse.is_st_ordinal`, its chain of largest members;
+its members are then linearly ordered by membership, which follows id
+order, so their positions are read off the ids: no membership matrix and
+no validation.
 
 Mewo side: `set_of_mewo` interns the codes of the marked elements, in the
 collapse that gives the codes; an ordinal is the mewo with every element
 marked, so `set_of_ordinal` is `set_of_mewo` of `from_ordinal`.
 `mewo_of_set` presents a set as the mewo of its hereditary members with
 the direct members marked. Both round-trip on covered mewos.
+`mewo_of_set_literal` builds the same mewo through `singleton` and `union`,
+whose results carry their codes, so no intermediate mewo is collapsed
+from scratch.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import LimitExceededError, NotAnOrdinalError
 from .mewos import Mewo, _collapse, from_ordinal, singleton, union
-from .ordinals import FinOrd, chain, validate_ord
+from .ordinals import FinOrd, chain
 from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse
 
 
@@ -65,16 +72,24 @@ class QuotientRank:
 
 
 def rank_quotient(h: SetHandle, presentation: list[SetHandle]) -> QuotientRank:
+    """The classes of the presentation, and their order.
+
+    The members of a hereditarily transitive set are linearly ordered by
+    membership, and membership implies a smaller id, so the position of
+    each class is the rank of its id among the members. Neither check
+    interns anything, so a refused presentation leaves the universe as it was.
+    """
     u = h.universe
-    if u.mk_set(presentation) != h:
+    groups: dict[int, list[int]] = {}  # set id -> indices, in order of first appearance
+    for idx, member in enumerate(presentation):
+        groups.setdefault(u._own(member), []).append(idx)
+    members = u._children[u._own(h)]
+    if tuple(sorted(groups)) != members:
         raise NotAnOrdinalError("presentation does not denote the given set")
     if not u.is_st_ordinal(h):
         raise NotAnOrdinalError("set is not hereditarily transitive")
-    groups: dict[SetHandle, list[int]] = {}  # in order of first appearance
-    for idx, member in enumerate(presentation):
-        groups.setdefault(member, []).append(idx)
-    lt = [[u.mem(a, b) for b in groups] for a in groups]
-    return QuotientRank(classes=tuple(map(tuple, groups.values())), ordinal=validate_ord(len(lt), lt))
+    pos = {i: k for k, i in enumerate(members)}
+    return QuotientRank(classes=tuple(map(tuple, groups.values())), ordinal=FinOrd(pos[i] for i in groups))
 
 
 def elements_ordinal(h: SetHandle) -> FinOrd:
@@ -112,6 +127,8 @@ def mewo_of_set_literal(h: SetHandle) -> Mewo:
     the union over members of the singleton of the member's presentation.
     Evaluated bottom-up over the hereditary members in handle order, one
     singleton per set, so the depth of h is not bounded by the recursion limit.
+    Each union carries its codes in `scratch` and each singleton extends
+    its base's, so no union collapses a member from scratch.
     """
     u = h.universe
     i = u._own(h)

@@ -45,7 +45,7 @@ class Mewo:
     the constructor trusts `preds` to be wellfounded and extensional and
     `marks` to hold one bool per element."""
 
-    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_key", "_hash", "_collapsed")
+    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_key", "_hash", "_collapsed", "_base_codes")
 
     def __init__(self, preds: tuple[tuple[int, ...], ...], marks):
         self.size = len(preds)
@@ -55,6 +55,7 @@ class Mewo:
         self._key = (preds, self.marks)  # what equality compares
         self._hash = None
         self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
+        self._base_codes = None  # for a singleton, what its base carried: see _collapse
 
     @property
     def lt(self):
@@ -163,12 +164,28 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
     """The collapse in u of `preds` plus a root over the marked elements: the
     code id of each element, then the id of the set X presents; and the
     element of X with each code id. Kept on X for the last universe, held
-    weakly: the universe keeps no per-mewo state."""
+    weakly: the universe keeps no per-mewo state.
+
+    `union` stores the codes it computed. A singleton whose base carried
+    codes in u when it was made extends them: its top's code is the set
+    the base presents, and it presents the singleton of that code, one
+    intern. It keeps the base's codes, never the base, so a chain of
+    singletons holds one mewo."""
     got = X._collapsed
     if got is None or got[0]() is not u:
-        ids = u._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
-        index = dict(zip(ids, range(X.size)))
-        assert len(index) == X.size, "codes must be injective on the carrier"
+        base = X._base_codes
+        if base is not None and base[0]() is u:
+            _, base_ids, base_index = base
+            top = base_ids[-1]
+            assert top not in base_index, "codes must be injective on the carrier"
+            with u._lock:
+                ids = base_ids + [u._intern_ids((top,))]
+            index = {**base_index, top: len(base_index)}
+            X._base_codes = None
+        else:
+            ids = u._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
+            index = dict(zip(ids, range(X.size)))
+            assert len(index) == X.size, "codes must be injective on the carrier"
         got = X._collapsed = (weakref.ref(u), ids, index)
     return got[1], got[2]
 
@@ -243,12 +260,15 @@ def singleton(X: Mewo) -> Mewo:
 
     For a non-covered X the result can fail extensionality (an uncovered
     element and the new top may share predecessor sets); the failure is
-    reported rather than repaired.
+    reported rather than repaired. Interns nothing: the result keeps the
+    codes X carries, for `_collapse` to extend.
     """
     top = tuple(X.marked_elements())
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
-    return Mewo(X.preds + (top,), (False,) * X.size + (True,))
+    S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
+    S._base_codes = X._collapsed
+    return S
 
 
 def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
@@ -259,23 +279,29 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
     marked in its member. Class representatives are the lexicographically
     least (member index, element index) pairs, and the carrier lists
     classes in that order. Distinct codes have distinct members and code
-    membership is wellfounded, so the result needs no validation.
+    membership is wellfounded, so the result needs no validation. The code
+    of a class is the code of its members, so the result carries its codes
+    in u, and the set it presents costs one intern.
     """
     u = u if u is not None else SetUniverse()
     order: list[int] = []  # the code id of each class
     reps: dict[int, int] = {}  # code id -> class
     marked: list[bool] = []
     for X in F:
-        for x, c in enumerate(_collapse(X, u)[0][:X.size]):
+        for c, m in zip(_collapse(X, u)[0], X.marks):  # the codes; zip drops the root
             pos = reps.get(c)
             if pos is None:
                 reps[c] = len(order)
                 order.append(c)
-                marked.append(X.marks[x])
-            elif X.marks[x]:
+                marked.append(m)
+            elif m:
                 marked[pos] = True
-    children = u._children
-    return Mewo(tuple(tuple(sorted(reps[c] for c in children[i])) for i in order), marked)
+    children, cls = u._children, reps.__getitem__
+    Z = Mewo(tuple([tuple(sorted(map(cls, children[i]))) for i in order]), marked)
+    with u._lock:
+        root = u._intern_ids(tuple(sorted(c for c, m in zip(order, marked) if m)))
+    Z._collapsed = (weakref.ref(u), order + [root], reps)
+    return Z
 
 
 # -- serialization ------------------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: simulations are found by trying
 every map or, for ordinals, by matching predecessor sets on the raw
 matrices, isomorphisms by trying every permutation, stages of the set
-hierarchy by taking powersets. `is_simulation` is the one literal
-statement of the simulation clauses; witnesses are checked against it.
+hierarchy by taking powersets, ordinals among sets by their definition.
+`is_simulation` is the one literal statement of the simulation clauses;
+witnesses are checked against it.
 None of it shares code with the optimized decision procedures it
 cross-checks: it reads `lt` and `marked`, never codes or positions, and
 turns them into nested lists once per call. The generators build their
@@ -147,6 +148,26 @@ def _below_transitively(lt, b: int) -> list[int]:
                 seen.add(w)
                 todo.append(w)
     return sorted(seen)
+
+
+def is_hereditarily_transitive(h: SetHandle) -> bool:
+    """The definition of a set-theoretic ordinal, literally: h is transitive
+    and so is every member of h, where a set is transitive when the members
+    of each member are members. Members are read off `elements`, once per
+    set, as a Python set of ids. The reference for SetUniverse.is_st_ordinal."""
+    table: dict[int, tuple[list[SetHandle], set[int]]] = {}
+
+    def members(s: SetHandle) -> tuple[list[SetHandle], set[int]]:
+        if s.id not in table:
+            elems = s.elements()
+            table[s.id] = (elems, {m.id for m in elems})
+        return table[s.id]
+
+    def transitive(s: SetHandle) -> bool:
+        elems, ids = members(s)
+        return all(members(m)[1] <= ids for m in elems)
+
+    return transitive(h) and all(transitive(m) for m in members(h)[0])
 
 
 def enumerate_v(level: int, u: SetUniverse) -> list[SetHandle]:

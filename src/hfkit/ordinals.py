@@ -4,10 +4,12 @@ A FinOrd is a carrier 0..n-1 in which element x sits at the linear position
 pos[x]; x < y exactly when pos[x] < pos[y]. The read-only numpy matrix `lt`
 (lt[i, j] means i < j) is derived on first use, the one numpy import here.
 validate_ord (from a matrix) and the readers (from pairs) are the only ways
-in: they check wellfoundedness, extensionality and transitivity with a
-witness, and assert the linearity they force on a finite carrier.
-Everything built from validated ordinals is linear by construction, so it
-is position arithmetic, never validated again.
+in from outside data: they check wellfoundedness, extensionality and
+transitivity with a witness, and assert the linearity they force on a
+finite carrier. Everything built from validated ordinals is linear by
+construction, so it is position arithmetic, never validated again; so is
+the ordinal hfkit.correspondence reads off the member ids of a set that
+passed SetUniverse.is_st_ordinal.
 """
 
 from __future__ import annotations

@@ -177,34 +177,48 @@ class SetUniverse:
         return pos < len(row) and row[pos] == xi
 
     def subset(self, x: SetHandle, y: SetHandle) -> bool:
-        return self._subset_ids(self._own(x), self._own(y))
-
-    def _subset_ids(self, xi: int, yi: int) -> bool:
-        return set(self._children[xi]) <= set(self._children[yi])
+        return set(self._children[self._own(x)]) <= set(self._children[self._own(y)])
 
     def is_transitive_set(self, h: SetHandle) -> bool:
         """Every member of a member of h is a member of h."""
         hi = self._own(h)
         cached = self._transitive.get(hi)
         if cached is None:
-            cached = all(self._subset_ids(c, hi) for c in self._children[hi])
+            children = self._children
+            members = set(children[hi])
+            cached = all(members.issuperset(children[c]) for c in children[hi])
             self._transitive[hi] = cached
         return cached
 
     def is_st_ordinal(self, h: SetHandle) -> bool:
-        """h is transitive and so is every member of h.
+        """h is transitive and so is every member of h: a von Neumann numeral.
 
-        Membership in an ordinal is hereditary, so every member of an
-        ordinal passes this predicate too.
+        A finite ordinal is empty or m ∪ {m}, where m is its largest member.
+        Members have smaller ids, so m is the last child id, and h is an
+        ordinal exactly when its children are m's children followed by m and
+        m is an ordinal. The check walks down that chain of largest members,
+        one comparison per step (linear in the membership edges), stops at
+        the first failing step or cached answer, and caches the answer for
+        every set on the path. Every member of an ordinal is an ordinal.
         """
-        hi = self._own(h)
-        cached = self._st_ordinal.get(hi)
-        if cached is None:
-            cached = self.is_transitive_set(h) and all(
-                self.is_transitive_set(SetHandle(self, c)) for c in self._children[hi]
-            )
-            self._st_ordinal[hi] = cached
-        return cached
+        cache = self._st_ordinal
+        children = self._children
+        i = self._own(h)
+        path = []
+        answer = cache.get(i)
+        while answer is None:
+            path.append(i)
+            cs = children[i]
+            if not cs:
+                answer = True
+            elif children[cs[-1]] != cs[:-1]:
+                answer = False
+            else:
+                i = cs[-1]
+                answer = cache.get(i)
+        for j in path:
+            cache[j] = answer
+        return answer
 
     def von_neumann(self, n: int) -> SetHandle:
         """The n-th von Neumann numeral, built by n+1 := n and its members."""

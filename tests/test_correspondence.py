@@ -7,7 +7,9 @@ import tracemalloc
 
 import pytest
 
+import hfkit.ordinals
 from hfkit import (
+    ForeignHandleError,
     GenConfig,
     NotAnOrdinalError,
     PointedGraph,
@@ -76,6 +78,19 @@ def test_rank_ordinal_at_the_numeral_bound(u):
     h = u.von_neumann(1024)
     alpha, seconds = _at_default_recursion_limit(lambda: rank_ordinal(h))
     assert alpha == chain(1024) and order_type(alpha) == u.rank_nat(h) == 1024
+    assert seconds < 2.0
+
+
+def test_elements_ordinal_at_the_numeral_bound(u, monkeypatch):
+    # positions are read off id order: no membership test and no validation
+    def refuse(*args):
+        raise AssertionError("elements_ordinal must not call this")
+
+    monkeypatch.setattr(SetUniverse, "mem", refuse)
+    monkeypatch.setattr(hfkit.ordinals, "_checked_ord", refuse)
+    h = u.von_neumann(1024)
+    alpha, seconds = _at_default_recursion_limit(lambda: elements_ordinal(h))
+    assert alpha == chain(1024)
     assert seconds < 2.0
 
 
@@ -186,6 +201,21 @@ def test_rank_quotient_precondition_errors(u):
         rank_quotient(u.mk_set([se]), [se])  # {{0}} is not hereditarily transitive
     with pytest.raises(NotAnOrdinalError):
         rank_quotient(u.mk_set([e, se]), [e])  # presentation misses a member
+
+
+def test_rank_quotient_refusal_interns_nothing(u):
+    e = u.empty()
+    one = u.mk_set([e])
+    two = u.mk_set([e, one])
+    before = len(u)
+    with pytest.raises(NotAnOrdinalError):
+        rank_quotient(two, [one])  # the presentation denotes {{0}}, which is not interned
+    with pytest.raises(NotAnOrdinalError):
+        rank_quotient(two, [two, e])
+    with pytest.raises(ForeignHandleError):
+        rank_quotient(two, [e, SetUniverse().empty()])
+    assert len(u) == before
+    assert rank_quotient(two, [one, e, one]).classes == ((0, 2), (1,))
 
 
 def test_elements_ordinal(u):

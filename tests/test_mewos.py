@@ -41,7 +41,7 @@ from hfkit import (
     union,
     validate_mewo,
 )
-from hfkit.mewos import Mewo, covered_mask, down_plus_carrier
+from hfkit.mewos import Mewo, _collapse, covered_mask, down_plus_carrier
 
 
 def permuted(X, perm):
@@ -519,6 +519,41 @@ def test_union_fixtures(fixtures_mewos):
     assert mewo_equal(union([two_marked, cb]), two_marked)
     for X in (bullet, cb, two_marked):
         assert mewo_equal(union([X]), X)
+
+
+def _fresh_collapse(Z, u):
+    """The collapse of a copy of Z that carries nothing."""
+    return _collapse(Mewo(Z.preds, Z.marks), u)
+
+
+def test_union_and_singleton_carry_their_codes(covered_pool, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("carried codes need no collapse")
+
+    u, v = SetUniverse(), SetUniverse()
+    h = v.empty()
+    for _ in range(10):  # so that the codes have other ids in v
+        h = v.mk_set([h])
+    families = [[]] + [[X] for X in covered_pool] + [list(p) for p in zip(covered_pool, covered_pool[::-3])]
+    for fam in families:
+        for X in fam:
+            _collapse(X, u)
+        with monkeypatch.context() as m:
+            m.setattr(u, "_collapse_ids", refuse)
+            Z = union(fam, u)
+            S = singleton(Z)
+            carried = [_collapse(Z, u), _collapse(S, u)]
+        assert carried == [_fresh_collapse(Z, u), _fresh_collapse(S, u)]
+        assert [_collapse(Z, v), _collapse(S, v)] == [_fresh_collapse(Z, v), _fresh_collapse(S, v)]
+
+
+def test_singleton_interns_nothing(covered_pool):
+    u = SetUniverse()
+    for X in covered_pool:
+        codes(X, u)
+        before = len(u)
+        singleton(X)
+        assert len(u) == before
 
 
 def test_union_of_covered_is_covered(covered_pool):

@@ -323,12 +323,13 @@ def test_run_suite_unknown_name():
 # -- console entry points ---------------------------------------------------------
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "hfkit.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -512,6 +513,11 @@ def test_cli_run_rejects_braces_past_the_bound(tmp_path):
     res = run_cli("run", str(script))
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_cli_repl_decides_ord_at_the_numeral_bound():
+    res = run_cli("repl", stdin="ord? 1024\n", timeout=5)
+    assert res.returncode == 0 and res.stdout == "true\n"
 
 
 def test_cli_repl_refuses_canon_past_the_output_limit():

@@ -10,6 +10,7 @@ import pytest
 from hfkit import (
     CyclicError,
     ForeignHandleError,
+    GenConfig,
     LimitExceededError,
     PointedGraph,
     SetHandle,
@@ -17,7 +18,9 @@ from hfkit import (
     bisimilar,
     enumerate_v,
     export_slice,
+    gen_random_set,
     import_slice,
+    is_hereditarily_transitive,
     mem_raw,
 )
 
@@ -107,6 +110,42 @@ def test_is_st_ordinal(u):
     assert u.is_st_ordinal(u.mk_set([e, se]))
     assert not u.is_st_ordinal(u.mk_set([e, se, sse]))
     assert u.is_st_ordinal(e)
+
+
+def _agreement_pool(u):
+    """Sets on both sides of the ordinal line: all of V_4, two random
+    streams, numerals, numerals with a member dropped, n plus {n - 1},
+    and successors of a non-ordinal."""
+    pool = enumerate_v(4, u)
+    for seed in (21, 22):
+        pool += gen_random_set(GenConfig(seed=seed, max_width=4, max_depth=5, count=150), u)
+    for n in range(65):
+        members = u.elements(u.von_neumann(n))
+        pool.append(u.von_neumann(n))
+        dropped = range(n) if n <= 16 else (0, n // 2, n - 2)
+        pool += [u.mk_set(members[:k] + members[k + 1:]) for k in dropped]
+        if n:
+            pool.append(u.mk_set(members + [u.mk_set([members[-1]])]))
+    h = u.mk_set([u.mk_set([u.empty()])])
+    for _ in range(64):
+        h = u.mk_set(u.elements(h) + [h])
+        pool.append(h)
+    return pool
+
+
+def test_is_st_ordinal_agrees_with_the_definition():
+    u = SetUniverse()
+    pool = _agreement_pool(u)
+    expected = [is_hereditarily_transitive(h) for h in pool]
+    assert sum(expected) > 65  # the numerals up to 64, and some more
+    for h in pool:
+        members = set(h.elements())
+        assert u.is_transitive_set(h) == all(set(m.elements()) <= members for m in members)
+    # the walk caches along its path, so ask from both ends, on fresh universes
+    for order in (lambda p: p, reversed):
+        v = SetUniverse()
+        for h, want in order(list(zip(_agreement_pool(v), expected))):
+            assert v.is_st_ordinal(h) == want, h
 
 
 def test_von_neumann_small(u):
