@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -13,7 +14,11 @@ from .suites import SUITE_NAMES, run_suite
 from .universe import DEFAULT_NUMERAL_LIMIT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    `main` call in the process. Parsing does not change it, and help, usage and
+    errors are written to the `sys.stdout`/`sys.stderr` of the moment."""
     parser = argparse.ArgumentParser(prog="hfkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

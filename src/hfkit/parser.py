@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -79,13 +80,15 @@ _TOKEN_RE = re.compile(
   | (?P<nat>[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*\??)
   | (?P<punct>[{},=;\n])
+  | (?P<junk>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+# The kind of each punctuation token: `;` ends a statement as a newline does.
+_PUNCT_KINDS = {"\n": "newline", ";": "newline", "{": "{", "}": "}", ",": ",", "=": "="}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -93,26 +96,27 @@ class _Tok:
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    # Every character starts a match, so the matches tile the text; a
+    # newline only ever matches as `punct`, so the column is the offset
+    # from the start of the line.
     toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         value = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "punct":
-                kind = {"\n": "newline", ";": "newline"}.get(value, value)
-            toks.append(_Tok(kind, value, line, col))
-        if value == "\n":
-            line += 1
-            col = 1
+        pos = m.start()
+        if kind == "punct":
+            toks.append(_Tok(_PUNCT_KINDS[value], value, line, pos - line_start + 1))
+            if value == "\n":
+                line += 1
+                line_start = pos + 1
+        elif kind == "junk":
+            raise ParseError(line, pos - line_start + 1, f"unexpected character {value!r}")
         else:
-            col += len(value)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+            toks.append(_Tok(kind, value, line, pos - line_start + 1))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -159,8 +163,13 @@ class _Parser:
             self.depth -= 1
             return Braces(tuple(items))
         if tok.kind == "nat":
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than the interpreter converts
+                message = f"numeral of {len(tok.text)} digits is too long"
+                raise ParseError(tok.line, tok.col, message) from None
             self.next()
-            return Numeral(int(tok.text))
+            return Numeral(value)
         if tok.kind == "ident" and tok.text not in COMMANDS and tok.text != "let":
             self.next()
             return Ident(tok.text)

@@ -36,10 +36,11 @@ def _refuse_past_limit(need: int) -> None:
         )
 
 
-def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], dict[int, str]]:
-    """h and the sets below it in handle order, with the canonical text of each.
+def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[int], dict[int, str]]:
+    """The ids of h and the sets below it in ascending order, with the
+    canonical text of each, keyed by id.
 
-    Handle order is a topological order of membership, so both passes run
+    Ascending ids are a topological order of membership, so both passes run
     bottom-up and the depth of h is not bounded by the recursion limit. The
     first pass adds up lengths, the text of a set with k > 0 members being
     2 braces plus their lengths plus k - 1 commas; past `MAX_RENDERED_CHARS` (for h,
@@ -48,22 +49,24 @@ def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[SetHandle], d
     the text of h is kept: a member's text goes once its last parent has it.
     """
     u = h.universe
-    nodes = u.hereditary_members(h) + [h]
-    members: dict[int, list[int]] = {}
+    root = u._own(h)
+    ids = u._below_ids(root) + [root]
+    children = u._children
     size: dict[int, int] = {}
-    for x in nodes:
-        ms = members[x.id] = [m.id for m in u.elements(x)]
-        size[x.id] = 1 + len(ms) + sum([size[m] for m in ms]) if ms else 2
-    _refuse_past_limit(sum(size.values()) if labels else size[h.id])
-    last = {} if labels else {m: i for i, ms in members.items() for m in ms}  # each member's last parent
+    for i in ids:
+        ms = children[i]
+        size[i] = 1 + len(ms) + sum([size[m] for m in ms]) if ms else 2
+    _refuse_past_limit(sum(size.values()) if labels else size[root])
+    last = {} if labels else {m: i for i in ids for m in children[i]}  # each member's last parent
     text: dict[int, str] = {}
-    for i, ms in members.items():
+    for i in ids:
+        ms = children[i]
         parts = sorted((text[m] for m in ms), key=lambda s: (len(s), s))
         text[i] = "{" + ",".join(parts) + "}"
         for m in ms:
             if last.get(m) == i:
                 del text[m]
-    return nodes, text
+    return ids, text
 
 
 def _text_length(value: FinOrd | Mewo, fmt: str = "text") -> int:
@@ -104,10 +107,10 @@ def canon(h: SetHandle) -> str:
 
 def set_to_dot(h: SetHandle) -> str:
     """Membership digraph of the sets reachable from h, child -> parent."""
-    u = h.universe
-    nodes, text = _canon_table(h, labels=True)
-    lines = [f'  n{m.id} [label="{text[m.id]}"];' for m in nodes]
-    lines += [f"  n{c.id} -> n{m.id};" for m in nodes for c in u.elements(m)]
+    ids, text = _canon_table(h, labels=True)
+    children = h.universe._children
+    lines = [f'  n{i} [label="{text[i]}"];' for i in ids]
+    lines += [f"  n{c} -> n{i};" for i in ids for c in children[i]]
     return "\n".join(["digraph set {", *lines, "}"])
 
 

@@ -23,6 +23,7 @@ from hfkit import (
     SetUniverse,
     canon,
     chain,
+    enumerate_v,
     import_slice,
     mewo_from_json,
     mewo_from_text,
@@ -62,6 +63,28 @@ def test_parse_error_position():
         parse("{,")
     assert exc.value.line == 1 and exc.value.col == 2
     assert exc.value.expected
+
+
+@pytest.mark.parametrize("program, position", [
+    ("# a comment\nrank {,}", (2, 7)),  # after a comment line
+    ("rank 1 # a comment\n  {,}", (2, 4)),  # after a comment that ends a statement
+    ("rank\t{,}", (1, 7)),  # a tab is one column
+    ("rank 1; rank {,}", (1, 15)),  # `;` ends a statement, not the line
+    ("let x = 1\nrank x\nlet = 2", (3, 5)),
+    ("let x =", (1, 8)),  # end of input
+    ("rank 1\n\t $", (2, 3)),  # a character outside the syntax
+])
+def test_parse_error_positions(program, position):
+    with pytest.raises(ParseError) as exc:
+        parse_program(program)
+    assert (exc.value.line, exc.value.col) == position
+
+
+def test_parse_overlong_numeral_is_a_parse_error():
+    # past the interpreter's limit on converting digit strings to int
+    with pytest.raises(ParseError, match="5000 digits") as exc:
+        parse("rank " + "9" * 5000)
+    assert (exc.value.line, exc.value.col) == (1, 6)
 
 
 def test_parse_brace_nesting_at_the_bound():
@@ -217,14 +240,28 @@ def test_dot_command():
     assert line.startswith("digraph") and "->" in line
 
 
-def _dot_by_per_node_canon(h, name="set"):
-    """DOT text with each label rendered by its own `canon` call."""
+def _dot_by_per_node_canon(h, label=canon):
+    """DOT text with each label rendered by its own `label` call."""
     u = h.universe
     nodes = u.hereditary_members(h) + [h]
-    lines = [f"digraph {name} {{"]
-    lines += [f'  n{m.id} [label="{canon(m)}"];' for m in nodes]
+    lines = ["digraph set {"]
+    lines += [f'  n{m.id} [label="{label(m)}"];' for m in nodes]
     lines += [f"  n{c.id} -> n{m.id};" for m in nodes for c in u.elements(m)]
     return "\n".join(lines + ["}"])
+
+
+def _canon_by_recursion(h):
+    """Canonical text from its definition: the members' texts, sorted shortlex."""
+    parts = sorted((_canon_by_recursion(m) for m in h.universe.elements(h)), key=lambda t: (len(t), t))
+    return "{" + ",".join(parts) + "}"
+
+
+def test_canon_and_dot_match_a_recursive_rendering():
+    u = SetUniverse()
+    sets = enumerate_v(4, u) + [u.von_neumann(n) for n in range(7)]  # V_4 holds V_3
+    for h in sets:
+        assert canon(h) == _canon_by_recursion(h)
+        assert set_to_dot(h) == _dot_by_per_node_canon(h, label=_canon_by_recursion)
 
 
 def test_dot_labels_match_per_node_canon():
@@ -513,6 +550,36 @@ def test_cli_run_rejects_braces_past_the_bound(tmp_path):
     res = run_cli("run", str(script))
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_cli_run_reports_an_overlong_numeral(tmp_path):
+    script = tmp_path / "long.hf"
+    script.write_text("rank " + "9" * 5000 + "\n")
+    res = run_cli("run", str(script))
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: 1:6: ") and len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli_module._build_parser() is cli_module._build_parser()
+    program = tmp_path / "p.hf"
+    program.write_text("let x = {{},{{}}}\nrank x\ncanon {2,0,1}\nlet m = tomewo x\ndot m\n")
+    fresh = run_cli("run", str(program))  # the first call of a new process
+    assert fresh.returncode == 0
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main(["check", "--suite", "all", "--max-size", "-1"])
+    assert exc.value.code == 2
+    assert "error: argument --max-size" in capsys.readouterr().err
+    assert cli_module.main(["run", str(program)]) == 0
+    assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli_module.main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith("usage: hfkit")
 
 
 def test_cli_repl_decides_ord_at_the_numeral_bound():
