@@ -26,10 +26,8 @@ from .universe import (
     PointedGraph,
     SetHandle,
     SetUniverse,
-    bisimilar,
     export_slice,
     import_slice,
-    mem_raw,
 )
 from .ordinals import (
     BoundedSimWitness,
@@ -84,6 +82,7 @@ from .correspondence import (
 )
 from .oracle import (
     GenConfig,
+    bisimilar,
     enum_bounded_sims,
     enum_simulations,
     enumerate_mewos,
@@ -93,6 +92,7 @@ from .oracle import (
     gen_random_set,
     is_hereditarily_transitive,
     is_simulation,
+    mem_raw,
     simulation_by_predecessors,
 )
 from .parser import parse, parse_program, format_expr

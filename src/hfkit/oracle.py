@@ -3,12 +3,15 @@
 Everything here is deliberately naive: simulations are found by trying
 every map or, for ordinals, by matching predecessor sets on the raw
 matrices, isomorphisms by trying every permutation, stages of the set
-hierarchy by taking powersets, ordinals among sets by their definition.
+hierarchy by taking powersets, ordinals among sets by their definition,
+and the sets that pointed graphs present by bisimulation (`bisimilar`,
+`mem_raw`), the reference for SetUniverse.from_graph.
 `is_simulation` is the one literal statement of the simulation clauses;
 witnesses are checked against it.
 None of it shares code with the optimized decision procedures it
 cross-checks: it reads `lt` and `marked`, never codes or positions, and
-turns them into nested lists once per call. The generators build their
+turns them into nested lists once per call; it walks pointed graphs and
+relations with walks of its own. The generators build their
 relations as nested lists of bools and never read those views, so
 enumerating or generating mewos does not import numpy.
 """
@@ -16,13 +19,14 @@ enumerating or generating mewos does not import numpy.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import SizeLimitError
+from .errors import CyclicError, SizeLimitError
 from .mewos import Mewo, is_covered, validate_mewo
 from .ordinals import FinOrd
-from .universe import SetHandle, SetUniverse
+from .universe import PointedGraph, SetHandle, SetUniverse
 
 ENUM_SIM_LIMIT = 6
 ENUM_V_LIMIT = 5
@@ -168,6 +172,89 @@ def is_hereditarily_transitive(h: SetHandle) -> bool:
         return all(members(m)[1] <= ids for m in elems)
 
     return transitive(h) and all(transitive(m) for m in members(h)[0])
+
+
+# -- bisimulation oracle on raw graphs ---------------------------------------
+#
+# Deliberately shares no code with from_graph: reachability is a breadth
+# first walk, acyclicity is checked by counting in-degrees, and the relation
+# is the greatest fixpoint computed by naive iteration.
+
+
+def _reachable(g: PointedGraph) -> list[int]:
+    seen = {g.root}
+    queue = deque([g.root])
+    while queue:
+        v = queue.popleft()
+        for w in g.successors[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return sorted(seen)
+
+
+def _require_acyclic(g: PointedGraph, verts: list[int]) -> None:
+    vset = set(verts)
+    indeg = {v: 0 for v in verts}
+    for v in verts:
+        for w in set(g.successors[v]):
+            if w in vset:
+                indeg[w] += 1
+    ready = [v for v in verts if indeg[v] == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for w in set(g.successors[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    if removed != len(verts):
+        stuck = {v for v in verts if indeg[v] > 0}
+        preds = {v: [] for v in stuck}
+        for v in stuck:
+            for w in g.successors[v]:
+                if w in stuck:
+                    preds[w].append(v)
+        # every stuck vertex keeps an unremoved predecessor, so walking
+        # predecessors must eventually revisit a vertex, closing a cycle
+        path = [min(stuck)]
+        pos = {path[0]: 0}
+        while True:
+            nxt = preds[path[-1]][0]
+            if nxt in pos:
+                cycle = path[pos[nxt]:]
+                raise CyclicError(list(reversed(cycle)))
+            pos[nxt] = len(path)
+            path.append(nxt)
+
+
+def bisimilar(g1: PointedGraph, g2: PointedGraph) -> bool:
+    """Greatest-fixpoint bisimulation between the roots, by naive iteration."""
+    r1 = _reachable(g1)
+    r2 = _reachable(g2)
+    _require_acyclic(g1, r1)
+    _require_acyclic(g2, r2)
+    rel = {(u, v): True for u in r1 for v in r2}
+    changed = True
+    while changed:
+        changed = False
+        for (u, v), ok in rel.items():
+            if not ok:
+                continue
+            fwd = all(any(rel[(a, b)] for b in g2.successors[v]) for a in g1.successors[u])
+            bwd = fwd and all(
+                any(rel[(a, b)] for a in g1.successors[u]) for b in g2.successors[v]
+            )
+            if not bwd:
+                rel[(u, v)] = False
+                changed = True
+    return rel[(g1.root, g2.root)]
+
+
+def mem_raw(x: PointedGraph, y: PointedGraph) -> bool:
+    """Raw membership: some direct successor of y's root is bisimilar to x."""
+    return any(bisimilar(x, y.reroot(c)) for c in set(y.successors[y.root]))
 
 
 def enumerate_v(level: int, u: SetUniverse) -> list[SetHandle]:

@@ -6,8 +6,10 @@ pos[x]; x < y exactly when pos[x] < pos[y]. The read-only numpy matrix `lt`
 validate_ord (from a matrix) and the readers (from pairs) are the only ways
 in from outside data: they check wellfoundedness, extensionality and
 transitivity with a witness, and assert the linearity they force on a
-finite carrier. Everything built from validated ordinals is linear by
-construction, so it is position arithmetic, never validated again; so is
+finite carrier. Wellfoundedness is checked, for mewos too, by the walk of
+the collapse, universe._postorder, so a cycle reads as from_graph reports
+it. Everything built from validated ordinals is linear by construction,
+so it is position arithmetic, never validated again; so is
 the ordinal hfkit.correspondence reads off the member ids of a set that
 passed SetUniverse.is_st_ordinal.
 """
@@ -17,12 +19,14 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
+    CyclicError,
     ExtensionalityError,
     FormatError,
     TransitivityError,
     ValidationError,
     WellfoundednessError,
 )
+from .universe import _postorder
 
 
 class FinOrd:
@@ -86,11 +90,14 @@ def _transpose(adj) -> list[list[int]]:
 
 def _checked_preds(succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """The ascending predecessor tuples of a relation given by its ascending
-    successor lists. Raises the first cycle that a depth-first walk from each
-    element in turn meets, else the first pair with equal predecessors."""
-    cycle = _find_cycle(succ)
-    if cycle is not None:
-        raise WellfoundednessError(cycle)
+    successor lists. Raises the first cycle that the collapse's walk
+    (universe._postorder) from each element in turn meets, else the first
+    pair with equal predecessors."""
+    try:
+        for _ in _postorder(succ, range(len(succ))):
+            pass
+    except CyclicError as exc:
+        raise WellfoundednessError(exc.cycle) from None
     preds = tuple(map(tuple, _transpose(succ)))
     seen: dict[tuple[int, ...], int] = {}
     for x, key in enumerate(preds):
@@ -98,31 +105,6 @@ def _checked_preds(succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
             raise ExtensionalityError(seen[key], x)
         seen[key] = x
     return preds
-
-
-def _find_cycle(succ: list[list[int]]) -> list[int] | None:
-    n = len(succ)
-    color = [0] * n  # 0 fresh, 1 on stack, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        stack = [(start, 0)]
-        color[start] = 1
-        while stack:
-            v, i = stack[-1]
-            if i < len(succ[v]):
-                stack[-1] = (v, i + 1)
-                w = succ[v][i]
-                if color[w] == 1:
-                    path = [u for u, _ in stack]
-                    return path[path.index(w):]
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, 0))
-            else:
-                color[v] = 2
-                stack.pop()
-    return None
 
 
 def _entries(v, size: int, what: str) -> list | tuple:

@@ -5,9 +5,10 @@ once as the sorted tuple of its children's node ids, so handle equality is
 set equality. Every child id is strictly smaller than its parent's id,
 which makes the membership digraph acyclic by construction.
 
-Membership comes in two spellings that agree after collapse: `mem` decides
-it on canonical handles, `mem_raw` on raw pointed graphs through the
-bisimulation oracle.
+Only fast paths live here, with one cycle finder: the depth-first walk
+`_postorder`, which the collapse and the order validators share. The
+brute-force reference for the collapse, bisimulation of pointed graphs
+(`bisimilar`, `mem_raw`), is in hfkit.oracle.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicError, ForeignHandleError, FormatError, LimitExceededError
 
@@ -93,6 +93,31 @@ def _below(adj: Sequence[Sequence[int]], tops: Iterable[int], known=()) -> set[i
                 seen.add(c)
                 stack.append(c)
     return seen
+
+
+def _postorder(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> Iterator[int]:
+    """The vertices reached from each of `starts` in turn along the lists
+    `succ`, each yielded after every vertex it reaches: a depth-first walk
+    taking successors in list order. A back edge raises CyclicError with
+    the walk's path from the vertex it reaches back to."""
+    state = [0] * len(succ)  # 0 fresh, 1 on the walk's path, 2 yielded
+    stack = [(-1, iter(starts))]  # a virtual vertex -1 whose successors are the starts
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            s = state[w]
+            if s == 0:
+                state[w] = 1
+                stack.append((w, iter(succ[w])))
+                break
+            if s == 1:
+                path = [x for x, _ in stack]
+                raise CyclicError(path[path.index(w):])
+        else:
+            stack.pop()
+            if v >= 0:
+                state[v] = 2
+                yield v
 
 
 class SetUniverse:
@@ -278,109 +303,11 @@ class SetUniverse:
         """The walk of `from_graph` on the presentation `succ`, from each of
         `starts` in turn: the set id of every vertex reached, -1 elsewhere.
         A walk that raises interns nothing."""
-        WHITE, GRAY = -1, -2
-        result = [WHITE] * len(succ)  # WHITE, GRAY, or the set id of a finished vertex
-        stack = [(-1, iter(starts))]  # a virtual vertex -1 whose successors are the starts
+        result = [-1] * len(succ)
         with self._interning() as intern:
-            while stack:
-                v, todo = stack[-1]
-                for w in todo:
-                    r = result[w]
-                    if r == WHITE:
-                        result[w] = GRAY
-                        stack.append((w, iter(succ[w])))
-                        break
-                    if r == GRAY:
-                        path = [x for x, _ in stack]
-                        raise CyclicError(path[path.index(w):])
-                else:
-                    if v >= 0:
-                        result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
-                    stack.pop()
+            for v in _postorder(succ, starts):
+                result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
         return result
-
-
-# -- bisimulation oracle on raw graphs ---------------------------------------
-#
-# Deliberately shares no code with from_graph: reachability is a breadth
-# first walk, acyclicity is checked by counting in-degrees, and the relation
-# is the greatest fixpoint computed by naive iteration.
-
-
-def _reachable(g: PointedGraph) -> list[int]:
-    seen = {g.root}
-    queue = deque([g.root])
-    while queue:
-        v = queue.popleft()
-        for w in g.successors[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
-
-
-def _require_acyclic(g: PointedGraph, verts: list[int]) -> None:
-    vset = set(verts)
-    indeg = {v: 0 for v in verts}
-    for v in verts:
-        for w in set(g.successors[v]):
-            if w in vset:
-                indeg[w] += 1
-    ready = [v for v in verts if indeg[v] == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for w in set(g.successors[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if removed != len(verts):
-        stuck = {v for v in verts if indeg[v] > 0}
-        preds = {v: [] for v in stuck}
-        for v in stuck:
-            for w in g.successors[v]:
-                if w in stuck:
-                    preds[w].append(v)
-        # every stuck vertex keeps an unremoved predecessor, so walking
-        # predecessors must eventually revisit a vertex, closing a cycle
-        path = [min(stuck)]
-        pos = {path[0]: 0}
-        while True:
-            nxt = preds[path[-1]][0]
-            if nxt in pos:
-                cycle = path[pos[nxt]:]
-                raise CyclicError(list(reversed(cycle)))
-            pos[nxt] = len(path)
-            path.append(nxt)
-
-
-def bisimilar(g1: PointedGraph, g2: PointedGraph) -> bool:
-    """Greatest-fixpoint bisimulation between the roots, by naive iteration."""
-    r1 = _reachable(g1)
-    r2 = _reachable(g2)
-    _require_acyclic(g1, r1)
-    _require_acyclic(g2, r2)
-    rel = {(u, v): True for u in r1 for v in r2}
-    changed = True
-    while changed:
-        changed = False
-        for (u, v), ok in rel.items():
-            if not ok:
-                continue
-            fwd = all(any(rel[(a, b)] for b in g2.successors[v]) for a in g1.successors[u])
-            bwd = fwd and all(
-                any(rel[(a, b)] for a in g1.successors[u]) for b in g2.successors[v]
-            )
-            if not bwd:
-                rel[(u, v)] = False
-                changed = True
-    return rel[(g1.root, g2.root)]
-
-
-def mem_raw(x: PointedGraph, y: PointedGraph) -> bool:
-    """Raw membership: some direct successor of y's root is bisimilar to x."""
-    return any(bisimilar(x, y.reroot(c)) for c in set(y.successors[y.root]))
 
 
 # -- JSON slices --------------------------------------------------------------

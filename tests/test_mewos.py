@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import sys
 import threading
 import weakref
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from hfkit import (
+    CyclicError,
     ExtensionalityError,
+    PointedGraph,
     SetUniverse,
     ValidationError,
     WellfoundednessError,
@@ -68,6 +71,44 @@ def test_validate_rejects_cycles():
     lt = np.array([[False, True], [True, False]])
     with pytest.raises(WellfoundednessError):
         validate_mewo(2, lt, np.zeros(2, bool))
+
+
+def _small_relations():
+    """Every relation on at most 3 elements, self-loops included, then 3,000
+    seeded ones on 4 to 8 elements, each as ascending successor lists."""
+    for n in range(4):
+        for bits in range(1 << n * n):
+            yield [[j for j in range(n) if bits >> (i * n + j) & 1] for i in range(n)]
+    rng = random.Random(14)
+    for _ in range(3000):
+        n = rng.randint(4, 8)
+        p = rng.uniform(0.05, 0.4)
+        yield [[j for j in range(n) if rng.random() < p] for i in range(n)]
+
+
+def test_validation_meets_the_cycle_the_collapse_meets(u):
+    # validate_mewo and from_graph walk the same lists with one walk: a
+    # relation is refused as not wellfounded exactly when collapsing it under
+    # a root above every element meets a cycle, and both name the same cycle
+    cyclic = acyclic = 0
+    for succ in _small_relations():
+        n = len(succ)
+        try:
+            u.from_graph(PointedGraph.make(succ + [list(range(n))], root=n))
+            expected = None
+        except CyclicError as exc:
+            expected = exc.cycle
+        try:
+            validate_mewo(n, [[j in s for j in range(n)] for s in succ], [False] * n)
+            got = None
+        except ExtensionalityError:
+            got = None
+        except WellfoundednessError as exc:
+            got = exc.cycle
+        assert got == expected, succ
+        cyclic += expected is not None
+        acyclic += expected is None
+    assert cyclic > 1000 and acyclic > 500
 
 
 def test_validate_shape():

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import hfkit.oracle
 
 from hfkit import (
     GenConfig,
@@ -139,3 +144,23 @@ def test_gen_random_mewo_covered_filter():
     got = list(gen_random_mewo(cfg, covered_only=True))
     assert len(got) == 40
     assert all(is_covered(m) for m in got)
+
+
+FAST_PATH_MODULES = {"universe", "ordinals", "mewos", "correspondence"}
+
+
+def test_oracle_borrows_no_fast_path_helper():
+    # the references share no code with the fast paths they cross-check: the
+    # oracle takes only public names from those modules and reads no private
+    # attribute of anything
+    tree = ast.parse(Path(hfkit.oracle.__file__).read_text(encoding="utf-8"))
+    borrowed = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in FAST_PATH_MODULES
+        for alias in node.names
+    }
+    assert {"SetUniverse", "FinOrd", "Mewo", "validate_mewo"} <= borrowed
+    assert [name for name in borrowed if name.startswith("_")] == []
+    private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+    assert private == []

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -350,6 +351,14 @@ def test_check_reports_a_raising_case_as_a_failure(monkeypatch, capsys):
     # the 3 ordinal cases before segments.iterate, the raised case, every other suite
     assert report["cases"] == 3 + 1 + others
     assert [f["name"] for f in report["failures"]] == ["ordinals.raised"]
+
+
+def test_run_suite_sets_caps_its_graph_pool():
+    # every pool is capped, so a huge --max-size costs what 8 costs
+    start = time.perf_counter()
+    report = run_suite("sets", max_size=10**7)
+    assert time.perf_counter() - start < 2
+    assert report == run_suite("sets", max_size=8)
 
 
 def test_run_suite_unknown_name():
