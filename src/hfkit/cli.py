@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _repl() -> int:
+def _repl(args) -> int:
     session = Session()
     interactive = sys.stdin.isatty()
     while True:
@@ -110,10 +110,8 @@ def main(argv=None) -> int:
         parser.error("argument --max-size: must not be negative")
     if args.command == "check" and not 0 <= args.max_depth <= DEFAULT_NUMERAL_LIMIT:
         parser.error(f"argument --max-depth: must be in 0..{DEFAULT_NUMERAL_LIMIT}, the numeral bound")
-    if args.command == "repl":
-        return _repl()
     try:
-        return {"run": _run_file, "mewo": _mewo_file, "check": _check}[args.command](args)
+        return {"repl": _repl, "run": _run_file, "mewo": _mewo_file, "check": _check}[args.command](args)
     except HfkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,48 +1,45 @@
 """Translations between sets, finite ordinals, and covered mewos.
 
-Ordinal side: `set_of_ordinal` turns an ordinal into the set of the images
-of its initial segments (a hereditarily transitive set), `rank_ordinal`
-computes the rank of any set by the supremum-of-successors recursion,
-and `rank_quotient` / `elements_ordinal` give the non-recursive
-descriptions of the rank of a hereditarily transitive set. Such a set is
-recognized by `SetUniverse.is_st_ordinal`, its chain of largest members;
-its members are then linearly ordered by membership, which follows id
-order, so their positions are read off the ids: no membership matrix and
-no validation.
+Ordinal side: `set_of_ordinal` (phi) turns an ordinal into the set of the
+images of its initial segments, the von Neumann numeral of its size, and
+`rank_ordinal` (psi) computes the rank of any set, the chain of its
+length: both run on lengths. `rank_quotient` / `elements_ordinal` give
+the non-recursive descriptions of the rank of a hereditarily transitive
+set. Such a set is recognized by `SetUniverse.is_st_ordinal`, its chain
+of largest members; its members are then linearly ordered by membership,
+which follows id order, so their positions are read off the ids: no
+membership matrix and no validation.
 
 Mewo side: `set_of_mewo` interns the codes of the marked elements, in the
 collapse that gives the codes; an ordinal is the mewo with every element
-marked, so `set_of_ordinal` is `set_of_mewo` of `from_ordinal`.
+marked, so `set_of_mewo` of `from_ordinal(alpha)` is phi(alpha).
 `mewo_of_set` presents a set as the mewo of its hereditary members with
-the direct members marked. Both round-trip on covered mewos.
-`mewo_of_set_literal` builds the same mewo through `singleton` and `union`,
-whose results carry their codes, so no intermediate mewo is collapsed
-from scratch.
+the direct members marked, read off the set's slice (`export_slice`).
+Both round-trip on covered mewos. `mewo_of_set_literal` builds the same
+mewo through `singleton` and `union`, whose results carry their codes, so
+no intermediate mewo is collapsed from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LimitExceededError, NotAnOrdinalError
-from .mewos import Mewo, _collapse, from_ordinal, singleton, union
+from .errors import NotAnOrdinalError
+from .mewos import Mewo, _collapse, singleton, union
 from .ordinals import FinOrd, chain
-from .universe import DEFAULT_NUMERAL_LIMIT, SetHandle, SetUniverse
+from .universe import SetHandle, SetUniverse, export_slice
 
 
 def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
     """The set whose members are the images of all initial segments of alpha.
 
-    This is the recursion phi(alpha) = {phi(down(alpha, a)) | a in alpha},
-    the set of the mewo with every element marked, whose code of a is the
-    image of the segment below a. phi(alpha) is numeral |alpha|, so alpha
-    is held to the numeral bound.
+    This is the recursion phi(alpha) = {phi(down(alpha, a)) | a in alpha}.
+    By induction on |alpha|, each down(alpha, a) is the chain of a's
+    position k, whose image is numeral k, so phi(alpha) is the set of the
+    numerals below |alpha|: numeral |alpha|. So phi runs on lengths, as
+    psi does, and `SetUniverse.von_neumann` holds it to the numeral bound.
     """
-    if alpha.size > DEFAULT_NUMERAL_LIMIT:
-        raise LimitExceededError(
-            f"ordinal of size {alpha.size} exceeds the numeral bound {DEFAULT_NUMERAL_LIMIT}"
-        )
-    return set_of_mewo(from_ordinal(alpha), u)
+    return u.von_neumann(alpha.size)
 
 
 def rank_ordinal(h: SetHandle) -> FinOrd:
@@ -110,16 +107,14 @@ def mewo_of_set(h: SetHandle) -> Mewo:
     Carrier: the hereditary members, in handle order. Order: membership.
     Marking: the direct members. This is the fast path; it must agree with
     mewo_of_set_literal, the recursion through singletons and unions.
-    Handle order is a topological order of membership and distinct sets
-    have distinct members, so the result needs no validation.
+    The slice of h lists exactly these members, each as the ascending
+    positions of its own members, and then h. Handle order is a
+    topological order of membership and distinct sets have distinct
+    members, so the result needs no validation.
     """
-    u = h.universe
-    i = u._own(h)
-    ids = u._below_ids(i)
-    pos = {j: k for k, j in enumerate(ids)}
-    children = u._children
-    direct = set(children[i])
-    return Mewo(tuple(tuple(pos[c] for c in children[j]) for j in ids), [j in direct for j in ids])
+    *nodes, top = export_slice(h)["nodes"]
+    direct = set(top)
+    return Mewo(tuple(map(tuple, nodes)), [k in direct for k in range(len(nodes))])
 
 
 def mewo_of_set_literal(h: SetHandle) -> Mewo:
@@ -130,11 +125,9 @@ def mewo_of_set_literal(h: SetHandle) -> Mewo:
     Each union carries its codes in `scratch` and each singleton extends
     its base's, so no union collapses a member from scratch.
     """
-    u = h.universe
-    i = u._own(h)
+    *nodes, top = export_slice(h)["nodes"]
     scratch = SetUniverse()
-    children = u._children
-    singletons: dict[int, Mewo] = {}  # set id -> singleton of its presentation
-    for j in u._below_ids(i):
-        singletons[j] = singleton(union([singletons[c] for c in children[j]], scratch))
-    return union([singletons[c] for c in children[i]], scratch)
+    singletons: list[Mewo] = []  # at each slice position, the singleton of its presentation
+    for kids in nodes:
+        singletons.append(singleton(union([singletons[c] for c in kids], scratch)))
+    return union([singletons[c] for c in top], scratch)

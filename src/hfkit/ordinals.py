@@ -173,14 +173,13 @@ def down(alpha: FinOrd, a: int) -> FinOrd:
     Every predecessor of an element below a is below a as well, so each
     element keeps its position in the segment.
     """
-    if not (0 <= a < alpha.size):
-        raise IndexError(f"element {a} out of range for size {alpha.size}")
-    k = alpha.pos[a]
-    return FinOrd(p for p in alpha.pos if p < k)
+    return FinOrd(alpha.pos[x] for x in down_carrier(alpha, a))
 
 
 def down_carrier(alpha: FinOrd, a: int) -> list[int]:
     """Original indices carried by down(alpha, a), in carrier order."""
+    if not (0 <= a < alpha.size):
+        raise IndexError(f"element {a} out of range for size {alpha.size}")
     k = alpha.pos[a]
     return [x for x, p in enumerate(alpha.pos) if p < k]
 

@@ -324,6 +324,7 @@ def _suite_correspondence(seed: int, max_size: int, max_depth: int):
     ok = not set_mewo_roundtrips(u, oracle.gen_random_set(cfg, u), ())
     yield "set.mewo.roundtrips", "25 seeded sets", True, ok
     ok = all(mewo_equal(mewo_of_set(set_of_ordinal(alpha, u)), from_ordinal(alpha))
+             and set_of_mewo(from_ordinal(alpha), u) == set_of_ordinal(alpha, u)
              for alpha in map(_relabeled, range(min(max_size, 6) + 1)))
     yield "square.commutes", f"chains up to {min(max_size, 6)}", True, ok
 

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CyclicError, ForeignHandleError, FormatError, LimitExceededError
+from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError
 
 DEFAULT_NODE_LIMIT = 1 << 20
 DEFAULT_NUMERAL_LIMIT = 1024
@@ -52,9 +52,10 @@ class SetHandle:
 class PointedGraph:
     """Raw, possibly redundant presentation of a set.
 
-    Vertices are 0..n-1, `successors[v]` lists the direct members of v
-    (duplicates allowed), and `root` is the presented set. Nothing about
-    acyclicity is promised; collapse and bisimulation check it themselves.
+    Vertices are the plain integers 0..n-1, `successors[v]` lists the
+    direct members of v (duplicates allowed), and `root` is the presented
+    set; anything else is a FormatError. Nothing about acyclicity is
+    promised; collapse and bisimulation check it themselves.
     """
 
     n: int
@@ -62,16 +63,17 @@ class PointedGraph:
     root: int
 
     def __post_init__(self):
-        if self.n == 0:
-            raise ValueError("a pointed graph needs at least its root vertex")
-        if len(self.successors) != self.n:
-            raise ValueError("successor table does not match vertex count")
-        if not (0 <= self.root < self.n):
-            raise ValueError("root out of range")
+        n = self.n
+        if n == 0:
+            raise FormatError("a pointed graph needs at least its root vertex")
+        if type(n) is not int or len(self.successors) != n:
+            raise FormatError(f"vertex count {n!r} does not match the {len(self.successors)} successor lists")
+        if type(self.root) is not int or not 0 <= self.root < n:
+            raise FormatError(f"root {self.root!r} is not a vertex")
         for v, succs in enumerate(self.successors):
             for w in succs:
-                if not (0 <= w < self.n):
-                    raise ValueError(f"successor {w} of vertex {v} out of range")
+                if type(w) is not int or not 0 <= w < n:
+                    raise FormatError(f"successor {w!r} of vertex {v} is not a vertex")
 
     @classmethod
     def make(cls, successors: Sequence[Sequence[int]], root: int = 0) -> "PointedGraph":
@@ -131,13 +133,15 @@ class SetUniverse:
 
     def __init__(self, node_limit: int | None = None):
         if node_limit is None:
-            node_limit = int(os.environ.get("HFKIT_NODE_LIMIT", DEFAULT_NODE_LIMIT))
+            raw = os.environ.get("HFKIT_NODE_LIMIT", str(DEFAULT_NODE_LIMIT))
+            if not raw.strip().isdecimal():
+                raise HfkitError(f"HFKIT_NODE_LIMIT={raw!r} is not a non-negative integer")
+            node_limit = int(raw)
         self.node_limit = node_limit
         self._children: list[tuple[int, ...]] = []
         self._intern: dict[tuple[int, ...], int] = {}
         self._lock = threading.Lock()
         self._rank: dict[int, int] = {}
-        self._transitive: dict[int, bool] = {}
         self._st_ordinal: dict[int, bool] = {}
         self._numerals: list[int] = []
 
@@ -175,7 +179,8 @@ class SetUniverse:
     @contextmanager
     def _interning(self):
         """Hold `_lock` for a block that interns through the step it is
-        given; if the block raises, every set it interned is forgotten."""
+        given; if the block raises, every set it interned is forgotten,
+        and so are the numerals it cached (their ids ascend)."""
         with self._lock:
             mark = len(self._children)
             try:
@@ -184,6 +189,7 @@ class SetUniverse:
                 for key in self._children[mark:]:
                     del self._intern[key]
                 del self._children[mark:]
+                del self._numerals[bisect_left(self._numerals, mark):]
                 raise
 
     def empty(self) -> SetHandle:
@@ -206,14 +212,10 @@ class SetUniverse:
 
     def is_transitive_set(self, h: SetHandle) -> bool:
         """Every member of a member of h is a member of h."""
-        hi = self._own(h)
-        cached = self._transitive.get(hi)
-        if cached is None:
-            children = self._children
-            members = set(children[hi])
-            cached = all(members.issuperset(children[c]) for c in children[hi])
-            self._transitive[hi] = cached
-        return cached
+        children = self._children
+        cs = children[self._own(h)]
+        members = set(cs)
+        return all(members.issuperset(children[c]) for c in cs)
 
     def is_st_ordinal(self, h: SetHandle) -> bool:
         """h is transitive and so is every member of h: a von Neumann numeral.
@@ -246,19 +248,20 @@ class SetUniverse:
         return answer
 
     def von_neumann(self, n: int) -> SetHandle:
-        """The n-th von Neumann numeral, built by n+1 := n and its members."""
+        """The n-th von Neumann numeral, built by n+1 := n and its members.
+        A call that raises interns nothing."""
         if n < 0:
             raise ValueError("numerals are non-negative")
         if n > DEFAULT_NUMERAL_LIMIT:
-            raise LimitExceededError(f"numeral {n} exceeds the bound {DEFAULT_NUMERAL_LIMIT}")
-        with self._lock:
+            raise LimitExceededError(f"numeral {n} exceeds the numeral bound {DEFAULT_NUMERAL_LIMIT}")
+        with self._interning() as intern:
             numerals = self._numerals
             if not numerals:
-                numerals.append(self._intern_ids(()))
+                numerals.append(intern(()))
             while len(numerals) <= n:
                 prev = numerals[-1]
                 # already sorted: prev's id is larger than the ids of its members
-                numerals.append(self._intern_ids(self._children[prev] + (prev,)))
+                numerals.append(intern(self._children[prev] + (prev,)))
             return SetHandle(self, numerals[n])
 
     def rank_nat(self, h: SetHandle) -> int:

@@ -11,6 +11,7 @@ import hfkit.ordinals
 from hfkit import (
     ForeignHandleError,
     GenConfig,
+    LimitExceededError,
     NotAnOrdinalError,
     PointedGraph,
     SetUniverse,
@@ -36,6 +37,7 @@ from hfkit import (
     ord_sum,
     validate_mewo,
 )
+from hfkit.suites import _relabeled
 
 
 def test_set_of_ordinal_base(u):
@@ -72,6 +74,22 @@ def test_set_of_ordinal_at_the_numeral_bound(u):
     h, seconds = _at_default_recursion_limit(lambda: set_of_ordinal(chain(1024), u))
     assert h == u.von_neumann(1024)
     assert seconds < 2.0
+
+
+def test_phi_is_the_set_of_the_all_marked_mewo(u):
+    # phi runs on lengths; the collapse of from_ordinal is the literal recursion
+    for alpha in [_relabeled(n) for n in range(65)] + [chain(1024)]:
+        assert set_of_mewo(from_ordinal(alpha), u) == set_of_ordinal(alpha, u)
+
+
+def test_a_refused_numeral_interns_nothing():
+    tight = SetUniverse(node_limit=5)
+    tight.mk_set([tight.mk_set([])])
+    for refused in (lambda: set_of_ordinal(chain(7), tight), lambda: tight.von_neumann(7)):
+        with pytest.raises(LimitExceededError):
+            refused()
+        assert len(tight) == 2
+    assert set_of_ordinal(chain(4), tight) == tight.von_neumann(4) and len(tight) == 5
 
 
 def test_rank_ordinal_at_the_numeral_bound(u):

@@ -1,0 +1,44 @@
+"""Every name a module of src/hfkit imports is used in that module.
+
+There is no linter among the dependencies, so this is an `ast` pass:
+`__init__.py` is left out, since its imports are the public API.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hfkit"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the imports of `source` that nothing else in it reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_modules_are_found():
+    assert len(MODULES) > 5
+
+
+def test_the_check_sees_an_unused_import():
+    assert unused_imports("import os\nfrom .errors import A, B\nB\n") == ["os (line 1)", "A (line 2)"]
+    assert unused_imports("import a.b as c\nfrom x import y as z\nc.d(z)\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []

@@ -167,6 +167,15 @@ def test_down_index_error():
         down(chain(2), 5)
 
 
+@pytest.mark.parametrize("segment", [down, down_carrier])
+def test_segments_refuse_elements_out_of_range(segment):
+    # -1 would read the last position, and the size one past it
+    for alpha in (FinOrd((2, 0, 1)), chain(0), chain(1)):
+        for a in (-1, alpha.size):
+            with pytest.raises(IndexError, match=f"element {a} out of range for size {alpha.size}"):
+                segment(alpha, a)
+
+
 def test_down_down_simplifies():
     # nested segments collapse to the inner one, tested on every labeling
     for alpha in labeled_ordinals(7, all_perms_upto=4, samples=3):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -369,13 +370,14 @@ def test_run_suite_unknown_name():
 # -- console entry points ---------------------------------------------------------
 
 
-def run_cli(*args, stdin=None, timeout=None):
+def run_cli(*args, stdin=None, timeout=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "hfkit.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -619,6 +621,16 @@ def test_cli_unreadable_input_is_an_error_line(command, name, content, tmp_path)
     res = run_cli(command, str(path))
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3"])
+def test_cli_malformed_node_limit_is_an_error_line(value, tmp_path):
+    path = tmp_path / "one.hf"
+    path.write_text("canon 1\n")
+    for res in (run_cli("run", str(path), env={"HFKIT_NODE_LIMIT": value}),
+                run_cli("repl", stdin="canon 1\n", env={"HFKIT_NODE_LIMIT": value})):
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: HFKIT_NODE_LIMIT") and "Traceback" not in res.stderr
 
 
 def test_cli_mewo_refuses_output_past_the_limit(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,9 @@ import pytest
 from hfkit import (
     CyclicError,
     ForeignHandleError,
+    FormatError,
     GenConfig,
+    HfkitError,
     LimitExceededError,
     PointedGraph,
     SetHandle,
@@ -246,6 +248,31 @@ def test_node_limit_env_override(monkeypatch):
     tight.mk_set([tight.empty()])
     with pytest.raises(LimitExceededError):
         tight.mk_set([tight.mk_set([tight.empty()])])
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", "", "2.0"])
+def test_node_limit_env_must_be_a_non_negative_integer(monkeypatch, value):
+    monkeypatch.setenv("HFKIT_NODE_LIMIT", value)
+    with pytest.raises(HfkitError, match="HFKIT_NODE_LIMIT"):
+        SetUniverse()
+    assert SetUniverse(node_limit=5).node_limit == 5  # an explicit limit does not read it
+
+
+@pytest.mark.parametrize("n, successors, root, where", [
+    (0, (), 0, "at least its root"),
+    (2, ((1,),), 0, "vertex count 2 does not match the 1 successor lists"),
+    (2.0, ((1,), ()), 0, "vertex count 2.0"),
+    (2, ((1,), ()), 2, "root 2"),
+    (2, ((2,), ()), 0, "successor 2 of vertex 0"),
+    (2, ((1,), ()), True, "root True"),
+    (2, ((), (0.0,)), 1, "successor 0.0 of vertex 1"),
+    (2, ((), (True,)), 1, "successor True of vertex 1"),
+], ids=["no-vertex", "table-size", "float-count", "root-range", "successor-range",
+        "bool-root", "float-successor", "bool-successor"])
+def test_pointed_graph_refusals_are_format_errors(n, successors, root, where):
+    with pytest.raises(FormatError, match=where) as exc:
+        PointedGraph(n, successors, root)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_extensionality_on_enumerated_pool(u):
