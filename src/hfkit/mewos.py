@@ -15,14 +15,16 @@ that also gives the set the mewo presents. Extensionality plus
 wellfoundedness make this coding injective on the carrier, so matching
 codes decides structure equality. X < Y (X is the segment below a marked
 element of Y) holds exactly when X is covered and the set of the codes of
-X's marked elements is the code of a marked element of Y. The brute-force
-permutation and map searches in hfkit.oracle stay the authoritative
-cross-check.
+X's marked elements is the code of a marked element of Y; cover is a
+property of X alone, found on first use and kept on X, so no decision
+walks anything once the codes are cached. The brute-force permutation and
+map searches in hfkit.oracle stay the authoritative cross-check.
 """
 
 from __future__ import annotations
 
 import weakref
+from itertools import compress
 
 from .errors import ExtensionalityError, FormatError
 from .ordinals import (
@@ -45,7 +47,8 @@ class Mewo:
     the constructor trusts `preds` to be wellfounded and extensional and
     `marks` to hold one bool per element."""
 
-    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_key", "_hash", "_collapsed", "_base_codes")
+    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_key", "_hash", "_covered", "_collapsed",
+                 "_base_codes")
 
     def __init__(self, preds: tuple[tuple[int, ...], ...], marks):
         self.size = len(preds)
@@ -53,7 +56,7 @@ class Mewo:
         self.marks = tuple(marks)
         self._lt = self._marked = None
         self._key = (preds, self.marks)  # what equality compares
-        self._hash = None
+        self._hash = self._covered = None  # computed on first use: see __hash__, is_covered
         self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
         self._base_codes = None  # for a singleton, what its base carried: see _collapse
 
@@ -110,8 +113,10 @@ def _restrict(X: Mewo, idxs: list[int], marked) -> Mewo:
 
 
 def is_covered(X: Mewo) -> bool:
-    """Every element sits reflexive-transitively below some marked element."""
-    return all(covered_mask(X))
+    """Every element sits reflexive-transitively below some marked element; kept on X."""
+    if X._covered is None:
+        X._covered = all(covered_mask(X))
+    return X._covered
 
 
 def covered_mask(X: Mewo) -> list[bool]:
@@ -194,7 +199,7 @@ def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
     """Equality as marked orders: between equal sizes the simulation is a code
     bijection, so X equals Y when it exists and reflects the marking too."""
     w = simulation_mewo(X, Y, u) if X.size == Y.size else None
-    return w is not None and all(X.marks[x] == Y.marks[y] for x, y in enumerate(w.mapping))
+    return w is not None and X.marks == tuple(map(Y.marks.__getitem__, w.mapping))
 
 
 def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitness | None:
@@ -207,8 +212,8 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitnes
     u = u if u is not None else SetUniverse()
     cx, _ = _collapse(X, u)
     _, index_y = _collapse(Y, u)
-    f = tuple(index_y.get(c) for c in cx[:X.size])
-    if None in f or any(X.marks[x] and not Y.marks[y] for x, y in enumerate(f)):
+    f = tuple(map(index_y.get, cx[:X.size]))
+    if None in f or not all(map(Y.marks.__getitem__, compress(f, X.marks))):
         return None
     return SimWitness(f)
 
@@ -219,30 +224,28 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedS
 
     Decided on codes: the segment below y presents code(y), so the bound
     exists exactly when X is covered and the set of the codes of X's marked
-    elements is the code of a marked y. X is covered exactly when that set
-    has X.size hereditary members, the codes of the covered elements. The
-    equivalence sends each x to the element of Y with the same code.
+    elements is the code of a marked y. Cover is the flag `is_covered`
+    keeps on X, so no call walks X or the universe. The equivalence sends
+    each x to the element of Y with the same code.
     """
+    if not is_covered(X):
+        return None
     u = u if u is not None else SetUniverse()
     cx, _ = _collapse(X, u)
-    target = cx[X.size]  # the set of the codes of X's marked elements
-    if len(u._below_ids(target)) != X.size:
-        return None
     _, index_y = _collapse(Y, u)
-    y = index_y.get(target)
+    y = index_y.get(cx[X.size])  # the set X presents: its marked elements' codes
     if y is None or not Y.marks[y]:
         return None
-    return BoundedSimWitness(y, tuple(index_y[c] for c in cx[:X.size]))
+    return BoundedSimWitness(y, tuple(map(index_y.__getitem__, cx[:X.size])))
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int] | None:
     """Map each marked x to the unique marked y with the same initial segment."""
     u = u if u is not None else SetUniverse()
     cx, _ = _collapse(X, u)
-    cy, _ = _collapse(Y, u)
-    marked_codes = {cy[y]: y for y in Y.marked_elements()}
-    f = {x: marked_codes.get(cx[x]) for x in X.marked_elements()}
-    return None if None in f.values() else f
+    _, index_y = _collapse(Y, u)
+    f = dict(zip(compress(range(X.size), X.marks), map(index_y.get, compress(cx, X.marks))))
+    return None if None in f.values() or not all(map(Y.marks.__getitem__, f.values())) else f
 
 
 def principality_check(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:

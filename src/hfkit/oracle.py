@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import CyclicError, SizeLimitError
-from .mewos import Mewo, is_covered, validate_mewo
+from .mewos import Mewo, validate_mewo
 from .ordinals import FinOrd
 from .universe import PointedGraph, SetHandle, SetUniverse
 
@@ -352,11 +352,21 @@ def gen_random_mewo(cfg: GenConfig, covered_only: bool = False):
         lt = _collapse_to_extensional(lt)
         m = len(lt)
         marked = [rng.random() < 0.6 for _ in range(m)]
-        X = validate_mewo(m, lt, marked)
-        if covered_only and not is_covered(X):
+        if covered_only and not _covers(lt, marked):
             continue
         produced += 1
-        yield X
+        yield validate_mewo(m, lt, marked)
+
+
+def _covers(lt: list[list[bool]], marked: list[bool]) -> bool:
+    """Is every element marked or transitively below a marked element, read
+    off the nested lists: the reference for hfkit.mewos.is_covered."""
+    covered = set()
+    for b, m in enumerate(marked):
+        if m:
+            covered.add(b)
+            covered.update(_below_transitively(lt, b))
+    return len(covered) == len(marked)
 
 
 def _collapse_to_extensional(lt: list[list[bool]]) -> list[list[bool]]:

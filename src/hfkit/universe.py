@@ -251,7 +251,7 @@ class SetUniverse:
         """The n-th von Neumann numeral, built by n+1 := n and its members.
         A call that raises interns nothing."""
         if n < 0:
-            raise ValueError("numerals are non-negative")
+            raise FormatError(f"numeral {n} is negative; numerals are non-negative")
         if n > DEFAULT_NUMERAL_LIMIT:
             raise LimitExceededError(f"numeral {n} exceeds the numeral bound {DEFAULT_NUMERAL_LIMIT}")
         with self._interning() as intern:
@@ -322,6 +322,8 @@ def export_slice(h: SetHandle) -> dict:
     Nodes are topologically sorted (children strictly earlier) and each
     node is the sorted array of its children's positions.
     """
+    if not (isinstance(h, SetHandle) and isinstance(h.universe, SetUniverse)):
+        raise ForeignHandleError(f"{h!r} is not a handle of a set universe")
     u = h.universe
     ids = u._below_ids(h.id) + [h.id]
     index = {i: pos for pos, i in enumerate(ids)}

@@ -14,11 +14,13 @@ from hfkit import (
     LimitExceededError,
     NotAnOrdinalError,
     PointedGraph,
+    SetHandle,
     SetUniverse,
     bounded_sim,
     bounded_sim_mewo,
     chain,
     elements_ordinal,
+    export_slice,
     enumerate_v,
     from_ordinal,
     gen_random_set,
@@ -234,6 +236,13 @@ def test_rank_quotient_refusal_interns_nothing(u):
         rank_quotient(two, [e, SetUniverse().empty()])
     assert len(u) == before
     assert rank_quotient(two, [one, e, one]).classes == ((0, 2), (1,))
+
+
+def test_slice_readers_refuse_a_non_handle():
+    for call in (export_slice, mewo_of_set, mewo_of_set_literal):
+        for h in ("x", 42, None, SetHandle("not a universe", 0)):
+            with pytest.raises(ForeignHandleError, match="is not a handle of a set universe"):
+                call(h)
 
 
 def test_elements_ordinal(u):

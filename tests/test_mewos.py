@@ -13,6 +13,7 @@ import pytest
 from hfkit import (
     CyclicError,
     ExtensionalityError,
+    GenConfig,
     PointedGraph,
     SetUniverse,
     ValidationError,
@@ -26,6 +27,7 @@ from hfkit import (
     enum_simulations,
     equal_by_permutation,
     from_ordinal,
+    gen_random_mewo,
     is_covered,
     is_simulation,
     mark_all,
@@ -538,6 +540,66 @@ def test_codes_cache_shared_by_threads_in_two_universes(covered_pool):
     def worker(k):
         results[k] = [simulation_mewo(X, Y, universes[(k + i) % 2])
                       for i, (X, Y) in enumerate(itertools.product(pool, pool))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == expected for r in results)
+
+
+def _decide_all(pool, u) -> list[tuple]:
+    return [(simulation_mewo(X, Y, u), bounded_sim_mewo(X, Y, u), mewo_equal(X, Y, u),
+             principality_check(X, Y, u), partial_sim(X, Y, u)) for X in pool for Y in pool]
+
+
+def test_cached_cover_agrees_with_the_code_count(mewo_pool):
+    # X is covered exactly when the set its marked elements present has
+    # X.size hereditary members: the codes of the covered elements
+    randoms = list(gen_random_mewo(GenConfig(seed=16, max_width=6, count=200)))
+    u = SetUniverse()
+    for X in mewo_pool + randoms:
+        Y = Mewo(X.preds, X.marks)  # a fresh copy: no cover or codes kept yet
+        covered = is_covered(Y)
+        assert Y._covered is covered and is_covered(Y) is covered
+        assert covered == (len(u._below_ids(_collapse(Y, u)[0][Y.size])) == Y.size)
+    assert {is_covered(X) for X in randoms} == {True, False}
+
+
+def test_warm_decisions_walk_nothing(mewo_pool, monkeypatch):
+    # once cover and codes are kept on the mewos, a sweep only reads them
+    pool = [Mewo(X.preds, X.marks) for X in mewo_pool]
+    u = SetUniverse()
+    warm = _decide_all(pool, u)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm decision walked the mewo or the universe")
+
+    import hfkit.mewos as mewos_module
+
+    monkeypatch.setattr(mewos_module, "_below", forbidden)
+    for name in ("_below_ids", "_collapse_ids"):
+        monkeypatch.setattr(SetUniverse, name, forbidden)
+    assert _decide_all(pool, u) == warm
+
+
+def test_decisions_on_fresh_copies_shared_by_threads(mewo_pool):
+    # four threads race to fill the cover and codes of the same fresh copies
+    originals = mewo_pool[::3]  # covered and uncovered, sizes 0 to 4
+    expected = _decide_all(originals, SetUniverse())
+    pool = [Mewo(X.preds, X.marks) for X in originals]
+    universes = [SetUniverse(), SetUniverse()]
+    results = [None] * 4
+
+    def worker(k):
+        results[k] = _decide_all(pool, universes[k % 2])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,14 @@ def test_gen_random_mewo_covered_filter():
     assert all(is_covered(m) for m in got)
 
 
+def test_gen_random_mewo_covered_stream_is_the_covered_part_of_the_stream():
+    # the filter is the oracle's own cover predicate; it skips exactly the
+    # mewos that is_covered refuses, and draws as the unfiltered stream does
+    got = list(gen_random_mewo(GenConfig(seed=22, max_width=5, count=60), covered_only=True))
+    stream = gen_random_mewo(GenConfig(seed=22, max_width=5, count=1000))
+    assert list(itertools.islice(filter(is_covered, stream), 60)) == got
+
+
 FAST_PATH_MODULES = {"universe", "ordinals", "mewos", "correspondence"}
 
 
@@ -162,5 +171,7 @@ def test_oracle_borrows_no_fast_path_helper():
     }
     assert {"SetUniverse", "FinOrd", "Mewo", "validate_mewo"} <= borrowed
     assert [name for name in borrowed if name.startswith("_")] == []
+    # data types and the validator, no decision: not even is_covered
+    assert borrowed <= {"SetUniverse", "SetHandle", "PointedGraph", "FinOrd", "Mewo", "validate_mewo"}
     private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
     assert private == []

@@ -170,6 +170,14 @@ def test_von_neumann_limit(u):
         u.von_neumann(1025)
 
 
+def test_von_neumann_refuses_a_negative_numeral(u):
+    # an HfkitError that callers catching ValueError still catch; nothing interned
+    with pytest.raises(FormatError, match="numeral -1 is negative") as info:
+        u.von_neumann(-1)
+    assert isinstance(info.value, HfkitError) and isinstance(info.value, ValueError)
+    assert len(u) == 0
+
+
 def test_rank(u):
     e = u.empty()
     assert u.rank_nat(e) == 0
