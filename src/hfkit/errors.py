@@ -8,7 +8,7 @@ class HfkitError(Exception):
 
 
 class ForeignHandleError(HfkitError):
-    """A set handle was used with a universe it does not belong to."""
+    """A set handle was used with a universe it does not belong to, or names no set of it."""
 
 
 class LimitExceededError(HfkitError):

@@ -45,18 +45,15 @@ from .universe import SetHandle, SetUniverse, _below
 class Mewo:
     """A validated marked order. Construct via validate_mewo or the builders;
     the constructor trusts `preds` to be wellfounded and extensional and
-    `marks` to hold one bool per element."""
+    `marks` to hold one bool per element. Equality and hash compare `preds` and `marks`."""
 
-    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_key", "_hash", "_covered", "_collapsed",
-                 "_base_codes")
+    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_covered", "_collapsed", "_base_codes")
 
     def __init__(self, preds: tuple[tuple[int, ...], ...], marks):
         self.size = len(preds)
         self.preds = preds
         self.marks = tuple(marks)
-        self._lt = self._marked = None
-        self._key = (preds, self.marks)  # what equality compares
-        self._hash = self._covered = None  # computed on first use: see __hash__, is_covered
+        self._lt = self._marked = self._covered = None  # computed on first use; see is_covered
         self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
         self._base_codes = None  # for a singleton, what its base carried: see _collapse
 
@@ -84,12 +81,10 @@ class Mewo:
         return self._marked
 
     def __eq__(self, other):
-        return isinstance(other, Mewo) and self._key == other._key
+        return isinstance(other, Mewo) and (self.preds, self.marks) == (other.preds, other.marks)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key)
-        return self._hash
+        return hash((self.preds, self.marks))
 
     def __repr__(self):
         return f"Mewo(size={self.size}, lt={_pairs(self)}, marked={self.marked_elements()})"

@@ -1,12 +1,12 @@
 """Surface syntax for sets and session commands.
 
     expr  := '{' [expr {',' expr}] '}' | NAT | IDENT
-    stmt  := 'let' IDENT '=' rhs | CMD arg {arg} | arg [('in'|'sub'|'eq') arg]
+    stmt  := 'let' IDENT '=' rhs | CMD arg {arg} | arg [CMD2 arg]
     rhs   := CMD arg {arg} | arg
 
-Numerals are shorthand for their von Neumann sets. Commands: canon, rank,
-ord?, transitive?, in, sub, phi, psi, tomewo, tov, eq, dot, json; the
-relational ones may also be written infix.
+Numerals are shorthand for their von Neumann sets. The commands (CMD) are
+the keys of `session.COMMAND_TABLE`, read when a parse starts; they and
+`let` are reserved, and those of two arguments (CMD2) may be written infix.
 """
 
 from __future__ import annotations
@@ -17,22 +17,6 @@ from typing import NamedTuple
 
 from .errors import ParseError
 
-COMMANDS = (
-    "canon",
-    "rank",
-    "ord?",
-    "transitive?",
-    "in",
-    "sub",
-    "phi",
-    "psi",
-    "tomewo",
-    "tov",
-    "eq",
-    "dot",
-    "json",
-)
-INFIX_COMMANDS = ("in", "sub", "eq")
 # Parsing and evaluation recurse once per open brace; this bound keeps both
 # well under the interpreter's default recursion limit of 1000.
 MAX_BRACE_DEPTH = 256
@@ -122,6 +106,9 @@ def _tokenize(text: str) -> list[_Tok]:
 
 class _Parser:
     def __init__(self, text: str):
+        from .session import COMMAND_TABLE  # deferred: session imports this module
+
+        self.commands = COMMAND_TABLE
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0  # braces open at the current token
@@ -170,7 +157,7 @@ class _Parser:
                 raise ParseError(tok.line, tok.col, message) from None
             self.next()
             return Numeral(value)
-        if tok.kind == "ident" and tok.text not in COMMANDS and tok.text != "let":
+        if tok.kind == "ident" and tok.text not in self.commands and tok.text != "let":
             self.next()
             return Ident(tok.text)
         raise self.fail(("'{'", "number", "identifier"))
@@ -178,21 +165,21 @@ class _Parser:
     def command_args(self, name: str) -> Op:
         args = [self.expr()]
         while self.peek().kind in ("{", "nat") or (
-            self.peek().kind == "ident" and self.peek().text not in COMMANDS
+            self.peek().kind == "ident" and self.peek().text not in self.commands
         ):
             args.append(self.expr())
         return Op(name, tuple(args))
 
     def rhs(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text in COMMANDS:
+        if tok.kind == "ident" and tok.text in self.commands:
             self.next()
             return self.command_args(tok.text)
         return self.maybe_infix(self.expr())
 
     def maybe_infix(self, first: Expr) -> Expr:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text in INFIX_COMMANDS:
+        if tok.kind == "ident" and tok.text in self.commands and len(self.commands[tok.text][0]) == 2:
             self.next()
             return Op(tok.text, (first, self.expr()))
         return first
@@ -202,7 +189,7 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "let":
             self.next()
             name = self.expect("ident", ("identifier",)).text
-            if name in COMMANDS:
+            if name in self.commands:
                 raise ParseError(tok.line, tok.col, f"{name!r} is a reserved command name")
             self.expect("=", ("'='",))
             return Let(name, self.rhs())

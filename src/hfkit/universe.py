@@ -3,7 +3,8 @@
 Sets are interned into an append-only arena: each distinct set is stored
 once as the sorted tuple of its children's node ids, so handle equality is
 set equality. Every child id is strictly smaller than its parent's id,
-which makes the membership digraph acyclic by construction.
+which makes the membership digraph acyclic by construction. A query
+takes a handle only from its own universe and with the id of a set in it.
 
 Only fast paths live here, with one cycle finder: the depth-first walk
 `_postorder`, which the collapse and the order validators share. The
@@ -142,7 +143,6 @@ class SetUniverse:
         self._intern: dict[tuple[int, ...], int] = {}
         self._lock = threading.Lock()
         self._rank: dict[int, int] = {}
-        self._st_ordinal: dict[int, bool] = {}
         self._numerals: list[int] = []
 
     def __len__(self) -> int:
@@ -154,7 +154,9 @@ class SetUniverse:
     # -- interning ---------------------------------------------------------
 
     def _own(self, h: SetHandle) -> int:
-        if not isinstance(h, SetHandle) or h.universe is not self:
+        """The id of h, which must be a handle of this universe naming one of its sets."""
+        if not (isinstance(h, SetHandle) and h.universe is self
+                and type(h.id) is int and 0 <= h.id < len(self._children)):
             raise ForeignHandleError(f"{h!r} does not belong to this universe")
         return h.id
 
@@ -224,28 +226,14 @@ class SetUniverse:
         Members have smaller ids, so m is the last child id, and h is an
         ordinal exactly when its children are m's children followed by m and
         m is an ordinal. The check walks down that chain of largest members,
-        one comparison per step (linear in the membership edges), stops at
-        the first failing step or cached answer, and caches the answer for
-        every set on the path. Every member of an ordinal is an ordinal.
+        one comparison per step (linear in the membership edges below h), and
+        stops at the first failing step or at the empty set.
         """
-        cache = self._st_ordinal
         children = self._children
-        i = self._own(h)
-        path = []
-        answer = cache.get(i)
-        while answer is None:
-            path.append(i)
-            cs = children[i]
-            if not cs:
-                answer = True
-            elif children[cs[-1]] != cs[:-1]:
-                answer = False
-            else:
-                i = cs[-1]
-                answer = cache.get(i)
-        for j in path:
-            cache[j] = answer
-        return answer
+        cs = children[self._own(h)]
+        while cs and children[cs[-1]] == cs[:-1]:
+            cs = children[cs[-1]]
+        return not cs
 
     def von_neumann(self, n: int) -> SetHandle:
         """The n-th von Neumann numeral, built by n+1 := n and its members.
@@ -325,7 +313,8 @@ def export_slice(h: SetHandle) -> dict:
     if not (isinstance(h, SetHandle) and isinstance(h.universe, SetUniverse)):
         raise ForeignHandleError(f"{h!r} is not a handle of a set universe")
     u = h.universe
-    ids = u._below_ids(h.id) + [h.id]
+    root = u._own(h)
+    ids = u._below_ids(root) + [root]
     index = {i: pos for pos, i in enumerate(ids)}
     nodes = [[index[c] for c in u._children[i]] for i in ids]
     return {"nodes": nodes, "root": len(ids) - 1}

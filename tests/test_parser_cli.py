@@ -22,6 +22,7 @@ from hfkit import (
     ParseError,
     PointedGraph,
     Session,
+    SetHandle,
     SetUniverse,
     canon,
     chain,
@@ -37,7 +38,6 @@ from hfkit import (
     set_of_mewo,
 )
 from hfkit.parser import (
-    COMMANDS,
     MAX_BRACE_DEPTH,
     Braces,
     Ident,
@@ -191,8 +191,24 @@ def test_eval_mewo_rendering():
     assert out == ["mewo { elems: a b; lt: a<b; marked: b }"]
 
 
-def test_session_table_has_one_entry_per_command():
-    assert sorted(COMMAND_TABLE) == sorted(COMMANDS)
+def test_the_parser_reads_its_commands_from_the_session_table(monkeypatch):
+    program = "size 3\nmeet 2 3\n2 meet 3"
+    sets = (SetHandle,)
+
+    def meet(u, x, y):
+        return u.mk_set(set(u.elements(x)) & set(u.elements(y)))
+
+    with monkeypatch.context() as patch:
+        patch.setitem(COMMAND_TABLE, "size", ((sets,), lambda u, h: len(u.elements(h))))
+        patch.setitem(COMMAND_TABLE, "meet", ((sets, sets), meet))
+        assert Session().run_program(program) == ["3", "{{},{{}}}", "{{},{{}}}"]
+        for name in ("size", "meet"):
+            with pytest.raises(ParseError, match=f"'{name}' is a reserved command name"):
+                Session().run_program(f"let {name} = 1")
+    for text in program.splitlines():
+        with pytest.raises(ParseError):
+            Session().run_program(text)
+    assert parse_program("let size = 1") == [Let("size", Numeral(1))]
 
 
 @pytest.mark.parametrize("program, message", [

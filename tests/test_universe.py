@@ -18,12 +18,14 @@ from hfkit import (
     SetHandle,
     SetUniverse,
     bisimilar,
+    canon,
     enumerate_v,
     export_slice,
     gen_random_set,
     import_slice,
     is_hereditarily_transitive,
     mem_raw,
+    mewo_of_set,
 )
 
 
@@ -237,6 +239,23 @@ def test_foreign_handles_rejected(u):
         u.mk_set([other.empty()])
     with pytest.raises(ForeignHandleError):
         u.mem(other.empty(), u.empty())
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, h: u.elements(h),
+    lambda u, h: u.mem(h, u.empty()),
+    lambda u, h: u.mem(u.empty(), h),
+    lambda u, h: u.rank_nat(h),
+    lambda u, h: u.is_st_ordinal(h),
+    lambda u, h: export_slice(h),
+    lambda u, h: mewo_of_set(h),
+    lambda u, h: canon(h),
+], ids=["elements", "mem-member", "mem-set", "rank_nat", "is_st_ordinal", "export_slice", "mewo_of_set", "canon"])
+def test_handles_naming_no_set_are_refused(u, call):
+    u.von_neumann(2)
+    for bad in (-1, len(u), True):
+        with pytest.raises(ForeignHandleError, match="does not belong to this universe"):
+            call(u, SetHandle(u, bad))
 
 
 def test_node_limit():
