@@ -1,13 +1,13 @@
 """Brute-force reference decisions and structure generators.
 
 Everything here is deliberately naive: simulations are found by trying
-every map or, for ordinals, by matching predecessor sets on the raw
-matrices, isomorphisms by trying every permutation, stages of the set
-hierarchy by taking powersets, ordinals among sets by their definition,
-and the sets that pointed graphs present by bisimulation (`bisimilar`,
-`mem_raw`), the reference for SetUniverse.from_graph.
-`is_simulation` is the one literal statement of the simulation clauses;
-witnesses are checked against it.
+every map, each clause filtering all the maps still standing, or, for
+ordinals, by matching predecessor sets on the raw matrices; isomorphisms by
+trying every permutation the same way, stages of the set hierarchy by
+taking powersets, ordinals among sets by their definition, and the sets
+that pointed graphs present by bisimulation (`bisimilar`, `mem_raw`), the
+reference for SetUniverse.from_graph. The simulation clauses are stated
+once; `is_simulation` applies them to one map, and witnesses are checked by it.
 None of it shares code with the optimized decision procedures it
 cross-checks: it reads `lt` and `marked`, never codes or positions, and
 turns them into nested lists once per call; it walks pointed graphs and
@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import CyclicError, SizeLimitError
+from .errors import CyclicError, FormatError, SizeLimitError
 from .mewos import Mewo, validate_mewo
 from .ordinals import FinOrd
 from .universe import PointedGraph, SetHandle, SetUniverse
@@ -56,18 +56,22 @@ def _pair_lists(X, Y, bounded: str = "") -> tuple:
     return X.lt.tolist(), mx, Y.lt.tolist(), my
 
 
-def _clauses_hold(lt_x, marked_x, lt_y, marked_y, f) -> bool:
+def _simulations(lt_x, marked_x, lt_y, marked_y, maps) -> list[tuple[int, ...]]:
+    """The maps that meet every clause, each clause filtering the maps still standing."""
     n, m = len(lt_x), len(lt_y)
-    if marked_x is not None and any(marked_x[x] and not marked_y[f[x]] for x in range(n)):
-        return False
-    if any(lt_x[x1][x2] and not lt_y[f[x1]][f[x2]] for x1 in range(n) for x2 in range(n)):
-        return False
-    return all(
-        any(lt_x[x1][x2] and f[x1] == y for x1 in range(n))
-        for x2 in range(n)
-        for y in range(m)
-        if lt_y[y][f[x2]]
-    )
+    maps = list(maps)
+    for x in range(n):
+        if marked_x is not None and marked_x[x]:
+            maps = [f for f in maps if marked_y[f[x]]]
+    for x1 in range(n):
+        for x2 in range(n):
+            if lt_x[x1][x2]:
+                maps = [f for f in maps if lt_y[f[x1]][f[x2]]]
+    for x2 in range(n):
+        below = [x1 for x1 in range(n) if lt_x[x1][x2]]
+        for y in range(m):
+            maps = [f for f in maps if not lt_y[y][f[x2]] or any(f[x1] == y for x1 in below)]
+    return maps
 
 
 def is_simulation(X, Y, f) -> bool:
@@ -75,14 +79,19 @@ def is_simulation(X, Y, f) -> bool:
     `lt` and `marked`: marked elements go to marked elements (mewos only),
     x1 < x2 gives f(x1) < f(x2), and everything below f(x2) is the image of
     something below x2. The one literal reference for the simulation
-    witnesses of hfkit.ordinals and hfkit.mewos."""
-    return _clauses_hold(*_pair_lists(X, Y), f)
+    witnesses of hfkit.ordinals and hfkit.mewos. f must list X.size ints,
+    each an element of Y; otherwise FormatError names its first bad position."""
+    lists = _pair_lists(X, Y)
+    for i in range(max(len(f), X.size)):
+        if i >= min(len(f), X.size) or type(f[i]) is not int or not 0 <= f[i] < Y.size:
+            raise FormatError(f"not a map from {X.size} to {Y.size} elements: position {i} of {tuple(f)!r}")
+    return bool(_simulations(*lists, [f]))
 
 
 def enum_simulations(X, Y) -> list[tuple[int, ...]]:
-    """All maps X -> Y that is_simulation accepts, found by trying every one."""
+    """All maps X -> Y that is_simulation accepts: every map is tried, clause by clause."""
     lists = _pair_lists(X, Y, "enum_simulations")
-    return [f for f in product(range(Y.size), repeat=X.size) if _clauses_hold(*lists, f)]
+    return _simulations(*lists, product(range(Y.size), repeat=X.size))
 
 
 def simulation_by_predecessors(alpha: FinOrd, beta: FinOrd) -> tuple[int, ...] | None:
@@ -105,16 +114,18 @@ def simulation_by_predecessors(alpha: FinOrd, beta: FinOrd) -> tuple[int, ...] |
 
 
 def _iso_maps(lt_x, marked_x, lt_y, marked_y) -> list[tuple[int, ...]]:
+    """The permutations that carry each element's marking, then each (a, b) cell, across."""
     n = len(lt_x)
     if n != len(lt_y):
         return []
-    out = []
-    for p in permutations(range(n)):
-        if marked_x is not None and any(marked_x[x] != marked_y[p[x]] for x in range(n)):
-            continue
-        if all(lt_x[a][b] == lt_y[p[a]][p[b]] for a in range(n) for b in range(n)):
-            out.append(p)
-    return out
+    maps = list(permutations(range(n)))
+    if marked_x is not None:
+        for x in range(n):
+            maps = [p for p in maps if marked_y[p[x]] == marked_x[x]]
+    for a in range(n):
+        for b in range(n):
+            maps = [p for p in maps if lt_y[p[a]][p[b]] == lt_x[a][b]]
+    return maps
 
 
 def equal_by_permutation(X, Y) -> bool:
@@ -274,12 +285,14 @@ def enumerate_mewos(size: int) -> list[Mewo]:
     """All mewos on a carrier of exactly `size` elements, up to relabeling.
 
     Every acyclic relation is filtered for extensionality and crossed with
-    every marking; candidates are deduplicated by the least matrix under
-    all carrier permutations.
+    every marking; candidates are deduplicated by the least (matrix, marking)
+    under all carrier permutations: each relation is relabeled once, and its
+    markings only by the permutations that give the least matrix.
     """
     if size > ENUM_MEWO_LIMIT:
         raise SizeLimitError(f"enumerate_mewos is bounded at size {ENUM_MEWO_LIMIT}")
     slots = [(i, j) for i in range(size) for j in range(size) if i != j]
+    perms = list(permutations(range(size)))
     out: dict[tuple, Mewo] = {}
     for bits in range(1 << len(slots)):
         lt = [[False] * size for _ in range(size)]
@@ -288,9 +301,12 @@ def enumerate_mewos(size: int) -> list[Mewo]:
                 lt[i][j] = True
         if _has_cycle(lt) or not _is_extensional(lt):
             continue
+        relabeled = [tuple(lt[a][b] for a in p for b in p) for p in perms]
+        least = min(relabeled)
+        best = [p for p, r in zip(perms, relabeled) if r == least]
         for mbits in range(1 << size):
             marked = [mbits >> i & 1 == 1 for i in range(size)]
-            key = _canonical_key(lt, marked)
+            key = (least, min(tuple(marked[a] for a in p) for p in best))
             if key not in out:
                 out[key] = validate_mewo(size, lt, marked)
     return [out[k] for k in sorted(out)]
@@ -308,14 +324,6 @@ def _has_cycle(lt) -> bool:
 
 def _is_extensional(lt) -> bool:
     return len({tuple(row[x] for row in lt) for x in range(len(lt))}) == len(lt)
-
-
-def _canonical_key(lt, marked) -> tuple:
-    """The least (relabeled matrix, relabeled marking), both read row-major."""
-    return min(
-        (tuple(lt[a][b] for a in p for b in p), tuple(marked[a] for a in p))
-        for p in permutations(range(len(lt)))
-    )
 
 
 def gen_random_set(cfg: GenConfig, u: SetUniverse):

@@ -189,7 +189,7 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "let":
             self.next()
             name = self.expect("ident", ("identifier",)).text
-            if name in self.commands:
+            if name in self.commands or name == "let":
                 raise ParseError(tok.line, tok.col, f"{name!r} is a reserved command name")
             self.expect("=", ("'='",))
             return Let(name, self.rhs())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 import hfkit.oracle
 
 from hfkit import (
+    FormatError,
     GenConfig,
+    HfkitError,
     SetUniverse,
     SizeLimitError,
     chain,
@@ -21,11 +24,13 @@ from hfkit import (
     gen_random_mewo,
     gen_random_set,
     is_covered,
+    is_simulation,
     mewo_equal,
     mewo_of_set,
     set_of_mewo,
     validate_mewo,
 )
+from test_ordinals import labeled_ordinals
 
 
 def test_enum_simulations_ordinal_pair():
@@ -49,6 +54,17 @@ def test_enum_simulations_type_mismatch(fixtures_mewos):
     bullet, _, _, _ = fixtures_mewos
     with pytest.raises(TypeError):
         enum_simulations(bullet, chain(1))
+
+
+def test_is_simulation_refuses_what_is_not_a_map(fixtures_mewos):
+    # each entry must be a plain int naming an element of Y, one per element of X
+    bullet = fixtures_mewos[0]
+    assert is_simulation(bullet, bullet, (0,))
+    for f, position in (((-1,), 0), ((), 0), ((1,), 0), ((True,), 0), ((0, 0), 1)):
+        with pytest.raises(FormatError, match=f"position {position} of"):
+            is_simulation(bullet, bullet, f)
+    with pytest.raises(FormatError, match="position 1 of"):
+        is_simulation(chain(3), chain(3), [0, 3, 2])
 
 
 def test_enum_bounded_sims(fixtures_mewos):
@@ -175,3 +191,102 @@ def test_oracle_borrows_no_fast_path_helper():
     assert borrowed <= {"SetUniverse", "SetHandle", "PointedGraph", "FinOrd", "Mewo", "validate_mewo"}
     private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
     assert private == []
+
+
+# -- the clause filters against the clauses map by map -----------------------
+#
+# References that judge one map at a time: one predicate per map for
+# simulations, one check per permutation for isomorphisms, and the least
+# relabeling over all permutations per candidate. The oracle's filters,
+# which judge all maps clause by clause, must give exactly what these give.
+
+
+def _clauses_hold(lt_x, marked_x, lt_y, marked_y, f) -> bool:
+    n, m = len(lt_x), len(lt_y)
+    if marked_x is not None and any(marked_x[x] and not marked_y[f[x]] for x in range(n)):
+        return False
+    if any(lt_x[x1][x2] and not lt_y[f[x1]][f[x2]] for x1 in range(n) for x2 in range(n)):
+        return False
+    return all(
+        any(lt_x[x1][x2] and f[x1] == y for x1 in range(n))
+        for x2 in range(n)
+        for y in range(m)
+        if lt_y[y][f[x2]]
+    )
+
+
+def _is_iso(lt_x, marked_x, lt_y, marked_y, p) -> bool:
+    n = len(lt_x)
+    if marked_x is not None and any(marked_x[x] != marked_y[p[x]] for x in range(n)):
+        return False
+    return all(lt_x[a][b] == lt_y[p[a]][p[b]] for a in range(n) for b in range(n))
+
+
+def _lists(X):
+    return X.lt.tolist(), X.marked.tolist() if hasattr(X, "marks") else None
+
+
+def _map_by_map(X, Y):
+    (lt_x, mx), (lt_y, my) = _lists(X), _lists(Y)
+    sims = [
+        f for f in itertools.product(range(Y.size), repeat=X.size) if _clauses_hold(lt_x, mx, lt_y, my, f)
+    ]
+    bounded = []
+    for b in range(Y.size):
+        if my is not None and not my[b]:
+            continue
+        reach = {i for i in range(Y.size) if lt_y[i][b]}
+        while True:
+            more = reach | {i for i in range(Y.size) for j in reach if lt_y[i][j]}
+            if more == reach:
+                break
+            reach = more
+        reach = sorted(reach)
+        seg = [[lt_y[i][j] for j in reach] for i in reach]
+        seg_marked = None if my is None else [lt_y[i][b] for i in reach]
+        if len(reach) == X.size:
+            bounded += [
+                (b, tuple(reach[i] for i in p))
+                for p in itertools.permutations(range(X.size))
+                if _is_iso(lt_x, mx, seg, seg_marked, p)
+            ]
+    equal = X.size == Y.size and any(
+        _is_iso(lt_x, mx, lt_y, my, p) for p in itertools.permutations(range(X.size))
+    )
+    return sims, bounded, equal
+
+
+def test_filters_give_exactly_the_maps_the_clauses_accept_map_by_map(small_mewo_pool, mewo_pool):
+    rng = random.Random(18)
+    size4 = [X for X in mewo_pool if X.size == 4]
+    pairs = list(itertools.product(small_mewo_pool, repeat=2))
+    pairs += list(itertools.product(labeled_ordinals(5, all_perms_upto=3, samples=2, seed=18), repeat=2))
+    pairs += [(rng.choice(size4), rng.choice(size4)) for _ in range(60)]
+    for X, Y in pairs:
+        got = enum_simulations(X, Y), enum_bounded_sims(X, Y), equal_by_permutation(X, Y)
+        assert got == _map_by_map(X, Y), (X, Y)
+
+
+def _least_relabeling(lt, marked):
+    return min(
+        (tuple(lt[a][b] for a in p for b in p), tuple(marked[a] for a in p))
+        for p in itertools.permutations(range(len(lt)))
+    )
+
+
+def test_enumerate_mewos_keeps_the_first_candidate_of_each_least_relabeling():
+    for size in range(4):
+        slots = [(i, j) for i in range(size) for j in range(size) if i != j]
+        out = {}
+        for bits in range(1 << len(slots)):
+            lt = [[False] * size for _ in range(size)]
+            for k, (i, j) in enumerate(slots):
+                lt[i][j] = bool(bits >> k & 1)
+            try:
+                validate_mewo(size, lt, [False] * size)
+            except HfkitError:
+                continue
+            for mbits in range(1 << size):
+                marked = [mbits >> i & 1 == 1 for i in range(size)]
+                out.setdefault(_least_relabeling(lt, marked), validate_mewo(size, lt, marked))
+        assert enumerate_mewos(size) == [out[k] for k in sorted(out)]

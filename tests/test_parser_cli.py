@@ -202,7 +202,7 @@ def test_the_parser_reads_its_commands_from_the_session_table(monkeypatch):
         patch.setitem(COMMAND_TABLE, "size", ((sets,), lambda u, h: len(u.elements(h))))
         patch.setitem(COMMAND_TABLE, "meet", ((sets, sets), meet))
         assert Session().run_program(program) == ["3", "{{},{{}}}", "{{},{{}}}"]
-        for name in ("size", "meet"):
+        for name in ("size", "meet", "let"):
             with pytest.raises(ParseError, match=f"'{name}' is a reserved command name"):
                 Session().run_program(f"let {name} = 1")
     for text in program.splitlines():
