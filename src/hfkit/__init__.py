@@ -93,6 +93,7 @@ from .oracle import (
     is_hereditarily_transitive,
     is_simulation,
     mem_raw,
+    partial_sim_by_segments,
     simulation_by_predecessors,
 )
 from .parser import parse, parse_program, format_expr

@@ -8,17 +8,25 @@ are the only place this module imports numpy. Marked elements play the
 role of the top-level members of the set the structure presents; the
 other elements present members of members.
 
-Equality, simulation and bounded simulation are decided through Mostowski
-codes alone: each element is collapsed bottom-up to the canonical set of
-its direct predecessors' codes, by one walk of the universe's collapse
-that also gives the set the mewo presents. Extensionality plus
-wellfoundedness make this coding injective on the carrier, so matching
-codes decides structure equality. X < Y (X is the segment below a marked
-element of Y) holds exactly when X is covered and the set of the codes of
-X's marked elements is the code of a marked element of Y; cover is a
-property of X alone, found on first use and kept on X, so no decision
-walks anything once the codes are cached. The brute-force permutation and
-map searches in hfkit.oracle stay the authoritative cross-check.
+All four decisions (equality, simulation, bounded simulation and
+principality) are read off Mostowski codes alone: each element is
+collapsed bottom-up to the canonical set of its direct predecessors'
+codes, by one walk of the universe's collapse that also gives the set the
+mewo presents, the set of its marked elements' codes. Extensionality plus
+wellfoundedness make this coding injective on the carrier, so:
+- X equals Y exactly when both carry the same codes (a code-preserving
+  bijection is an isomorphism) and present the same set;
+- a simulation X -> Y sends each x to the element of Y with its code, and
+  exists when every code has a partner and marked goes to marked;
+- X < Y (X is the segment below a marked element of Y) holds exactly when
+  X is covered and the set X presents is the code of a marked element of
+  Y; cover is a property of X alone, found on first use and kept on X;
+- principality fails exactly when every marked x has a marked partner but
+  some x has none, since a simulation restricts to a partial one.
+No decision walks anything once the codes are cached. The brute-force
+permutation, map and segment searches in hfkit.oracle stay the
+authoritative cross-check. A value that is not a Mewo is a
+ValidationError naming its kind.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import weakref
 from itertools import compress
 
-from .errors import ExtensionalityError, FormatError
+from .errors import ExtensionalityError, FormatError, ValidationError
 from .ordinals import (
     BoundedSimWitness,
     FinOrd,
@@ -109,9 +117,17 @@ def _restrict(X: Mewo, idxs: list[int], marked) -> Mewo:
 
 def is_covered(X: Mewo) -> bool:
     """Every element sits reflexive-transitively below some marked element; kept on X."""
-    if X._covered is None:
-        X._covered = all(covered_mask(X))
-    return X._covered
+    try:
+        covered = X._covered
+    except AttributeError:
+        raise _not_a_mewo(X) from None
+    if covered is None:
+        covered = X._covered = all(covered_mask(X))
+    return covered
+
+
+def _not_a_mewo(value) -> ValidationError:
+    return ValidationError(f"expected a Mewo, got {type(value).__name__}")
 
 
 def covered_mask(X: Mewo) -> list[bool]:
@@ -171,7 +187,10 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
     the base presents, and it presents the singleton of that code, one
     intern. It keeps the base's codes, never the base, so a chain of
     singletons holds one mewo."""
-    got = X._collapsed
+    try:
+        got = X._collapsed
+    except AttributeError:
+        raise _not_a_mewo(X) from None
     if got is None or got[0]() is not u:
         base = X._base_codes
         if base is not None and base[0]() is u:
@@ -191,10 +210,13 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
 
 
 def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
-    """Equality as marked orders: between equal sizes the simulation is a code
-    bijection, so X equals Y when it exists and reflects the marking too."""
-    w = simulation_mewo(X, Y, u) if X.size == Y.size else None
-    return w is not None and X.marks == tuple(map(Y.marks.__getitem__, w.mapping))
+    """Equality as marked orders, read off the codes: X equals Y exactly when
+    both carry the same codes (a code-preserving bijection is an isomorphism)
+    and present the same set (the same marked codes)."""
+    u = u if u is not None else SetUniverse()
+    cx, index_x = _collapse(X, u)
+    cy, index_y = _collapse(Y, u)
+    return cx[X.size] == cy[Y.size] and index_x.keys() == index_y.keys()
 
 
 def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitness | None:
@@ -223,11 +245,11 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedS
     keeps on X, so no call walks X or the universe. The equivalence sends
     each x to the element of Y with the same code.
     """
+    u = u if u is not None else SetUniverse()
+    _, index_y = _collapse(Y, u)
     if not is_covered(X):
         return None
-    u = u if u is not None else SetUniverse()
     cx, _ = _collapse(X, u)
-    _, index_y = _collapse(Y, u)
     y = index_y.get(cx[X.size])  # the set X presents: its marked elements' codes
     if y is None or not Y.marks[y]:
         return None
@@ -246,11 +268,20 @@ def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int
 def principality_check(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
     """Does a partial simulation into Y determine a full one and vice versa?
 
-    Both sides are unique when they exist, so the restriction map is an
-    equivalence for this Y exactly when existence coincides.
+    Both sides are unique when they exist, and a simulation restricts to a
+    partial one, so the check fails exactly when every marked x has a
+    marked partner in Y but some x has no partner at all.
     """
     u = u if u is not None else SetUniverse()
-    return (simulation_mewo(X, Y, u) is not None) == (partial_sim(X, Y, u) is not None)
+    cx, _ = _collapse(X, u)
+    _, index_y = _collapse(Y, u)
+    f = list(map(index_y.get, cx[:X.size]))
+    if None not in f:
+        return True
+    for y in compress(f, X.marks):
+        if y is None or not Y.marks[y]:
+            return True
+    return False
 
 
 def singleton(X: Mewo) -> Mewo:

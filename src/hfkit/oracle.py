@@ -3,17 +3,19 @@
 Everything here is deliberately naive: simulations are found by trying
 every map, each clause filtering all the maps still standing, or, for
 ordinals, by matching predecessor sets on the raw matrices; isomorphisms by
-trying every permutation the same way, stages of the set hierarchy by
+trying every permutation the same way, partial simulations by matching
+initial segments up to isomorphism, stages of the set hierarchy by
 taking powersets, ordinals among sets by their definition, and the sets
 that pointed graphs present by bisimulation (`bisimilar`, `mem_raw`), the
 reference for SetUniverse.from_graph. The simulation clauses are stated
 once; `is_simulation` applies them to one map, and witnesses are checked by it.
 None of it shares code with the optimized decision procedures it
-cross-checks: it reads `lt` and `marked`, never codes or positions, and
-turns them into nested lists once per call; it walks pointed graphs and
-relations with walks of its own. The generators build their
-relations as nested lists of bools and never read those views, so
-enumerating or generating mewos does not import numpy.
+cross-checks: it reads an ordinal's `lt` and a mewo's `preds` and
+`marks`, never codes or positions, and turns them into nested lists once
+per call; it walks pointed graphs and relations with walks of its own.
+The generators build their relations as nested lists of bools and never
+read the numpy views, so enumerating, generating or comparing mewos does
+not import numpy.
 """
 
 from __future__ import annotations
@@ -44,16 +46,27 @@ class GenConfig:
 
 
 def _pair_lists(X, Y, bounded: str = "") -> tuple:
-    """`lt` of X and of Y as nested lists, each followed by its `marked` as
-    a list for two mewos, or by None for two ordinals. With `bounded`, the
-    name of the caller, sizes past ENUM_SIM_LIMIT are refused."""
+    """The order of X and of Y as nested lists, each followed by its marking
+    as a list for two mewos (both read off `preds` and `marks`), or by None
+    for two ordinals (read off `lt`). With `bounded`, the name of the
+    caller, sizes past ENUM_SIM_LIMIT are refused."""
     with_marking = isinstance(X, Mewo) and isinstance(Y, Mewo)
     if not (with_marking or isinstance(X, FinOrd) and isinstance(Y, FinOrd)):
         raise TypeError("expected two FinOrds or two Mewos")
     if bounded and max(X.size, Y.size) > ENUM_SIM_LIMIT:
         raise SizeLimitError(f"{bounded} is bounded at size {ENUM_SIM_LIMIT}")
-    mx, my = (X.marked.tolist(), Y.marked.tolist()) if with_marking else (None, None)
-    return X.lt.tolist(), mx, Y.lt.tolist(), my
+    if not with_marking:
+        return X.lt.tolist(), None, Y.lt.tolist(), None
+    return _lt_of_preds(X.preds), list(X.marks), _lt_of_preds(Y.preds), list(Y.marks)
+
+
+def _lt_of_preds(preds) -> list[list[bool]]:
+    """The nested-list matrix of a mewo's direct predecessor lists."""
+    lt = [[False] * len(preds) for _ in preds]
+    for x, ps in enumerate(preds):
+        for p in ps:
+            lt[p][x] = True
+    return lt
 
 
 def _simulations(lt_x, marked_x, lt_y, marked_y, maps) -> list[tuple[int, ...]]:
@@ -76,11 +89,12 @@ def _simulations(lt_x, marked_x, lt_y, marked_y, maps) -> list[tuple[int, ...]]:
 
 def is_simulation(X, Y, f) -> bool:
     """Is the element map f: X -> Y a simulation, by its clauses read off
-    `lt` and `marked`: marked elements go to marked elements (mewos only),
-    x1 < x2 gives f(x1) < f(x2), and everything below f(x2) is the image of
-    something below x2. The one literal reference for the simulation
-    witnesses of hfkit.ordinals and hfkit.mewos. f must list X.size ints,
-    each an element of Y; otherwise FormatError names its first bad position."""
+    the nested lists of `_pair_lists`: marked elements go to marked
+    elements (mewos only), x1 < x2 gives f(x1) < f(x2), and everything
+    below f(x2) is the image of something below x2. The one literal
+    reference for the simulation witnesses of hfkit.ordinals and
+    hfkit.mewos. f must list X.size ints, each an element of Y; otherwise
+    FormatError names its first bad position."""
     lists = _pair_lists(X, Y)
     for i in range(max(len(f), X.size)):
         if i >= min(len(f), X.size) or type(f[i]) is not int or not 0 <= f[i] < Y.size:
@@ -145,12 +159,36 @@ def enum_bounded_sims(X, Y) -> list[tuple[int, tuple[int, ...]]]:
     for b in range(Y.size):
         if marked_y is not None and not marked_y[b]:
             continue
-        reach = _below_transitively(lt_y, b)
-        seg = [[lt_y[i][j] for j in reach] for i in reach]
-        seg_marked = None if marked_y is None else [lt_y[i][b] for i in reach]
-        for p in _iso_maps(lt_x, marked_x, seg, seg_marked):
+        reach, seg, seg_marked = _segment(lt_y, b)
+        for p in _iso_maps(lt_x, marked_x, seg, seg_marked):  # the marking counts for mewos only
             found.append((b, tuple(reach[i] for i in p)))
     return found
+
+
+def partial_sim_by_segments(X: Mewo, Y: Mewo) -> dict[int, int] | None:
+    """The partial simulation of two mewos, by isomorphism of segments: each
+    marked x goes to the marked y whose segment is isomorphic to the segment
+    below x, each segment carrying the inherited order with the direct
+    predecessors of its bound marked; None when some marked x has no such y."""
+    lt_x, marked_x, lt_y, marked_y = _pair_lists(X, Y, "partial_sim_by_segments")
+    if marked_x is None:
+        raise TypeError("expected two Mewos")
+    f = {}
+    for x in range(X.size):
+        if marked_x[x]:
+            seg_x = _segment(lt_x, x)[1:]
+            ys = [y for y in range(Y.size) if marked_y[y] and _iso_maps(*seg_x, *_segment(lt_y, y)[1:])]
+            if not ys:
+                return None
+            f[x] = ys[0]
+    return f
+
+
+def _segment(lt, b: int) -> tuple[list[int], list[list[bool]], list[bool]]:
+    """The elements transitively below b, then the inherited order on them
+    and their marking by the direct predecessors of b."""
+    reach = _below_transitively(lt, b)
+    return reach, [[lt[i][j] for j in reach] for i in reach], [lt[i][b] for i in reach]
 
 
 def _below_transitively(lt, b: int) -> list[int]:

@@ -27,7 +27,7 @@ DEFAULT_NODE_LIMIT = 1 << 20
 DEFAULT_NUMERAL_LIMIT = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetHandle:
     """Canonical reference to one set in a universe.
 

@@ -777,3 +777,34 @@ def test_dot_marks_filled(fixtures_mewos):
     dot = mewo_to_dot(cb)
     assert "a -> b" in dot
     assert dot.count("style=filled") == 1
+
+
+def test_equality_and_principality_keep_their_former_definitions(mewo_pool):
+    # the definitions the code-read answers must meet: equality is a
+    # simulation between equal sizes that reflects the marking, and
+    # principality is a simulation existing exactly when a partial one does
+    u = SetUniverse()
+    for X in mewo_pool:
+        for Y in mewo_pool:
+            w = simulation_mewo(X, Y, u)
+            reflects = w is not None and X.size == Y.size and X.marks == tuple(Y.marks[y] for y in w.mapping)
+            assert mewo_equal(X, Y, u) == reflects, (X, Y)
+            assert principality_check(X, Y, u) == ((w is not None) == (partial_sim(X, Y, u) is not None)), (X, Y)
+
+
+@pytest.mark.parametrize("decide", [simulation_mewo, bounded_sim_mewo, mewo_equal, principality_check, partial_sim],
+                         ids=lambda f: f.__name__)
+def test_a_non_mewo_is_a_typed_error(decide):
+    # covered and uncovered partners, the FinOrd of the same size as one of them
+    for good in (from_ordinal(chain(2)), Mewo(((),), (False,))):
+        for bad in (chain(2), "x", None):
+            for args in ((good, bad), (bad, good)):
+                for u in ((), (SetUniverse(),)):
+                    with pytest.raises(ValidationError, match=f"expected a Mewo, got {type(bad).__name__}$"):
+                        decide(*args, *u)
+
+
+def test_cover_of_a_non_mewo_is_a_typed_error():
+    for bad in (chain(2), "x", None):
+        with pytest.raises(ValidationError, match=f"expected a Mewo, got {type(bad).__name__}$"):
+            is_covered(bad)

@@ -27,9 +27,13 @@ from hfkit import (
     is_simulation,
     mewo_equal,
     mewo_of_set,
+    partial_sim,
+    partial_sim_by_segments,
+    principality_check,
     set_of_mewo,
     validate_mewo,
 )
+from hfkit.oracle import _pair_lists
 from test_ordinals import labeled_ordinals
 
 
@@ -290,3 +294,34 @@ def test_enumerate_mewos_keeps_the_first_candidate_of_each_least_relabeling():
                 marked = [mbits >> i & 1 == 1 for i in range(size)]
                 out.setdefault(_least_relabeling(lt, marked), validate_mewo(size, lt, marked))
         assert enumerate_mewos(size) == [out[k] for k in sorted(out)]
+
+
+def test_pair_lists_of_mewos_are_the_numpy_forms_as_lists(mewo_pool):
+    randoms = list(gen_random_mewo(GenConfig(seed=19, max_width=6, count=100)))
+    for X in mewo_pool + randoms:
+        assert _pair_lists(X, X) == (X.lt.tolist(), X.marked.tolist()) * 2
+
+
+def test_partial_sim_by_segments_fixtures(fixtures_mewos):
+    bullet, circ, cb, emp = fixtures_mewos
+    assert partial_sim_by_segments(bullet, cb) is None
+    assert partial_sim_by_segments(cb, cb) == {1: 1}
+    assert partial_sim_by_segments(circ, emp) == {}
+    with pytest.raises(TypeError):
+        partial_sim_by_segments(chain(1), chain(1))
+
+
+def test_partial_sims_and_principality_match_the_segment_reference(mewo_pool):
+    # every pair of sizes <= 2 and a seeded sample of the rest
+    rng = random.Random(19)
+    small = [X for X in mewo_pool if X.size <= 2]
+    pairs = list(itertools.product(small, repeat=2)) + [tuple(rng.choices(mewo_pool, k=2)) for _ in range(3000)]
+    u = SetUniverse()
+    seen = set()
+    for X, Y in pairs:
+        partial = partial_sim_by_segments(X, Y)
+        principal = bool(enum_simulations(X, Y)) == (partial is not None)
+        assert partial_sim(X, Y, u) == partial, (X, Y)
+        assert principality_check(X, Y, u) == principal, (X, Y)
+        seen.add((partial is not None, principal))
+    assert seen == {(True, True), (True, False), (False, True)}

@@ -241,6 +241,15 @@ def test_foreign_handles_rejected(u):
         u.mem(other.empty(), u.empty())
 
 
+def test_handles_are_frozen_slotted_values(u):
+    h = u.von_neumann(2)
+    assert h == SetHandle(u, h.id) and hash(h) == hash(SetHandle(u, h.id))
+    assert h != SetHandle(SetUniverse(), h.id)
+    assert not hasattr(h, "__dict__")
+    with pytest.raises(AttributeError):
+        h.id = 0
+
+
 @pytest.mark.parametrize("call", [
     lambda u, h: u.elements(h),
     lambda u, h: u.mem(h, u.empty()),
