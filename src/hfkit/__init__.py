@@ -94,7 +94,6 @@ from .oracle import (
     is_simulation,
     mem_raw,
     partial_sim_by_segments,
-    simulation_by_predecessors,
 )
 from .parser import parse, parse_program, format_expr
 from .session import Session, canon, render, set_to_dot

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAnOrdinalError
+from .errors import NotAnOrdinalError, ValidationError
 from .mewos import Mewo, _collapse, singleton, union
 from .ordinals import FinOrd, chain
-from .universe import SetHandle, SetUniverse, export_slice
+from .universe import SetHandle, SetUniverse, _universe_of, export_slice
 
 
 def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
@@ -39,6 +39,8 @@ def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
     numerals below |alpha|: numeral |alpha|. So phi runs on lengths, as
     psi does, and `SetUniverse.von_neumann` holds it to the numeral bound.
     """
+    if not isinstance(alpha, FinOrd):
+        raise ValidationError(f"expected a FinOrd, got {type(alpha).__name__}")
     return u.von_neumann(alpha.size)
 
 
@@ -51,7 +53,7 @@ def rank_ordinal(h: SetHandle) -> FinOrd:
     one step per membership edge below h), and only the result is built as
     an ordinal: no chain per hereditary member is held.
     """
-    return chain(h.universe.rank_nat(h))
+    return chain(_universe_of(h).rank_nat(h))
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def rank_quotient(h: SetHandle, presentation: list[SetHandle]) -> QuotientRank:
     each class is the rank of its id among the members. Neither check
     interns anything, so a refused presentation leaves the universe as it was.
     """
-    u = h.universe
+    u = _universe_of(h)
     groups: dict[int, list[int]] = {}  # set id -> indices, in order of first appearance
     for idx, member in enumerate(presentation):
         groups.setdefault(u._own(member), []).append(idx)
@@ -92,7 +94,7 @@ def rank_quotient(h: SetHandle, presentation: list[SetHandle]) -> QuotientRank:
 def elements_ordinal(h: SetHandle) -> FinOrd:
     """The members of a hereditarily transitive set, ordered by membership:
     the quotient of the presentation that lists each member once."""
-    return rank_quotient(h, h.universe.elements(h)).ordinal
+    return rank_quotient(h, _universe_of(h).elements(h)).ordinal
 
 
 def set_of_mewo(X: Mewo, u: SetUniverse) -> SetHandle:

@@ -149,8 +149,8 @@ def down_plus(X: Mewo, x: int) -> Mewo:
 
 def down_plus_carrier(X: Mewo, x: int) -> list[int]:
     """Original indices carried by down_plus(X, x), in carrier order."""
-    if not (0 <= x < X.size):
-        raise IndexError(f"element {x} out of range for size {X.size}")
+    if type(x) is not int or not 0 <= x < X.size:
+        raise IndexError(f"element {x!r} out of range for size {X.size}")
     return sorted(_below(X.preds, [x]))
 
 

@@ -1,8 +1,7 @@
 """Brute-force reference decisions and structure generators.
 
 Everything here is deliberately naive: simulations are found by trying
-every map, each clause filtering all the maps still standing, or, for
-ordinals, by matching predecessor sets on the raw matrices; isomorphisms by
+every map, each clause filtering all the maps still standing; isomorphisms by
 trying every permutation the same way, partial simulations by matching
 initial segments up to isomorphism, stages of the set hierarchy by
 taking powersets, ordinals among sets by their definition, and the sets
@@ -12,7 +11,8 @@ once; `is_simulation` applies them to one map, and witnesses are checked by it.
 None of it shares code with the optimized decision procedures it
 cross-checks: it reads an ordinal's `lt` and a mewo's `preds` and
 `marks`, never codes or positions, and turns them into nested lists once
-per call; it walks pointed graphs and relations with walks of its own.
+per call, an ordinal as the mewo with every element marked; it walks
+pointed graphs and relations with one walk of its own, `_reach`.
 The generators build their relations as nested lists of bools and never
 read the numpy views, so enumerating, generating or comparing mewos does
 not import numpy.
@@ -21,11 +21,10 @@ not import numpy.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import CyclicError, FormatError, SizeLimitError
+from .errors import CyclicError, FormatError, SizeLimitError, ValidationError
 from .mewos import Mewo, validate_mewo
 from .ordinals import FinOrd
 from .universe import PointedGraph, SetHandle, SetUniverse
@@ -46,27 +45,26 @@ class GenConfig:
 
 
 def _pair_lists(X, Y, bounded: str = "") -> tuple:
-    """The order of X and of Y as nested lists, each followed by its marking
-    as a list for two mewos (both read off `preds` and `marks`), or by None
-    for two ordinals (read off `lt`). With `bounded`, the name of the
-    caller, sizes past ENUM_SIM_LIMIT are refused."""
-    with_marking = isinstance(X, Mewo) and isinstance(Y, Mewo)
-    if not (with_marking or isinstance(X, FinOrd) and isinstance(Y, FinOrd)):
-        raise TypeError("expected two FinOrds or two Mewos")
+    """`_lists` of X, then of Y: two FinOrds or two Mewos. With `bounded`,
+    the name of the caller, sizes past ENUM_SIM_LIMIT are refused."""
+    if not (type(X) is type(Y) and isinstance(X, (FinOrd, Mewo))):
+        raise ValidationError("expected two FinOrds or two Mewos")
     if bounded and max(X.size, Y.size) > ENUM_SIM_LIMIT:
         raise SizeLimitError(f"{bounded} is bounded at size {ENUM_SIM_LIMIT}")
-    if not with_marking:
-        return X.lt.tolist(), None, Y.lt.tolist(), None
-    return _lt_of_preds(X.preds), list(X.marks), _lt_of_preds(Y.preds), list(Y.marks)
+    return (*_lists(X), *_lists(Y))
 
 
-def _lt_of_preds(preds) -> list[list[bool]]:
-    """The nested-list matrix of a mewo's direct predecessor lists."""
-    lt = [[False] * len(preds) for _ in preds]
-    for x, ps in enumerate(preds):
+def _lists(X) -> tuple[list[list[bool]], list[bool]]:
+    """The order of X as nested lists and its marking as a list: a mewo's
+    read off `preds` and `marks`, an ordinal's order off `lt`, with every
+    element marked."""
+    if isinstance(X, FinOrd):
+        return X.lt.tolist(), [True] * X.size
+    lt = [[False] * X.size for _ in X.preds]
+    for x, ps in enumerate(X.preds):
         for p in ps:
             lt[p][x] = True
-    return lt
+    return lt, list(X.marks)
 
 
 def _simulations(lt_x, marked_x, lt_y, marked_y, maps) -> list[tuple[int, ...]]:
@@ -74,7 +72,7 @@ def _simulations(lt_x, marked_x, lt_y, marked_y, maps) -> list[tuple[int, ...]]:
     n, m = len(lt_x), len(lt_y)
     maps = list(maps)
     for x in range(n):
-        if marked_x is not None and marked_x[x]:
+        if marked_x[x]:
             maps = [f for f in maps if marked_y[f[x]]]
     for x1 in range(n):
         for x2 in range(n):
@@ -90,7 +88,7 @@ def _simulations(lt_x, marked_x, lt_y, marked_y, maps) -> list[tuple[int, ...]]:
 def is_simulation(X, Y, f) -> bool:
     """Is the element map f: X -> Y a simulation, by its clauses read off
     the nested lists of `_pair_lists`: marked elements go to marked
-    elements (mewos only), x1 < x2 gives f(x1) < f(x2), and everything
+    elements, x1 < x2 gives f(x1) < f(x2), and everything
     below f(x2) is the image of something below x2. The one literal
     reference for the simulation witnesses of hfkit.ordinals and
     hfkit.mewos. f must list X.size ints, each an element of Y; otherwise
@@ -108,34 +106,14 @@ def enum_simulations(X, Y) -> list[tuple[int, ...]]:
     return _simulations(*lists, product(range(Y.size), repeat=X.size))
 
 
-def simulation_by_predecessors(alpha: FinOrd, beta: FinOrd) -> tuple[int, ...] | None:
-    """The simulation alpha -> beta by generic initial-segment matching.
-
-    Each x, taken in order of its number of predecessors, goes to the unique
-    y whose predecessor set is the image of x's predecessor set; None when
-    some x has no such y. Reads only the `lt` matrices, never the positions
-    the fast path in hfkit.ordinals uses.
-    """
-    la, lb = alpha.lt.tolist(), beta.lt.tolist()
-    pred_sets_y = {frozenset(i for i, row in enumerate(lb) if row[y]): y for y in range(beta.size)}
-    f: dict[int, int] = {}
-    for x in sorted(range(alpha.size), key=lambda x: sum(row[x] for row in la)):
-        y = pred_sets_y.get(frozenset(f[p] for p, row in enumerate(la) if row[x]))
-        if y is None:
-            return None
-        f[x] = y
-    return tuple(f[x] for x in range(alpha.size))
-
-
 def _iso_maps(lt_x, marked_x, lt_y, marked_y) -> list[tuple[int, ...]]:
     """The permutations that carry each element's marking, then each (a, b) cell, across."""
     n = len(lt_x)
     if n != len(lt_y):
         return []
     maps = list(permutations(range(n)))
-    if marked_x is not None:
-        for x in range(n):
-            maps = [p for p in maps if marked_y[p[x]] == marked_x[x]]
+    for x in range(n):
+        maps = [p for p in maps if marked_y[p[x]] == marked_x[x]]
     for a in range(n):
         for b in range(n):
             maps = [p for p in maps if lt_y[p[a]][p[b]] == lt_x[a][b]]
@@ -150,18 +128,17 @@ def equal_by_permutation(X, Y) -> bool:
 def enum_bounded_sims(X, Y) -> list[tuple[int, tuple[int, ...]]]:
     """All (bound, iso) pairs with X isomorphic to the segment below the bound.
 
-    For mewos the bound must be marked and the segment carries the
-    inherited order with direct predecessors marked; for ordinals any
-    bound qualifies.
+    The bound must be marked and the segment carries the inherited order
+    with the direct predecessors of the bound marked; in an ordinal every
+    element is marked and is a direct predecessor of everything above it.
     """
     lt_x, marked_x, lt_y, marked_y = _pair_lists(X, Y, "enum_bounded_sims")
     found = []
-    for b in range(Y.size):
-        if marked_y is not None and not marked_y[b]:
-            continue
-        reach, seg, seg_marked = _segment(lt_y, b)
-        for p in _iso_maps(lt_x, marked_x, seg, seg_marked):  # the marking counts for mewos only
-            found.append((b, tuple(reach[i] for i in p)))
+    for b, marked in enumerate(marked_y):
+        if marked:
+            reach, seg, seg_marked = _segment(lt_y, b)
+            for p in _iso_maps(lt_x, marked_x, seg, seg_marked):
+                found.append((b, tuple(reach[i] for i in p)))
     return found
 
 
@@ -170,9 +147,9 @@ def partial_sim_by_segments(X: Mewo, Y: Mewo) -> dict[int, int] | None:
     marked x goes to the marked y whose segment is isomorphic to the segment
     below x, each segment carrying the inherited order with the direct
     predecessors of its bound marked; None when some marked x has no such y."""
+    if not isinstance(X, Mewo):
+        raise ValidationError("expected two Mewos")
     lt_x, marked_x, lt_y, marked_y = _pair_lists(X, Y, "partial_sim_by_segments")
-    if marked_x is None:
-        raise TypeError("expected two Mewos")
     f = {}
     for x in range(X.size):
         if marked_x[x]:
@@ -192,12 +169,22 @@ def _segment(lt, b: int) -> tuple[list[int], list[list[bool]], list[bool]]:
 
 
 def _below_transitively(lt, b: int) -> list[int]:
-    todo = [i for i, row in enumerate(lt) if row[b]]
+    """The elements transitively below b, ascending."""
+
+    def below(v: int) -> list[int]:
+        return [w for w, row in enumerate(lt) if row[v]]
+
+    return _reach(below, below(b))
+
+
+def _reach(step, starts) -> list[int]:
+    """The vertices reachable from `starts` along `step`, the starts
+    included, ascending: the one walk of the oracle."""
+    todo = list(starts)
     seen = set(todo)
     while todo:
-        v = todo.pop()
-        for w, row in enumerate(lt):
-            if row[v] and w not in seen:
+        for w in step(todo.pop()):
+            if w not in seen:
                 seen.add(w)
                 todo.append(w)
     return sorted(seen)
@@ -225,63 +212,34 @@ def is_hereditarily_transitive(h: SetHandle) -> bool:
 
 # -- bisimulation oracle on raw graphs ---------------------------------------
 #
-# Deliberately shares no code with from_graph: reachability is a breadth
-# first walk, acyclicity is checked by counting in-degrees, and the relation
-# is the greatest fixpoint computed by naive iteration.
-
-
-def _reachable(g: PointedGraph) -> list[int]:
-    seen = {g.root}
-    queue = deque([g.root])
-    while queue:
-        v = queue.popleft()
-        for w in g.successors[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
+# Deliberately shares no code with from_graph: reachability and acyclicity
+# are read off `_reach`, and the relation is the greatest fixpoint computed
+# by naive iteration.
 
 
 def _require_acyclic(g: PointedGraph, verts: list[int]) -> None:
-    vset = set(verts)
-    indeg = {v: 0 for v in verts}
-    for v in verts:
-        for w in set(g.successors[v]):
-            if w in vset:
-                indeg[w] += 1
-    ready = [v for v in verts if indeg[v] == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for w in set(g.successors[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if removed != len(verts):
-        stuck = {v for v in verts if indeg[v] > 0}
-        preds = {v: [] for v in stuck}
-        for v in stuck:
-            for w in g.successors[v]:
-                if w in stuck:
-                    preds[w].append(v)
-        # every stuck vertex keeps an unremoved predecessor, so walking
-        # predecessors must eventually revisit a vertex, closing a cycle
-        path = [min(stuck)]
-        pos = {path[0]: 0}
-        while True:
-            nxt = preds[path[-1]][0]
-            if nxt in pos:
-                cycle = path[pos[nxt]:]
-                raise CyclicError(list(reversed(cycle)))
-            pos[nxt] = len(path)
-            path.append(nxt)
+    """Raise CyclicError if some vertex of `verts` reaches itself. Each such
+    vertex has a successor that does too (the next one on its cycle), so
+    following first such successors from the least one must close a cycle."""
+
+    def step(v: int) -> list[int]:
+        return g.successors[v]
+
+    looping = {v for v in verts if v in _reach(step, step(v))}
+    if not looping:
+        return
+    path = [min(looping)]
+    while True:
+        v = next(w for w in step(path[-1]) if w in looping)
+        if v in path:
+            raise CyclicError(path[path.index(v):])
+        path.append(v)
 
 
 def bisimilar(g1: PointedGraph, g2: PointedGraph) -> bool:
     """Greatest-fixpoint bisimulation between the roots, by naive iteration."""
-    r1 = _reachable(g1)
-    r2 = _reachable(g2)
+    r1 = _reach(lambda v: g1.successors[v], [g1.root])
+    r2 = _reach(lambda v: g2.successors[v], [g2.root])
     _require_acyclic(g1, r1)
     _require_acyclic(g2, r2)
     rel = {(u, v): True for u in r1 for v in r2}
@@ -351,13 +309,7 @@ def enumerate_mewos(size: int) -> list[Mewo]:
 
 
 def _has_cycle(lt) -> bool:
-    n = len(lt)
-    reach = [list(row) for row in lt]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
-    return any(reach[i][i] for i in range(n))
+    return any(b in _below_transitively(lt, b) for b in range(len(lt)))
 
 
 def _is_extensional(lt) -> bool:

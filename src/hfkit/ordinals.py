@@ -110,8 +110,8 @@ def _checked_preds(succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
 def _entries(v, size: int, what: str) -> list | tuple:
     """v, a list, tuple or numpy array, as a list or tuple of `size` entries."""
     v = v.tolist() if hasattr(v, "tolist") else v
-    if not isinstance(v, (list, tuple)) or len(v) != size:
-        raise ValidationError(f"{what} is not a list of {size} entries")
+    if type(size) is not int or not isinstance(v, (list, tuple)) or len(v) != size:
+        raise ValidationError(f"{what} is not a list of {size!r} entries")
     return v
 
 
@@ -154,6 +154,8 @@ def _checked_ord(succ) -> FinOrd:
 
 def chain(n: int) -> FinOrd:
     """The canonical n-element ordinal 0 < 1 < ... < n-1."""
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"chain length {n!r} is not a non-negative integer")
     return FinOrd(range(n))
 
 
@@ -178,8 +180,8 @@ def down(alpha: FinOrd, a: int) -> FinOrd:
 
 def down_carrier(alpha: FinOrd, a: int) -> list[int]:
     """Original indices carried by down(alpha, a), in carrier order."""
-    if not (0 <= a < alpha.size):
-        raise IndexError(f"element {a} out of range for size {alpha.size}")
+    if type(a) is not int or not 0 <= a < alpha.size:
+        raise IndexError(f"element {a!r} out of range for size {alpha.size}")
     k = alpha.pos[a]
     return [x for x, p in enumerate(alpha.pos) if p < k]
 
@@ -189,8 +191,8 @@ def simulation(alpha: FinOrd, beta: FinOrd) -> SimWitness | None:
 
     Linear orders embed as initial segments by matching positions, so x
     goes to the element of beta at x's position; the map exists exactly
-    when alpha is no longer than beta. hfkit.oracle keeps the generic
-    predecessor-matching construction as the reference.
+    when alpha is no longer than beta. The reference is
+    hfkit.oracle.enum_simulations, which tries every map.
     """
     if alpha.size > beta.size:
         return None

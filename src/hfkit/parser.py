@@ -106,9 +106,7 @@ def _tokenize(text: str) -> list[_Tok]:
 
 class _Parser:
     def __init__(self, text: str):
-        from .session import COMMAND_TABLE  # deferred: session imports this module
-
-        self.commands = COMMAND_TABLE
+        self.commands = session.COMMAND_TABLE
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0  # braces open at the current token
@@ -236,3 +234,6 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Let):
         return f"let {e.name} = {format_expr(e.value)}"
     raise TypeError(f"not an AST node: {e!r}")
+
+
+from . import session  # noqa: E402  bound last: session imports this module

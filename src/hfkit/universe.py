@@ -301,6 +301,13 @@ class SetUniverse:
         return result
 
 
+def _universe_of(h: SetHandle) -> SetUniverse:
+    """The universe of the handle h; ForeignHandleError for anything else."""
+    if not (isinstance(h, SetHandle) and isinstance(h.universe, SetUniverse)):
+        raise ForeignHandleError(f"{h!r} is not a handle of a set universe")
+    return h.universe
+
+
 # -- JSON slices --------------------------------------------------------------
 
 
@@ -310,9 +317,7 @@ def export_slice(h: SetHandle) -> dict:
     Nodes are topologically sorted (children strictly earlier) and each
     node is the sorted array of its children's positions.
     """
-    if not (isinstance(h, SetHandle) and isinstance(h.universe, SetUniverse)):
-        raise ForeignHandleError(f"{h!r} is not a handle of a set universe")
-    u = h.universe
+    u = _universe_of(h)
     root = u._own(h)
     ids = u._below_ids(root) + [root]
     index = {i: pos for pos, i in enumerate(ids)}

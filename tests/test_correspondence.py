@@ -16,9 +16,12 @@ from hfkit import (
     PointedGraph,
     SetHandle,
     SetUniverse,
+    ValidationError,
     bounded_sim,
     bounded_sim_mewo,
     chain,
+    down,
+    down_plus,
     elements_ordinal,
     export_slice,
     enumerate_v,
@@ -38,6 +41,7 @@ from hfkit import (
     sup,
     ord_sum,
     validate_mewo,
+    validate_ord,
 )
 from hfkit.suites import _relabeled
 
@@ -353,3 +357,23 @@ def test_square_commutes(u):
     for n in range(7):
         left = mewo_of_set(set_of_ordinal(chain(n), u))
         assert mewo_equal(left, from_ordinal(chain(n)))
+
+
+# Ordinal-side values of the wrong kind or out of range. Each is refused, as
+# an HfkitError or, for an element index, as the IndexError of an index out
+# of range; none is accepted and none ends in an AttributeError.
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda u: chain(-1), ValidationError, id="chain(-1)"),
+    pytest.param(lambda u: chain(True), ValidationError, id="chain(True)"),
+    pytest.param(lambda u: validate_ord(True, [[0]]), ValidationError, id="validate_ord(True)"),
+    pytest.param(lambda u: validate_mewo(True, [[0]], [1]), ValidationError, id="validate_mewo(True)"),
+    pytest.param(lambda u: down(chain(3), True), IndexError, id="down(True)"),
+    pytest.param(lambda u: down_plus(from_ordinal(chain(3)), True), IndexError, id="down_plus(True)"),
+    pytest.param(lambda u: set_of_ordinal("a", u), ValidationError, id="set_of_ordinal(str)"),
+    pytest.param(lambda u: rank_ordinal(3), ForeignHandleError, id="rank_ordinal(int)"),
+    pytest.param(lambda u: elements_ordinal(3), ForeignHandleError, id="elements_ordinal(int)"),
+    pytest.param(lambda u: rank_quotient(3, []), ForeignHandleError, id="rank_quotient(int)"),
+])
+def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
+    with pytest.raises(error):
+        call(u)

@@ -1,7 +1,8 @@
-"""Every name a module of src/hfkit imports is used in that module.
+"""Every name a module of src/hfkit imports is used in that module, and
+every private module-level function or class is used somewhere in src/hfkit.
 
-There is no linter among the dependencies, so this is an `ast` pass:
-`__init__.py` is left out, since its imports are the public API.
+There is no linter among the dependencies, so these are `ast` passes:
+`__init__.py` is left out of the first, since its imports are the public API.
 """
 
 from __future__ import annotations
@@ -42,3 +43,32 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_definitions(sources: list[str]) -> list[str]:
+    """The private functions and classes defined at the top level of one of
+    `sources` that no source reads by name or as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return [name for name in defined if name not in read]
+
+
+def test_the_check_sees_an_unreferenced_private_definition():
+    sources = ["def _a(): pass\ndef _b(): pass\nclass _C: pass\n_b()\n", "from m import _C\nx = m._C\n"]
+    assert unreferenced_private_definitions(sources) == ["_a"]
+
+
+def test_no_unreferenced_private_definition():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_definitions(sources) == []

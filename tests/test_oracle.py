@@ -15,12 +15,14 @@ from hfkit import (
     HfkitError,
     SetUniverse,
     SizeLimitError,
+    ValidationError,
     chain,
     enum_bounded_sims,
     enum_simulations,
     enumerate_mewos,
     enumerate_v,
     equal_by_permutation,
+    from_ordinal,
     gen_random_mewo,
     gen_random_set,
     is_covered,
@@ -56,8 +58,38 @@ def test_enum_simulations_size_guard():
 
 def test_enum_simulations_type_mismatch(fixtures_mewos):
     bullet, _, _, _ = fixtures_mewos
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         enum_simulations(bullet, chain(1))
+
+
+ORACLES = {
+    "enum_simulations": enum_simulations,
+    "enum_bounded_sims": enum_bounded_sims,
+    "equal_by_permutation": equal_by_permutation,
+    "is_simulation": lambda X, Y: is_simulation(X, Y, ()),
+    "partial_sim_by_segments": partial_sim_by_segments,
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracles_refuse_other_kinds_as_validation_errors(name, fixtures_mewos):
+    # a pair is two FinOrds or two Mewos (two Mewos for partial simulations)
+    bullet = fixtures_mewos[0]
+    pairs = [(bullet, chain(1)), (chain(1), bullet), (None, None), (bullet, None), ("a", "a"), (bullet, "a")]
+    if name == "partial_sim_by_segments":
+        pairs.append((chain(1), chain(1)))
+    for X, Y in pairs:
+        with pytest.raises(ValidationError, match="expected two"):
+            ORACLES[name](X, Y)
+
+
+def test_oracles_read_an_ordinal_as_the_mewo_with_every_element_marked():
+    ordinals = labeled_ordinals(4) + [chain(5), chain(6)]
+    for a, b in itertools.product(ordinals, repeat=2):
+        X, Y = from_ordinal(a), from_ordinal(b)
+        assert enum_simulations(a, b) == enum_simulations(X, Y)
+        assert enum_bounded_sims(a, b) == enum_bounded_sims(X, Y)
+        assert equal_by_permutation(a, b) == equal_by_permutation(X, Y)
 
 
 def test_is_simulation_refuses_what_is_not_a_map(fixtures_mewos):
@@ -115,6 +147,8 @@ def test_enumerate_mewos_counts():
     assert len(enumerate_mewos(0)) == 1
     assert len(enumerate_mewos(1)) == 2
     assert len(enumerate_mewos(2)) == 4
+    assert len(enumerate_mewos(3)) == 16
+    assert len(enumerate_mewos(4)) == 144
 
 
 def test_enumerate_mewos_distinct_and_valid():
@@ -307,7 +341,7 @@ def test_partial_sim_by_segments_fixtures(fixtures_mewos):
     assert partial_sim_by_segments(bullet, cb) is None
     assert partial_sim_by_segments(cb, cb) == {1: 1}
     assert partial_sim_by_segments(circ, emp) == {}
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         partial_sim_by_segments(chain(1), chain(1))
 
 
