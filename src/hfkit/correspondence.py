@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAnOrdinalError, ValidationError
+from .errors import NotAnOrdinalError, _checked
 from .mewos import Mewo, _collapse, singleton, union
 from .ordinals import FinOrd, chain
 from .universe import SetHandle, SetUniverse, _universe_of, export_slice
@@ -39,9 +39,7 @@ def set_of_ordinal(alpha: FinOrd, u: SetUniverse) -> SetHandle:
     numerals below |alpha|: numeral |alpha|. So phi runs on lengths, as
     psi does, and `SetUniverse.von_neumann` holds it to the numeral bound.
     """
-    if not isinstance(alpha, FinOrd):
-        raise ValidationError(f"expected a FinOrd, got {type(alpha).__name__}")
-    return u.von_neumann(alpha.size)
+    return _checked(SetUniverse, u).von_neumann(_checked(FinOrd, alpha).size)
 
 
 def rank_ordinal(h: SetHandle) -> FinOrd:
@@ -100,7 +98,7 @@ def elements_ordinal(h: SetHandle) -> FinOrd:
 def set_of_mewo(X: Mewo, u: SetUniverse) -> SetHandle:
     """The set whose members are the codes of the marked elements: the root
     of the collapse of X's presentation."""
-    return SetHandle(u, _collapse(X, u)[0][X.size])
+    return SetHandle(u, _collapse(X, _checked(SetUniverse, u))[0][X.size])
 
 
 def mewo_of_set(h: SetHandle) -> Mewo:

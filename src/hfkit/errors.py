@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one kind guard."""
 
 from __future__ import annotations
 
@@ -74,3 +74,10 @@ class ParseError(HfkitError):
 
 class EvalError(HfkitError):
     """Type or binding error while evaluating a session statement."""
+
+
+def _checked(kind: type, value):
+    """value, which must be a `kind`; else a ValidationError naming both kinds."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value

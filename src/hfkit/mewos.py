@@ -3,8 +3,8 @@
 A mewo is a carrier 0..n-1 with an acyclic, extensional direct relation
 (transitivity is NOT required), stored as `preds`, the ascending tuple of
 each element's direct predecessors, plus `marks`, one bool per element.
-The read-only numpy views `lt` and `marked` are derived on first use; they
-are the only place this module imports numpy. Marked elements play the
+The read-only numpy views `lt` and `marked` are built on each read, and
+only such a read loads numpy. Marked elements play the
 role of the top-level members of the set the structure presents; the
 other elements present members of members.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import weakref
 from itertools import compress
 
-from .errors import ExtensionalityError, FormatError, ValidationError
+from .errors import ExtensionalityError, FormatError, ValidationError, _checked
 from .ordinals import (
     BoundedSimWitness,
     FinOrd,
@@ -55,38 +55,35 @@ class Mewo:
     the constructor trusts `preds` to be wellfounded and extensional and
     `marks` to hold one bool per element. Equality and hash compare `preds` and `marks`."""
 
-    __slots__ = ("size", "preds", "marks", "_lt", "_marked", "_covered", "_collapsed", "_base_codes")
+    __slots__ = ("size", "preds", "marks", "_covered", "_collapsed", "_base_codes")
 
     def __init__(self, preds: tuple[tuple[int, ...], ...], marks):
         self.size = len(preds)
         self.preds = preds
         self.marks = tuple(marks)
-        self._lt = self._marked = self._covered = None  # computed on first use; see is_covered
+        self._covered = None  # computed on first use; see is_covered
         self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
         self._base_codes = None  # for a singleton, what its base carried: see _collapse
 
     @property
     def lt(self):
-        """The direct relation as a read-only numpy matrix; lt[i, j] means i < j."""
-        if self._lt is None:
-            import numpy as np
+        """The direct relation as a read-only numpy matrix, built on every read; lt[i, j] means i < j."""
+        import numpy as np
 
-            m = np.zeros((self.size, self.size), dtype=bool)
-            m[[p for ps in self.preds for p in ps],
-              [x for x, ps in enumerate(self.preds) for _ in ps]] = True
-            m.setflags(write=False)
-            self._lt = m
-        return self._lt
+        m = np.zeros((self.size, self.size), dtype=bool)
+        m[[p for ps in self.preds for p in ps],
+          [x for x, ps in enumerate(self.preds) for _ in ps]] = True
+        m.setflags(write=False)
+        return m
 
     @property
     def marked(self):
-        """The marking as a read-only numpy vector of bools."""
-        if self._marked is None:
-            import numpy as np
+        """The marking as a read-only numpy vector of bools, built on every read."""
+        import numpy as np
 
-            self._marked = np.array(self.marks, dtype=bool)
-            self._marked.setflags(write=False)
-        return self._marked
+        m = np.array(self.marks, dtype=bool)
+        m.setflags(write=False)
+        return m
 
     def __eq__(self, other):
         return isinstance(other, Mewo) and (self.preds, self.marks) == (other.preds, other.marks)
@@ -173,7 +170,7 @@ def from_ordinal(alpha: FinOrd) -> Mewo:
 
 def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
     """Mostowski codes: code(x) interns the set of its predecessors' codes."""
-    return tuple(SetHandle(u, i) for i in _collapse(X, u)[0][:X.size])
+    return tuple(SetHandle(u, i) for i in _collapse(X, _checked(SetUniverse, u))[0][:X.size])
 
 
 def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
@@ -202,7 +199,7 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
             index = {**base_index, top: len(base_index)}
             X._base_codes = None
         else:
-            ids = u._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
+            ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
             index = dict(zip(ids, range(X.size)))
             assert len(index) == X.size, "codes must be injective on the carrier"
         got = X._collapsed = (weakref.ref(u), ids, index)
@@ -312,7 +309,7 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
     of a class is the code of its members, so the result carries its codes
     in u, and the set it presents costs one intern.
     """
-    u = u if u is not None else SetUniverse()
+    u = _checked(SetUniverse, u) if u is not None else SetUniverse()
     order: list[int] = []  # the code id of each class
     reps: dict[int, int] = {}  # code id -> class
     marked: list[bool] = []

@@ -9,13 +9,13 @@ that pointed graphs present by bisimulation (`bisimilar`, `mem_raw`), the
 reference for SetUniverse.from_graph. The simulation clauses are stated
 once; `is_simulation` applies them to one map, and witnesses are checked by it.
 None of it shares code with the optimized decision procedures it
-cross-checks: it reads an ordinal's `lt` and a mewo's `preds` and
-`marks`, never codes or positions, and turns them into nested lists once
-per call, an ordinal as the mewo with every element marked; it walks
-pointed graphs and relations with one walk of its own, `_reach`.
-The generators build their relations as nested lists of bools and never
-read the numpy views, so enumerating, generating or comparing mewos does
-not import numpy.
+cross-checks: it reads an ordinal's order off its definition (x < y when
+pos[x] < pos[y]) and a mewo's off `preds` and `marks`, never codes, and
+turns them into nested lists once per call, an ordinal as the mewo with
+every element marked; it walks pointed graphs and relations with one walk
+of its own, `_reach`. The generators build their relations as nested
+lists of bools too. Nothing here reads a numpy view, so no oracle and no
+generator imports numpy.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ def _pair_lists(X, Y, bounded: str = "") -> tuple:
 
 def _lists(X) -> tuple[list[list[bool]], list[bool]]:
     """The order of X as nested lists and its marking as a list: a mewo's
-    read off `preds` and `marks`, an ordinal's order off `lt`, with every
-    element marked."""
+    read off `preds` and `marks`, an ordinal's off its definition, x < y
+    when pos[x] < pos[y], with every element marked."""
     if isinstance(X, FinOrd):
-        return X.lt.tolist(), [True] * X.size
+        return [[p < q for q in X.pos] for p in X.pos], [True] * X.size
     lt = [[False] * X.size for _ in X.preds]
     for x, ps in enumerate(X.preds):
         for p in ps:

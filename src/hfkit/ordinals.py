@@ -2,7 +2,7 @@
 
 A FinOrd is a carrier 0..n-1 in which element x sits at the linear position
 pos[x]; x < y exactly when pos[x] < pos[y]. The read-only numpy matrix `lt`
-(lt[i, j] means i < j) is derived on first use, the one numpy import here.
+(lt[i, j] means i < j) is built on each read; only that read loads numpy.
 validate_ord (from a matrix) and the readers (from pairs) are the only ways
 in from outside data: they check wellfoundedness, extensionality and
 transitivity with a witness, and assert the linearity they force on a
@@ -34,23 +34,20 @@ class FinOrd:
     operations below; the constructor trusts `pos` to be a permutation of
     0..len(pos)-1."""
 
-    __slots__ = ("size", "pos", "_lt")
+    __slots__ = ("size", "pos")
 
     def __init__(self, pos: Iterable[int]):
         self.pos = tuple(pos)
         self.size = len(self.pos)
-        self._lt = None
 
     @property
     def lt(self):
-        """The strict order as a read-only numpy matrix; lt[i, j] means i < j."""
-        if self._lt is None:
-            import numpy as np
+        """The strict order as a read-only numpy matrix, built on every read; lt[i, j] means i < j."""
+        import numpy as np
 
-            p = np.asarray(self.pos, dtype=np.intp)
-            self._lt = p[:, None] < p[None, :]
-            self._lt.setflags(write=False)
-        return self._lt
+        lt = np.less.outer(self.pos, self.pos)
+        lt.setflags(write=False)
+        return lt
 
     def in_order(self) -> list[int]:
         """The elements in order: the element at each position."""

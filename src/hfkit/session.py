@@ -119,7 +119,7 @@ def _equal(u: SetUniverse, a, b) -> bool:
         raise EvalError("eq expects two values of the same kind")
     if isinstance(a, SetHandle):
         return a == b
-    return same_order_type(a, b) if isinstance(a, FinOrd) else mewo_equal(a, b)
+    return same_order_type(a, b) if isinstance(a, FinOrd) else mewo_equal(a, b, u)
 
 
 _SET, _ORD, _MEWO = (SetHandle,), (FinOrd,), (Mewo,)

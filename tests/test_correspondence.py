@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import time
@@ -20,6 +21,7 @@ from hfkit import (
     bounded_sim,
     bounded_sim_mewo,
     chain,
+    codes,
     down,
     down_plus,
     elements_ordinal,
@@ -39,6 +41,7 @@ from hfkit import (
     simulation,
     simulation_mewo,
     sup,
+    union,
     ord_sum,
     validate_mewo,
     validate_ord,
@@ -359,9 +362,19 @@ def test_square_commutes(u):
         assert mewo_equal(left, from_ordinal(chain(n)))
 
 
+def _coded_in_a_dropped_universe():
+    """A mewo whose codes are kept for a universe that has been collected."""
+    X = from_ordinal(chain(2))
+    set_of_mewo(X, SetUniverse())
+    gc.collect()
+    assert X._collapsed[0]() is None
+    return X
+
+
 # Ordinal-side values of the wrong kind or out of range. Each is refused, as
 # an HfkitError or, for an element index, as the IndexError of an index out
-# of range; none is accepted and none ends in an AttributeError.
+# of range; none is accepted and none ends in an AttributeError, and no
+# universe argument but a SetUniverse is taken.
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda u: chain(-1), ValidationError, id="chain(-1)"),
     pytest.param(lambda u: chain(True), ValidationError, id="chain(True)"),
@@ -373,6 +386,16 @@ def test_square_commutes(u):
     pytest.param(lambda u: rank_ordinal(3), ForeignHandleError, id="rank_ordinal(int)"),
     pytest.param(lambda u: elements_ordinal(3), ForeignHandleError, id="elements_ordinal(int)"),
     pytest.param(lambda u: rank_quotient(3, []), ForeignHandleError, id="rank_quotient(int)"),
+    pytest.param(lambda u: set_of_ordinal(chain(3), "u"), ValidationError, id="set_of_ordinal(u=str)"),
+    pytest.param(lambda u: set_of_mewo(from_ordinal(chain(1)), "u"), ValidationError, id="set_of_mewo(u=str)"),
+    pytest.param(lambda u: codes(from_ordinal(chain(1)), 3), ValidationError, id="codes(u=int)"),
+    pytest.param(lambda u: simulation_mewo(from_ordinal(chain(1)), from_ordinal(chain(1)), "u"),
+                 ValidationError, id="simulation_mewo(u=str)"),
+    pytest.param(lambda u: union([], "u"), ValidationError, id="union(u=str)"),
+    pytest.param(lambda u: set_of_mewo(_coded_in_a_dropped_universe(), None), ValidationError,
+                 id="set_of_mewo(u=None) after its universe is gone"),
+    pytest.param(lambda u: codes(_coded_in_a_dropped_universe(), None), ValidationError,
+                 id="codes(u=None) after its universe is gone"),
 ])
 def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
     with pytest.raises(error):

@@ -650,6 +650,16 @@ def test_union_and_singleton_carry_their_codes(covered_pool, monkeypatch):
         assert [_collapse(Z, v), _collapse(S, v)] == [_fresh_collapse(Z, v), _fresh_collapse(S, v)]
 
 
+def test_a_singleton_of_an_uncoded_singleton_codes_like_a_fresh_copy(covered_pool):
+    # S1 carries the codes of X but was never coded itself, so S2 carries
+    # nothing: extending what S1 carries would give S2 the codes of X plus one
+    u = SetUniverse()
+    for X in covered_pool:
+        _collapse(X, u)
+        S2 = singleton(singleton(X))
+        assert _collapse(S2, u) == _fresh_collapse(S2, u)
+
+
 def test_singleton_interns_nothing(covered_pool):
     u = SetUniverse()
     for X in covered_pool:
@@ -703,6 +713,7 @@ def test_from_ordinal(fixtures_mewos):
 def test_text_roundtrip(fixtures_mewos, mewo_pool):
     bullet, circ, cb, emp = fixtures_mewos
     assert mewo_to_text(cb) == "mewo { elems: a b; lt: a<b; marked: b }"
+    assert repr(cb) == "Mewo(size=2, lt=[(0, 1)], marked=[1])"
     for X in list(fixtures_mewos) + mewo_pool[:40]:
         assert mewo_from_text(mewo_to_text(X)) == X
 

@@ -63,7 +63,9 @@ def labeled_ordinals(max_size, all_perms_upto=4, samples=6, seed=0):
 
 
 def test_validate_chain_ok():
-    assert validate_ord(3, chain(3).lt) == chain(3)
+    alpha = validate_ord(3, chain(3).lt)
+    assert alpha == chain(3) and hash(alpha) == hash(chain(3))
+    assert len({alpha, chain(3), FinOrd(reversed(range(3)))}) == 2
 
 
 def test_validate_antichain_extensionality():

@@ -105,6 +105,7 @@ def test_parse_brace_nesting_past_the_bound():
 def test_parse_numeral_and_ident():
     assert parse("12") == Numeral(12)
     assert parse("spam") == Ident("spam")
+    assert parse("\n\nspam\n;\n") == Ident("spam")
 
 
 def test_parse_infix_and_prefix():
@@ -131,9 +132,12 @@ def test_format_expr_roundtrip():
         Numeral(7),
         Op("in", (Numeral(2), Numeral(3))),
         Op("rank", (Braces((Braces(()),)),)),
+        Ident("x"),
     ]
     for ast in samples:
         assert parse(format_expr(ast)) == ast
+    stmt = Let("x", Op("in", (Ident("y"), Braces((Numeral(2),)))))
+    assert parse_program(format_expr(stmt)) == [stmt]
 
 
 def test_eval_rank():
@@ -183,6 +187,16 @@ def test_eval_tomewo_tov_roundtrip():
     s = Session()
     out = s.run_program("let m = tomewo {{{}}}\nm eq m\ntov m")
     assert out == ["true", "{{{}}}"]
+
+
+def test_eq_of_mewos_codes_them_in_the_session_universe():
+    s = Session()
+    u = s.universe
+    s.run_program("let a = tomewo 2\nlet b = tomewo {{},{{}}}\nlet c = tomewo 3\ntov a")
+    before = len(u)
+    assert s.run_program("eq a b\na eq c") == ["true", "false"]
+    assert len(u) == before
+    assert all(s.bindings[name]._collapsed[0]() is u for name in "abc")
 
 
 def test_eval_mewo_rendering():
@@ -379,8 +393,9 @@ def test_run_suite_sets_caps_its_graph_pool():
 
 
 def test_run_suite_unknown_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         run_suite("nope")
+    assert isinstance(exc.value, HfkitError)
 
 
 # -- console entry points ---------------------------------------------------------
@@ -417,6 +432,11 @@ import hfkit
 import hfkit.cli
 
 assert len(hfkit.enumerate_mewos(4)) == 144
+for n in (3, 4):
+    alpha = hfkit.chain(n)
+    assert hfkit.enum_simulations(alpha, alpha) == [tuple(range(n))]
+    assert len(hfkit.enum_bounded_sims(hfkit.chain(n - 1), alpha)) == 1
+    assert hfkit.equal_by_permutation(alpha, alpha)
 program, text_mewo, json_mewo = sys.argv[1:]
 assert hfkit.cli.main(["run", program]) == 0
 sys.stdin = io.StringIO("let m = tomewo 3\\nm\\ntov m\\n")
@@ -424,6 +444,7 @@ assert hfkit.cli.main(["repl"]) == 0
 for path in (text_mewo, json_mewo):
     for fmt in ("text", "json", "dot"):
         assert hfkit.cli.main(["mewo", path, "--format", fmt]) == 0
+assert hfkit.cli.main(["check", "--suite", "all"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
 

@@ -86,6 +86,7 @@ def test_mem(u):
     assert u.mem(e, se)
     assert not u.mem(e, sse)
     assert not u.mem(e, e)
+    assert e in se and e not in sse and e not in e
 
 
 def test_subset(u):
@@ -486,6 +487,10 @@ def test_from_graph_reports_cycle(u):
     with pytest.raises(CyclicError) as exc:
         u.from_graph(g)
     assert sorted(exc.value.cycle) == [1, 2]
+    # the oracle finds the same cycle, by its own walk
+    with pytest.raises(CyclicError) as by_oracle:
+        bisimilar(g, PointedGraph.make([[]]))
+    assert by_oracle.value.cycle == exc.value.cycle
 
 
 def test_from_graph_unreachable_cycle_ignored(u):
