@@ -79,5 +79,5 @@ class EvalError(HfkitError):
 def _checked(kind: type, value):
     """value, which must be a `kind`; else a ValidationError naming both kinds."""
     if not isinstance(value, kind):
-        raise ValidationError(f"expected a {kind.__name__}, got {type(value).__name__}")
+        raise ValidationError(f"expected a {kind.__name__}, got {type(value).__name__}") from None
     return value

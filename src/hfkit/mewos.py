@@ -34,7 +34,7 @@ from __future__ import annotations
 import weakref
 from itertools import compress
 
-from .errors import ExtensionalityError, FormatError, ValidationError, _checked
+from .errors import ExtensionalityError, FormatError, _checked
 from .ordinals import (
     BoundedSimWitness,
     FinOrd,
@@ -117,18 +117,15 @@ def is_covered(X: Mewo) -> bool:
     try:
         covered = X._covered
     except AttributeError:
-        raise _not_a_mewo(X) from None
+        _checked(Mewo, X)
+        raise
     if covered is None:
         covered = X._covered = all(covered_mask(X))
     return covered
 
 
-def _not_a_mewo(value) -> ValidationError:
-    return ValidationError(f"expected a Mewo, got {type(value).__name__}")
-
-
 def covered_mask(X: Mewo) -> list[bool]:
-    tops = X.marked_elements()
+    tops = _checked(Mewo, X).marked_elements()
     covered = _below(X.preds, tops).union(tops)
     return [x in covered for x in range(X.size)]
 
@@ -146,13 +143,14 @@ def down_plus(X: Mewo, x: int) -> Mewo:
 
 def down_plus_carrier(X: Mewo, x: int) -> list[int]:
     """Original indices carried by down_plus(X, x), in carrier order."""
-    if type(x) is not int or not 0 <= x < X.size:
-        raise IndexError(f"element {x!r} out of range for size {X.size}")
-    return sorted(_below(X.preds, [x]))
+    preds = _checked(Mewo, X).preds
+    if type(x) is not int or not 0 <= x < len(preds):
+        raise IndexError(f"element {x!r} out of range for size {len(preds)}")
+    return sorted(_below(preds, [x]))
 
 
 def mark_all(X: Mewo) -> Mewo:
-    return Mewo(X.preds, (True,) * X.size)
+    return Mewo(_checked(Mewo, X).preds, (True,) * X.size)
 
 
 def covered_part(X: Mewo) -> Mewo:
@@ -163,7 +161,7 @@ def covered_part(X: Mewo) -> Mewo:
 
 def from_ordinal(alpha: FinOrd) -> Mewo:
     """View an ordinal as a mewo: same order, everything marked."""
-    order = alpha.in_order()
+    order = _checked(FinOrd, alpha).in_order()
     preds = tuple(tuple(sorted(order[:p])) for p in alpha.pos)
     return Mewo(preds, (True,) * alpha.size)
 
@@ -187,15 +185,15 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
     try:
         got = X._collapsed
     except AttributeError:
-        raise _not_a_mewo(X) from None
+        _checked(Mewo, X)
+        raise
     if got is None or got[0]() is not u:
         base = X._base_codes
         if base is not None and base[0]() is u:
             _, base_ids, base_index = base
             top = base_ids[-1]
             assert top not in base_index, "codes must be injective on the carrier"
-            with u._lock:
-                ids = base_ids + [u._intern_ids((top,))]
+            ids = base_ids + [u._intern_locked((top,))]
             index = {**base_index, top: len(base_index)}
             X._base_codes = None
         else:
@@ -289,7 +287,7 @@ def singleton(X: Mewo) -> Mewo:
     reported rather than repaired. Interns nothing: the result keeps the
     codes X carries, for `_collapse` to extend.
     """
-    top = tuple(X.marked_elements())
+    top = tuple(_checked(Mewo, X).marked_elements())
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
@@ -324,8 +322,7 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
                 marked[pos] = True
     children, cls = u._children, reps.__getitem__
     Z = Mewo(tuple([tuple(sorted(map(cls, children[i]))) for i in order]), marked)
-    with u._lock:
-        root = u._intern_ids(tuple(sorted(c for c, m in zip(order, marked) if m)))
+    root = u._intern_locked(tuple(sorted(c for c, m in zip(order, marked) if m)))
     Z._collapsed = (weakref.ref(u), order + [root], reps)
     return Z
 
@@ -345,7 +342,7 @@ def _names(n: int) -> list[str]:
 
 
 def mewo_to_text(X: Mewo) -> str:
-    names = _names(X.size)
+    names = _names(_checked(Mewo, X).size)
     elems = " ".join(names)
     edges = ", ".join(f"{names[i]}<{names[j]}" for i, j in _pairs(X))
     marks = " ".join(names[i] for i in X.marked_elements())
@@ -390,7 +387,7 @@ def mewo_from_text(text: str) -> Mewo:
 
 
 def mewo_to_json(X: Mewo) -> dict:
-    names = _names(X.size)
+    names = _names(_checked(Mewo, X).size)
     return {
         "elems": names,
         "lt": [[names[i], names[j]] for i, j in _pairs(X)],
@@ -416,7 +413,7 @@ def mewo_from_json(doc: dict) -> Mewo:
 
 
 def mewo_to_dot(X: Mewo) -> str:
-    names = _names(X.size)
+    names = _names(_checked(Mewo, X).size)
     lines = ["digraph mewo {"]
     for i, label in enumerate(names):
         style = ' style=filled fillcolor=black fontcolor=white' if X.marks[i] else ""

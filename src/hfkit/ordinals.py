@@ -25,6 +25,7 @@ from .errors import (
     TransitivityError,
     ValidationError,
     WellfoundednessError,
+    _checked,
 )
 from .universe import _postorder
 
@@ -158,7 +159,7 @@ def chain(n: int) -> FinOrd:
 
 def order_type(alpha: FinOrd) -> int:
     """Linearization length; validation guarantees the order is linear."""
-    return alpha.size
+    return _checked(FinOrd, alpha).size
 
 
 def same_order_type(alpha: FinOrd, beta: FinOrd) -> bool:
@@ -177,10 +178,10 @@ def down(alpha: FinOrd, a: int) -> FinOrd:
 
 def down_carrier(alpha: FinOrd, a: int) -> list[int]:
     """Original indices carried by down(alpha, a), in carrier order."""
-    if type(a) is not int or not 0 <= a < alpha.size:
-        raise IndexError(f"element {a!r} out of range for size {alpha.size}")
-    k = alpha.pos[a]
-    return [x for x, p in enumerate(alpha.pos) if p < k]
+    pos = _checked(FinOrd, alpha).pos
+    if type(a) is not int or not 0 <= a < len(pos):
+        raise IndexError(f"element {a!r} out of range for size {len(pos)}")
+    return [x for x, p in enumerate(pos) if p < pos[a]]
 
 
 def simulation(alpha: FinOrd, beta: FinOrd) -> SimWitness | None:
@@ -191,7 +192,7 @@ def simulation(alpha: FinOrd, beta: FinOrd) -> SimWitness | None:
     when alpha is no longer than beta. The reference is
     hfkit.oracle.enum_simulations, which tries every map.
     """
-    if alpha.size > beta.size:
+    if _checked(FinOrd, alpha).size > _checked(FinOrd, beta).size:
         return None
     order = beta.in_order()
     return SimWitness(tuple(order[p] for p in alpha.pos))
@@ -200,14 +201,14 @@ def simulation(alpha: FinOrd, beta: FinOrd) -> SimWitness | None:
 def bounded_sim(alpha: FinOrd, beta: FinOrd) -> BoundedSimWitness | None:
     """Witness that alpha is the initial segment of beta below some bound:
     the element of beta at position alpha.size, when beta is longer."""
-    if alpha.size >= beta.size:
+    if _checked(FinOrd, alpha).size >= _checked(FinOrd, beta).size:
         return None
     return BoundedSimWitness(bound=beta.pos.index(alpha.size), iso=simulation(alpha, beta).mapping)
 
 
 def ord_sum(alpha: FinOrd, beta: FinOrd) -> FinOrd:
     """Order the disjoint union with every alpha element below every beta element."""
-    return FinOrd((*alpha.pos, *(alpha.size + p for p in beta.pos)))
+    return FinOrd((*_checked(FinOrd, alpha).pos, *(alpha.size + p for p in _checked(FinOrd, beta).pos)))
 
 
 def sup_classes(family: list[FinOrd]) -> list[list[tuple[int, int]]]:
@@ -220,7 +221,7 @@ def sup_classes(family: list[FinOrd]) -> list[list[tuple[int, int]]]:
     """
     classes: dict[int, list[tuple[int, int]]] = {}
     for i, f in enumerate(family):
-        for x, p in enumerate(f.pos):
+        for x, p in enumerate(_checked(FinOrd, f).pos):
             classes.setdefault(p, []).append((i, x))
     return [sorted(classes[k]) for k in sorted(classes)]
 
@@ -232,7 +233,7 @@ def sup(family: list[FinOrd]) -> FinOrd:
     the classes are the positions below the longest member, ordered as
     positions (the class order of sup_classes).
     """
-    return chain(max((f.size for f in family), default=0))
+    return chain(max((_checked(FinOrd, f).size for f in family), default=0))
 
 
 # -- serialization ------------------------------------------------------------
@@ -245,7 +246,7 @@ def _pairs(alpha: FinOrd) -> Iterator[tuple[int, int]]:
 
 
 def ord_to_json(alpha: FinOrd) -> dict:
-    return {"size": alpha.size, "pairs": [[i, j] for i, j in _pairs(alpha)]}
+    return {"size": _checked(FinOrd, alpha).size, "pairs": [[i, j] for i, j in _pairs(alpha)]}
 
 
 def ord_from_json(doc: dict) -> FinOrd:
@@ -272,7 +273,7 @@ def _clause(key: str, body: str) -> str:
 
 
 def ord_to_text(alpha: FinOrd) -> str:
-    pairs = ", ".join(f"{i}<{j}" for i, j in _pairs(alpha))
+    pairs = ", ".join(f"{i}<{j}" for i, j in _pairs(_checked(FinOrd, alpha)))
     return f"ord {{ size: {alpha.size}; {_clause('lt', pairs)} }}"
 
 

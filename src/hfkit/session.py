@@ -20,7 +20,7 @@ from .errors import EvalError, LimitExceededError
 from .mewos import Mewo, _names, mewo_equal, mewo_to_dot, mewo_to_json, mewo_to_text
 from .ordinals import FinOrd, ord_to_json, ord_to_text, same_order_type
 from .parser import Braces, Expr, Ident, Let, Numeral, Op, parse_program
-from .universe import SetHandle, SetUniverse, export_slice
+from .universe import SetHandle, SetUniverse, _universe_of, export_slice
 
 
 # Longest text `canon`, `dot`, `json` or the rendering of an ordinal or a
@@ -48,7 +48,7 @@ def _canon_table(h: SetHandle, labels: bool = False) -> tuple[list[int], dict[in
     `LimitExceededError` before any text is built. Without `labels`, only
     the text of h is kept: a member's text goes once its last parent has it.
     """
-    u = h.universe
+    u = _universe_of(h)
     root = u._own(h)
     ids = u._below_ids(root) + [root]
     children = u._children

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError
+from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError, _checked
 
 DEFAULT_NODE_LIMIT = 1 << 20
 DEFAULT_NUMERAL_LIMIT = 1024
@@ -162,10 +162,12 @@ class SetUniverse:
 
     def mk_set(self, children: Iterable[SetHandle]) -> SetHandle:
         """Intern the set whose members are `children` (order and duplicates ignored)."""
-        key = tuple(sorted({self._own(ch) for ch in children}))
+        return SetHandle(self, self._intern_locked(tuple(sorted({self._own(ch) for ch in children}))))
+
+    def _intern_locked(self, key: tuple[int, ...]) -> int:
+        """`_intern_ids` as one step under `_lock`, for a caller that holds no lock."""
         with self._lock:
-            idx = self._intern_ids(key)
-        return SetHandle(self, idx)
+            return self._intern_ids(key)
 
     def _intern_ids(self, key: tuple[int, ...]) -> int:
         """Id of the set whose sorted child ids are `key`; the caller holds `_lock`."""
@@ -238,6 +240,8 @@ class SetUniverse:
     def von_neumann(self, n: int) -> SetHandle:
         """The n-th von Neumann numeral, built by n+1 := n and its members.
         A call that raises interns nothing."""
+        if type(n) is not int:
+            raise FormatError(f"numeral {n!r} is not an integer")
         if n < 0:
             raise FormatError(f"numeral {n} is negative; numerals are non-negative")
         if n > DEFAULT_NUMERAL_LIMIT:
@@ -288,7 +292,7 @@ class SetUniverse:
         identical handles. Rejects any cycle reachable from the root. The
         whole collapse runs under the universe lock, taken once per call.
         """
-        return SetHandle(self, self._collapse_ids(g.successors, [g.root])[g.root])
+        return SetHandle(self, self._collapse_ids(_checked(PointedGraph, g).successors, [g.root])[g.root])
 
     def _collapse_ids(self, succ: Sequence[Sequence[int]], starts: Iterable[int]) -> list[int]:
         """The walk of `from_graph` on the presentation `succ`, from each of

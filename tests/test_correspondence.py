@@ -11,6 +11,7 @@ import pytest
 import hfkit.ordinals
 from hfkit import (
     ForeignHandleError,
+    FormatError,
     GenConfig,
     LimitExceededError,
     NotAnOrdinalError,
@@ -20,8 +21,10 @@ from hfkit import (
     ValidationError,
     bounded_sim,
     bounded_sim_mewo,
+    canon,
     chain,
     codes,
+    covered_part,
     down,
     down_plus,
     elements_ordinal,
@@ -29,23 +32,33 @@ from hfkit import (
     enumerate_v,
     from_ordinal,
     gen_random_set,
+    mark_all,
     mewo_equal,
     mewo_of_set,
     mewo_of_set_literal,
+    mewo_to_dot,
+    mewo_to_json,
+    mewo_to_text,
     order_type,
+    ord_to_json,
+    ord_to_text,
     rank_ordinal,
     rank_quotient,
     same_order_type,
     set_of_mewo,
     set_of_ordinal,
+    set_to_dot,
     simulation,
     simulation_mewo,
+    singleton,
     sup,
+    sup_classes,
     union,
     ord_sum,
     validate_mewo,
     validate_ord,
 )
+from hfkit.mewos import covered_mask
 from hfkit.suites import _relabeled
 
 
@@ -396,7 +409,54 @@ def _coded_in_a_dropped_universe():
                  id="set_of_mewo(u=None) after its universe is gone"),
     pytest.param(lambda u: codes(_coded_in_a_dropped_universe(), None), ValidationError,
                  id="codes(u=None) after its universe is gone"),
+    # each argument of each entry point that reads a FinOrd, a Mewo or a
+    # PointedGraph; the first four were answered without complaint
+    pytest.param(lambda u: sup([from_ordinal(chain(3))]), ValidationError, id="sup([Mewo])"),
+    pytest.param(lambda u: same_order_type(chain(2), from_ordinal(chain(2))), ValidationError,
+                 id="same_order_type(beta=Mewo)"),
+    pytest.param(lambda u: order_type(from_ordinal(chain(2))), ValidationError, id="order_type(Mewo)"),
+    pytest.param(lambda u: u.von_neumann(True), FormatError, id="von_neumann(True)"),
+    pytest.param(lambda u: u.von_neumann(2.5), FormatError, id="von_neumann(float)"),
+    pytest.param(lambda u: u.von_neumann("a"), FormatError, id="von_neumann(str)"),
+    pytest.param(lambda u: same_order_type(None, chain(2)), ValidationError, id="same_order_type(None)"),
+    pytest.param(lambda u: simulation("a", chain(2)), ValidationError, id="simulation(str)"),
+    pytest.param(lambda u: simulation(chain(2), None), ValidationError, id="simulation(beta=None)"),
+    pytest.param(lambda u: bounded_sim(from_ordinal(chain(1)), chain(2)), ValidationError, id="bounded_sim(Mewo)"),
+    pytest.param(lambda u: bounded_sim(chain(2), "a"), ValidationError, id="bounded_sim(beta=str)"),
+    pytest.param(lambda u: ord_sum(None, chain(1)), ValidationError, id="ord_sum(None)"),
+    pytest.param(lambda u: ord_sum(chain(2), from_ordinal(chain(1))), ValidationError, id="ord_sum(beta=Mewo)"),
+    pytest.param(lambda u: sup([chain(1), None]), ValidationError, id="sup([FinOrd, None])"),
+    pytest.param(lambda u: sup_classes(["a"]), ValidationError, id="sup_classes([str])"),
+    pytest.param(lambda u: down(from_ordinal(chain(3)), 0), ValidationError, id="down(Mewo)"),
+    pytest.param(lambda u: hfkit.ordinals.down_carrier(None, 0), ValidationError, id="down_carrier(None)"),
+    pytest.param(lambda u: ord_to_text(from_ordinal(chain(2))), ValidationError, id="ord_to_text(Mewo)"),
+    pytest.param(lambda u: ord_to_json("a"), ValidationError, id="ord_to_json(str)"),
+    pytest.param(lambda u: from_ordinal(None), ValidationError, id="from_ordinal(None)"),
+    pytest.param(lambda u: mark_all(chain(2)), ValidationError, id="mark_all(FinOrd)"),
+    pytest.param(lambda u: covered_mask("a"), ValidationError, id="covered_mask(str)"),
+    pytest.param(lambda u: covered_part(None), ValidationError, id="covered_part(None)"),
+    pytest.param(lambda u: down_plus(chain(3), 0), ValidationError, id="down_plus(FinOrd)"),
+    pytest.param(lambda u: singleton(chain(2)), ValidationError, id="singleton(FinOrd)"),
+    pytest.param(lambda u: mewo_to_text(None), ValidationError, id="mewo_to_text(None)"),
+    pytest.param(lambda u: mewo_to_json(chain(2)), ValidationError, id="mewo_to_json(FinOrd)"),
+    pytest.param(lambda u: mewo_to_dot("a"), ValidationError, id="mewo_to_dot(str)"),
+    pytest.param(lambda u: u.from_graph(from_ordinal(chain(1))), ValidationError, id="from_graph(Mewo)"),
+    pytest.param(lambda u: canon(None), ForeignHandleError, id="canon(None)"),
+    pytest.param(lambda u: set_to_dot("a"), ForeignHandleError, id="set_to_dot(str)"),
 ])
 def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
     with pytest.raises(error):
         call(u)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sup([from_ordinal(chain(3))]), "expected a FinOrd, got Mewo", id="sup"),
+    pytest.param(lambda: simulation(chain(2), None), "expected a FinOrd, got NoneType", id="simulation"),
+    pytest.param(lambda: singleton(chain(2)), "expected a Mewo, got FinOrd", id="singleton"),
+    pytest.param(lambda: mewo_to_dot("a"), "expected a Mewo, got str", id="mewo_to_dot"),
+    pytest.param(lambda: SetUniverse().from_graph(from_ordinal(chain(1))), "expected a PointedGraph, got Mewo",
+                 id="from_graph"),
+])
+def test_a_wrong_kind_is_named_with_the_kind_expected(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()

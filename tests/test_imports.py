@@ -1,5 +1,7 @@
-"""Every name a module of src/hfkit imports is used in that module, and
-every private module-level function or class is used somewhere in src/hfkit.
+"""Every name a module of src/hfkit imports is used in that module, every
+private module-level function or class is used somewhere in src/hfkit,
+and the wrong-kind message and the interning lock each stay in their one
+module.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -72,3 +74,38 @@ def test_the_check_sees_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definition():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_definitions(sources) == []
+
+
+# Only errors._checked words a wrong-kind refusal, and only SetUniverse
+# takes its interning lock.
+OWNERS = {"expected a": "errors.py", "_lock": "universe.py", "_intern_ids": "universe.py"}
+
+
+def borrowed_internals(name: str, source: str) -> list[str]:
+    """The places where `source`, the module file `name`, builds a message
+    starting `expected a` or reads `._lock` or `._intern_ids`, unless it is
+    the module that owns them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("expected a"):
+            what = "expected a"
+        elif isinstance(node, ast.Attribute) and node.attr in OWNERS:
+            what = node.attr
+        else:
+            continue
+        if OWNERS[what] != name:
+            found.append((node.lineno, what))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_check_sees_a_borrowed_internal():
+    source = 'def f(x):\n    raise E(f"expected a Mewo, got {x}")\nwith u._lock:\n    u._intern_ids(())\n'
+    assert borrowed_internals("mewos.py", source) == ["expected a (line 2)", "_lock (line 3)", "_intern_ids (line 4)"]
+    assert borrowed_internals("universe.py", source) == ["expected a (line 2)"]
+    assert borrowed_internals("errors.py", source) == ["_lock (line 3)", "_intern_ids (line 4)"]
+    assert borrowed_internals("oracle.py", 'raise E("expected two Mewos")\n') == []
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_borrowed_internal(module):
+    assert borrowed_internals(module.name, module.read_text(encoding="utf-8")) == []
