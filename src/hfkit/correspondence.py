@@ -16,8 +16,9 @@ marked, so `set_of_mewo` of `from_ordinal(alpha)` is phi(alpha).
 `mewo_of_set` presents a set as the mewo of its hereditary members with
 the direct members marked, read off the set's slice (`export_slice`).
 Both round-trip on covered mewos. `mewo_of_set_literal` builds the same
-mewo through `singleton` and `union`, whose results carry their codes, so
-no intermediate mewo is collapsed from scratch.
+mewo by the law that a set is the union of the singletons of its members,
+through `singleton` and `union`, which store the codes they compute; it is
+checked against `mewo_of_set` and is never a route.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def mewo_of_set_literal(h: SetHandle) -> Mewo:
     the union over members of the singleton of the member's presentation.
     Evaluated bottom-up over the hereditary members in handle order, one
     singleton per set, so the depth of h is not bounded by the recursion limit.
-    Each union carries its codes in `scratch` and each singleton extends
-    its base's, so no union collapses a member from scratch.
+    Each union and singleton stores its codes in `scratch`, so no mewo is
+    collapsed. A law checked against `mewo_of_set`, it is never a route.
     """
     *nodes, top = export_slice(h)["nodes"]
     scratch = SetUniverse()

@@ -23,10 +23,12 @@ wellfoundedness make this coding injective on the carrier, so:
   Y; cover is a property of X alone, found on first use and kept on X;
 - principality fails exactly when every marked x has a marked partner but
   some x has none, since a simulation restricts to a partial one.
-No decision walks anything once the codes are cached. The brute-force
-permutation, map and segment searches in hfkit.oracle stay the
-authoritative cross-check. A value that is not a Mewo is a
-ValidationError naming its kind.
+No decision walks anything once the codes are cached; `union` and
+`singleton` store the codes they compute. The brute-force permutation,
+map and segment searches in hfkit.oracle stay the authoritative
+cross-check, and the literal recursion, checked against `mewo_of_set`,
+is never a route. A value that is not a Mewo is a ValidationError naming
+its kind.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class Mewo:
     the constructor trusts `preds` to be wellfounded and extensional and
     `marks` to hold one bool per element. Equality and hash compare `preds` and `marks`."""
 
-    __slots__ = ("size", "preds", "marks", "_covered", "_collapsed", "_base_codes")
+    __slots__ = ("size", "preds", "marks", "_covered", "_collapsed")
 
     def __init__(self, preds: tuple[tuple[int, ...], ...], marks):
         self.size = len(preds)
@@ -63,7 +65,6 @@ class Mewo:
         self.marks = tuple(marks)
         self._covered = None  # computed on first use; see is_covered
         self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
-        self._base_codes = None  # for a singleton, what its base carried: see _collapse
 
     @property
     def lt(self):
@@ -175,31 +176,18 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
     """The collapse in u of `preds` plus a root over the marked elements: the
     code id of each element, then the id of the set X presents; and the
     element of X with each code id. Kept on X for the last universe, held
-    weakly: the universe keeps no per-mewo state.
-
-    `union` stores the codes it computed. A singleton whose base carried
-    codes in u when it was made extends them: its top's code is the set
-    the base presents, and it presents the singleton of that code, one
-    intern. It keeps the base's codes, never the base, so a chain of
-    singletons holds one mewo."""
+    weakly: the universe keeps no per-mewo state. `union` and `singleton`
+    store theirs when they build; the literal recursion through them is
+    checked against `mewo_of_set`, never a route."""
     try:
         got = X._collapsed
     except AttributeError:
         _checked(Mewo, X)
         raise
     if got is None or got[0]() is not u:
-        base = X._base_codes
-        if base is not None and base[0]() is u:
-            _, base_ids, base_index = base
-            top = base_ids[-1]
-            assert top not in base_index, "codes must be injective on the carrier"
-            ids = base_ids + [u._intern_locked((top,))]
-            index = {**base_index, top: len(base_index)}
-            X._base_codes = None
-        else:
-            ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
-            index = dict(zip(ids, range(X.size)))
-            assert len(index) == X.size, "codes must be injective on the carrier"
+        ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
+        index = dict(zip(ids, range(X.size)))
+        assert len(index) == X.size, "codes must be injective on the carrier"
         got = X._collapsed = (weakref.ref(u), ids, index)
     return got[1], got[2]
 
@@ -284,14 +272,17 @@ def singleton(X: Mewo) -> Mewo:
 
     For a non-covered X the result can fail extensionality (an uncovered
     element and the new top may share predecessor sets); the failure is
-    reported rather than repaired. Interns nothing: the result keeps the
-    codes X carries, for `_collapse` to extend.
-    """
+    reported rather than repaired. If X has codes in a live universe, the
+    result keeps them plus its top's, the set X presents, and interns the
+    set it presents: `LimitExceededError` at the node limit. The literal
+    recursion through it is checked against `mewo_of_set`, never a route."""
     top = tuple(_checked(Mewo, X).marked_elements())
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
-    S._base_codes = X._collapsed
+    ref, ids, index = X._collapsed or (lambda: None, None, None)
+    if (u := ref()) is not None:  # X's codes, in a live universe; by the check, the top's code is new
+        S._collapsed = (ref, ids + [u._intern_locked((ids[-1],))], {**index, ids[-1]: X.size})
     return S
 
 

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import CyclicError, FormatError, SizeLimitError, ValidationError
+from .errors import CyclicError, FormatError, SizeLimitError, ValidationError, _checked
 from .mewos import Mewo, validate_mewo
 from .ordinals import FinOrd
 from .universe import PointedGraph, SetHandle, SetUniverse
@@ -207,7 +207,7 @@ def is_hereditarily_transitive(h: SetHandle) -> bool:
         elems, ids = members(s)
         return all(members(m)[1] <= ids for m in elems)
 
-    return transitive(h) and all(transitive(m) for m in members(h)[0])
+    return transitive(_checked(SetHandle, h)) and all(transitive(m) for m in members(h)[0])
 
 
 # -- bisimulation oracle on raw graphs ---------------------------------------
@@ -238,8 +238,8 @@ def _require_acyclic(g: PointedGraph, verts: list[int]) -> None:
 
 def bisimilar(g1: PointedGraph, g2: PointedGraph) -> bool:
     """Greatest-fixpoint bisimulation between the roots, by naive iteration."""
-    r1 = _reach(lambda v: g1.successors[v], [g1.root])
-    r2 = _reach(lambda v: g2.successors[v], [g2.root])
+    r1 = _reach(lambda v: g1.successors[v], [_checked(PointedGraph, g1).root])
+    r2 = _reach(lambda v: g2.successors[v], [_checked(PointedGraph, g2).root])
     _require_acyclic(g1, r1)
     _require_acyclic(g2, r2)
     rel = {(u, v): True for u in r1 for v in r2}
@@ -261,12 +261,13 @@ def bisimilar(g1: PointedGraph, g2: PointedGraph) -> bool:
 
 def mem_raw(x: PointedGraph, y: PointedGraph) -> bool:
     """Raw membership: some direct successor of y's root is bisimilar to x."""
-    return any(bisimilar(x, y.reroot(c)) for c in set(y.successors[y.root]))
+    _checked(PointedGraph, x)
+    return any(bisimilar(x, y.reroot(c)) for c in set(_checked(PointedGraph, y).successors[y.root]))
 
 
 def enumerate_v(level: int, u: SetUniverse) -> list[SetHandle]:
     """All sets of rank below `level`; sizes 0, 1, 2, 4, 16, 65536."""
-    if level > ENUM_V_LIMIT:
+    if _checked(int, level) > ENUM_V_LIMIT:
         raise SizeLimitError(f"enumerate_v is bounded at level {ENUM_V_LIMIT}")
     stage: list[SetHandle] = []
     for _ in range(level):
@@ -285,8 +286,8 @@ def enumerate_mewos(size: int) -> list[Mewo]:
     under all carrier permutations: each relation is relabeled once, and its
     markings only by the permutations that give the least matrix.
     """
-    if size > ENUM_MEWO_LIMIT:
-        raise SizeLimitError(f"enumerate_mewos is bounded at size {ENUM_MEWO_LIMIT}")
+    if not 0 <= _checked(int, size) <= ENUM_MEWO_LIMIT:
+        raise SizeLimitError(f"enumerate_mewos is bounded at sizes 0 to {ENUM_MEWO_LIMIT}, not {size}")
     slots = [(i, j) for i in range(size) for j in range(size) if i != j]
     perms = list(permutations(range(size)))
     out: dict[tuple, Mewo] = {}

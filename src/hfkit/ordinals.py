@@ -282,7 +282,7 @@ def _read_clauses(text: str, kind: str, usage: str, keys: tuple[str, ...]):
 
     A key may repeat; a key outside `keys` raises when its clause is reached.
     """
-    head, brace, body = text.strip().partition("{")
+    head, brace, body = _checked(str, text).strip().partition("{")
     if not (head.strip() == kind and brace and body.endswith("}")):
         raise FormatError(f"expected {usage!r}")
     for clause in body[:-1].split(";"):

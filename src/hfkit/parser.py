@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, _checked
 
 # Parsing and evaluation recurse once per open brace; this bound keeps both
 # well under the interpreter's default recursion limit of 1000.
@@ -85,7 +85,7 @@ def _tokenize(text: str) -> list[_Tok]:
     # from the start of the line.
     toks = []
     line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(_checked(str, text)):
         kind = m.lastgroup
         if kind == "ws" or kind == "comment":
             continue

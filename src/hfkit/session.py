@@ -201,20 +201,22 @@ class Session:
         return [line for line in lines if line is not None]
 
 
+_WRITERS = {
+    SetHandle: {"text": canon, "json": export_slice, "dot": set_to_dot},
+    FinOrd: {"text": ord_to_text, "json": ord_to_json},
+    Mewo: {"text": mewo_to_text, "json": mewo_to_json, "dot": mewo_to_dot},
+}
+
+
 def render(value, fmt: str = "text") -> str:
     """`value` as `fmt`: `text` for every value, `json` for sets, ordinals and
-    mewos, `dot` for sets and mewos. Ordinals and mewos are measured first and
-    refused past `MAX_RENDERED_CHARS`; `canon` and `set_to_dot` measure sets."""
-    if isinstance(value, SetHandle):
-        doc = {"text": canon, "json": export_slice, "dot": set_to_dot}[fmt](value)
-    elif isinstance(value, Mewo) or (isinstance(value, FinOrd) and fmt != "dot"):
-        _refuse_past_limit(_text_length(value, fmt))
-        if isinstance(value, FinOrd):
-            doc = ord_to_text(value) if fmt == "text" else ord_to_json(value)
-        else:
-            doc = {"text": mewo_to_text, "json": mewo_to_json, "dot": mewo_to_dot}[fmt](value)
-    elif fmt == "text" and isinstance(value, (bool, int, str)):
+    mewos, `dot` for sets and mewos, else an EvalError. Ordinals and mewos are
+    measured first and refused past `MAX_RENDERED_CHARS`; sets by their writers."""
+    if fmt == "text" and isinstance(value, (bool, int, str)):
         return ("true" if value else "false") if isinstance(value, bool) else str(value)
-    else:
+    write = _WRITERS.get(type(value), {}).get(fmt)
+    if write is None:
         raise EvalError(f"no {fmt} rendering for {type(value).__name__}")
-    return json.dumps(doc, separators=(",", ":")) if fmt == "json" else doc
+    if not isinstance(value, SetHandle):
+        _refuse_past_limit(_text_length(value, fmt))
+    return json.dumps(write(value), separators=(",", ":")) if fmt == "json" else write(value)

@@ -138,7 +138,7 @@ class SetUniverse:
             if not raw.strip().isdecimal():
                 raise HfkitError(f"HFKIT_NODE_LIMIT={raw!r} is not a non-negative integer")
             node_limit = int(raw)
-        self.node_limit = node_limit
+        self.node_limit = _checked(int, node_limit)
         self._children: list[tuple[int, ...]] = []
         self._intern: dict[tuple[int, ...], int] = {}
         self._lock = threading.Lock()
@@ -338,7 +338,7 @@ def import_slice(doc: dict, u: SetUniverse) -> SetHandle:
     if type(root) is not int or not 0 <= root < len(nodes):
         raise FormatError(f"root {root!r} is not a node position")
     ids: list[int] = []
-    with u._interning() as intern:
+    with _checked(SetUniverse, u)._interning() as intern:
         for pos, child_positions in enumerate(nodes):
             if not isinstance(child_positions, (list, tuple)):
                 raise FormatError(f"node {pos} is not a list of child positions")

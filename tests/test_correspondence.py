@@ -10,6 +10,16 @@ import pytest
 
 import hfkit.ordinals
 from hfkit import (
+    SizeLimitError,
+    bisimilar,
+    enumerate_mewos,
+    import_slice,
+    is_hereditarily_transitive,
+    mem_raw,
+    mewo_from_text,
+    ord_from_text,
+    parse,
+    parse_program,
     ForeignHandleError,
     FormatError,
     GenConfig,
@@ -443,6 +453,23 @@ def _coded_in_a_dropped_universe():
     pytest.param(lambda u: u.from_graph(from_ordinal(chain(1))), ValidationError, id="from_graph(Mewo)"),
     pytest.param(lambda u: canon(None), ForeignHandleError, id="canon(None)"),
     pytest.param(lambda u: set_to_dot("a"), ForeignHandleError, id="set_to_dot(str)"),
+    # the kinds that raised AttributeError or TypeError, or were taken as they came
+    pytest.param(lambda u: import_slice({"nodes": [[]], "root": 0}, None), ValidationError,
+                 id="import_slice(u=None)"),
+    pytest.param(lambda u: ord_from_text(None), ValidationError, id="ord_from_text(None)"),
+    pytest.param(lambda u: mewo_from_text(None), ValidationError, id="mewo_from_text(None)"),
+    pytest.param(lambda u: parse(None), ValidationError, id="parse(None)"),
+    pytest.param(lambda u: parse_program(b"let a = 1"), ValidationError, id="parse_program(bytes)"),
+    pytest.param(lambda u: bisimilar(None, PointedGraph.make([[]])), ValidationError, id="bisimilar(None)"),
+    pytest.param(lambda u: bisimilar(PointedGraph.make([[]]), "a"), ValidationError, id="bisimilar(g2=str)"),
+    pytest.param(lambda u: mem_raw(None, PointedGraph.make([[]])), ValidationError,
+                 id="mem_raw(None)"),
+    pytest.param(lambda u: mem_raw(PointedGraph.make([[]]), "a"), ValidationError, id="mem_raw(y=str)"),
+    pytest.param(lambda u: is_hereditarily_transitive(None), ValidationError, id="is_hereditarily_transitive(None)"),
+    pytest.param(lambda u: enumerate_v("a", u), ValidationError, id="enumerate_v(str)"),
+    pytest.param(lambda u: enumerate_mewos(None), ValidationError, id="enumerate_mewos(None)"),
+    pytest.param(lambda u: enumerate_mewos(-1), SizeLimitError, id="enumerate_mewos(-1)"),
+    pytest.param(lambda u: SetUniverse(node_limit="x"), ValidationError, id="SetUniverse(node_limit=str)"),
 ])
 def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
     with pytest.raises(error):
@@ -456,6 +483,10 @@ def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
     pytest.param(lambda: mewo_to_dot("a"), "expected a Mewo, got str", id="mewo_to_dot"),
     pytest.param(lambda: SetUniverse().from_graph(from_ordinal(chain(1))), "expected a PointedGraph, got Mewo",
                  id="from_graph"),
+    pytest.param(lambda: import_slice({"nodes": [[]], "root": 0}, None), "expected a SetUniverse, got NoneType",
+                 id="import_slice"),
+    pytest.param(lambda: parse(None), "expected a str, got NoneType", id="parse"),
+    pytest.param(lambda: mem_raw(PointedGraph.make([[]]), "a"), "expected a PointedGraph, got str", id="mem_raw"),
 ])
 def test_a_wrong_kind_is_named_with_the_kind_expected(call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -1,7 +1,7 @@
 """Every name a module of src/hfkit imports is used in that module, every
 private module-level function or class is used somewhere in src/hfkit,
-and the wrong-kind message and the interning lock each stay in their one
-module.
+and the wrong-kind message, the interning lock and the mewo code cache
+each stay in their one module.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -76,15 +76,15 @@ def test_no_unreferenced_private_definition():
     assert unreferenced_private_definitions(sources) == []
 
 
-# Only errors._checked words a wrong-kind refusal, and only SetUniverse
-# takes its interning lock.
-OWNERS = {"expected a": "errors.py", "_lock": "universe.py", "_intern_ids": "universe.py"}
+# Only errors._checked words a wrong-kind refusal, only SetUniverse takes its
+# interning lock, and only mewos lays out the codes a Mewo keeps.
+OWNERS = {"expected a": "errors.py", "_lock": "universe.py", "_intern_ids": "universe.py", "_collapsed": "mewos.py"}
 
 
 def borrowed_internals(name: str, source: str) -> list[str]:
     """The places where `source`, the module file `name`, builds a message
-    starting `expected a` or reads `._lock` or `._intern_ids`, unless it is
-    the module that owns them."""
+    starting `expected a` or reads another attribute named in OWNERS, unless
+    it is the module that owns it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("expected a"):
@@ -104,6 +104,8 @@ def test_the_check_sees_a_borrowed_internal():
     assert borrowed_internals("universe.py", source) == ["expected a (line 2)"]
     assert borrowed_internals("errors.py", source) == ["_lock (line 3)", "_intern_ids (line 4)"]
     assert borrowed_internals("oracle.py", 'raise E("expected two Mewos")\n') == []
+    assert borrowed_internals("correspondence.py", "X._collapsed[1]\n") == ["_collapsed (line 1)"]
+    assert borrowed_internals("mewos.py", "X._collapsed[1]\n") == []
 
 
 @pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -14,6 +14,7 @@ from hfkit import (
     CyclicError,
     ExtensionalityError,
     GenConfig,
+    LimitExceededError,
     PointedGraph,
     SetUniverse,
     ValidationError,
@@ -651,8 +652,8 @@ def test_union_and_singleton_carry_their_codes(covered_pool, monkeypatch):
 
 
 def test_a_singleton_of_an_uncoded_singleton_codes_like_a_fresh_copy(covered_pool):
-    # S1 carries the codes of X but was never coded itself, so S2 carries
-    # nothing: extending what S1 carries would give S2 the codes of X plus one
+    # S1 stores the codes of X plus its top's when it is built, and S2
+    # extends those once more: two tops, each coded as the set below it presents
     u = SetUniverse()
     for X in covered_pool:
         _collapse(X, u)
@@ -660,13 +661,40 @@ def test_a_singleton_of_an_uncoded_singleton_codes_like_a_fresh_copy(covered_poo
         assert _collapse(S2, u) == _fresh_collapse(S2, u)
 
 
-def test_singleton_interns_nothing(covered_pool):
+def test_a_singleton_interns_at_most_the_set_it_presents(covered_pool):
     u = SetUniverse()
     for X in covered_pool:
+        X = Mewo(X.preds, X.marks)  # a copy that carries no codes
+        assert singleton(X)._collapsed is None  # so its singleton has none to store
         codes(X, u)
         before = len(u)
-        singleton(X)
-        assert len(u) == before
+        S = singleton(X)
+        assert S._collapsed[0]() is u and len(u) - before <= 1
+        ids, index = _collapse(S, u)
+        assert (ids, index) == _fresh_collapse(S, u)
+        assert len(u) == before or ids[-1] == before  # the one new set is the set S presents
+
+
+def test_a_singleton_of_a_mewo_coded_in_a_full_universe_interns_nothing(covered_pool):
+    for X in covered_pool:
+        probe = SetUniverse()
+        codes(X, probe)
+        u = SetUniverse(node_limit=len(probe))  # the sets coding X fill it
+        codes(X, u)
+        with pytest.raises(LimitExceededError):
+            singleton(X)
+        assert len(u) == len(probe)
+
+
+def test_a_singleton_of_a_mewo_whose_universe_was_collected_carries_nothing():
+    X = from_ordinal(chain(2))
+    codes(X, SetUniverse())
+    gc.collect()
+    assert X._collapsed[0]() is None
+    S = singleton(X)
+    assert S._collapsed is None
+    u = SetUniverse()
+    assert _collapse(S, u) == _fresh_collapse(S, u)
 
 
 def test_union_of_covered_is_covered(covered_pool):

@@ -758,6 +758,18 @@ def test_render_counts_mewos_and_ordinals_exactly(mewo_pool, fixtures_mewos):
             assert session_module._text_length(value, "dot") == len(session.apply("dot", [value]))
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: chain(2), id="FinOrd"),
+    pytest.param(lambda: SetUniverse().von_neumann(2), id="SetHandle"),
+    pytest.param(lambda: mewo_from_text("mewo { elems: a b; lt: a<b; marked: b }"), id="Mewo"),
+])
+def test_render_refuses_an_unknown_format_for_every_kind(make):
+    # an ordinal was returned as its unserialised JSON dict, a set or a mewo raised KeyError
+    value = make()
+    with pytest.raises(EvalError, match=f"^no xml rendering for {type(value).__name__}$"):
+        render(value, "xml")
+
+
 def test_text_length_of_a_long_ordinal_lists_no_pairs():
     alpha = chain(5_000)
     for fmt in ("text", "json"):
