@@ -12,6 +12,7 @@ import numpy as np
 
 from hfkit import (
     ExtensionalityError,
+    SetUniverse,
     bounded_sim_mewo,
     chain,
     from_ordinal,
@@ -38,16 +39,19 @@ print("unmarked below marked:", mewo_to_text(two))
 print("\nthe unmarked point is covered:", is_covered(circ))
 print("the two-chain is covered:", is_covered(two))
 
-# the three classic failures, all decided exactly:
-print("\nstrict: marked point < two-chain:", bounded_sim_mewo(bullet, two) is not None)
-print("weak:   marked point <= two-chain:", simulation_mewo(bullet, two) is not None)
-print("chain:  empty < marked point:", bounded_sim_mewo(empty, bullet) is not None)
-print("        marked point < two-chain:", bounded_sim_mewo(bullet, two) is not None)
-print("        empty < two-chain:", bounded_sim_mewo(empty, two) is not None)
+# the three classic failures, all decided exactly. A decision reads the
+# Mostowski codes of both sides, and codes live in a set universe, so every
+# decision (and union) is given the universe to intern them in.
+u = SetUniverse()
+print("\nstrict: marked point < two-chain:", bounded_sim_mewo(bullet, two, u) is not None)
+print("weak:   marked point <= two-chain:", simulation_mewo(bullet, two, u) is not None)
+print("chain:  empty < marked point:", bounded_sim_mewo(empty, bullet, u) is not None)
+print("        marked point < two-chain:", bounded_sim_mewo(bullet, two, u) is not None)
+print("        empty < two-chain:", bounded_sim_mewo(empty, two, u) is not None)
 
 # trivializing the marking restores the ordinal-style facts
 print("\nafter marking everything, the simulation exists:",
-      simulation_mewo(bullet, mark_all(two)) is not None)
+      simulation_mewo(bullet, mark_all(two), u) is not None)
 
 # singleton wraps a structure one level deeper; on covered input it stays
 # a mewo, on uncovered input extensionality breaks
@@ -61,5 +65,5 @@ except ExtensionalityError as exc:
 # any of its sources marks it
 left = from_ordinal(chain(2))
 print("\nunion of the fully marked 2-chain with the half marked one:")
-print(" ", mewo_to_text(union([left, two])))
-print("  equals the fully marked 2-chain:", mewo_equal(union([left, two]), left))
+print(" ", mewo_to_text(union([left, two], u)))
+print("  equals the fully marked 2-chain:", mewo_equal(union([left, two], u), left, u))

@@ -32,16 +32,16 @@ print("and back:", canon(set_of_mewo(X, u)))
 # the same structure as the direct presentation
 print(
     "\nrecursive and direct presentations agree:",
-    mewo_equal(X, mewo_of_set_literal(nested)),
+    mewo_equal(X, mewo_of_set_literal(nested), u),
 )
 
 # order transport on a couple of concrete sets
 one = u.mk_set([u.empty()])
 A, B = mewo_of_set(one), mewo_of_set(nested)
 print("\n{0} is a member of {{0}}:", u.mem(one, nested))
-print("its mewo sits strictly below:", bounded_sim_mewo(A, B) is not None)
+print("its mewo sits strictly below:", bounded_sim_mewo(A, B, u) is not None)
 print("{0} is a subset of {{0}}:", u.subset(one, nested))
-print("and accordingly no weak simulation:", simulation_mewo(A, B) is not None)
+print("and accordingly no weak simulation:", simulation_mewo(A, B, u) is not None)
 
 # the roundtrip holds across a seeded batch of random sets
 cfg = GenConfig(seed=5, max_width=4, max_depth=4, count=200)

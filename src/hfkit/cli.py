@@ -7,7 +7,7 @@ import functools
 import json
 import sys
 
-from .errors import FormatError, HfkitError
+from .errors import FormatError, HfkitError, ParseError
 from .mewos import mewo_from_json, mewo_from_text
 from .session import Session, render
 from .suites import SUITE_NAMES, run_suite
@@ -42,21 +42,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _repl(args) -> int:
     session = Session()
-    interactive = sys.stdin.isatty()
-    while True:
-        if interactive:
-            sys.stderr.write("hfkit> ")
-            sys.stderr.flush()
-        line = sys.stdin.readline()
-        if not line:
-            return 0
+    prompt = "hfkit> " if sys.stdin.isatty() else ""  # none when stdin is not a terminal
+    print(prompt, end="", file=sys.stderr, flush=True)
+    for number, line in enumerate(sys.stdin, 1):
         try:
             for out in session.run_program(line):
                 print(out)
         except HfkitError as exc:
+            if isinstance(exc, ParseError):  # the parser numbers the one line it is given 1
+                exc = ParseError(number + exc.line - 1, exc.col, exc.message, exc.expected)
             print(f"error: {exc}", file=sys.stderr)
-            if not interactive:
+            if not prompt:  # not a terminal: stop at the first error
                 return 1
+        print(prompt, end="", file=sys.stderr, flush=True)
+    return 0
 
 
 def _read(path: str) -> str:

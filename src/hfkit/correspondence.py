@@ -23,6 +23,7 @@ checked against `mewo_of_set` and is never a route.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import NotAnOrdinalError, _checked
@@ -79,7 +80,7 @@ def rank_quotient(h: SetHandle, presentation: list[SetHandle]) -> QuotientRank:
     """
     u = _universe_of(h)
     groups: dict[int, list[int]] = {}  # set id -> indices, in order of first appearance
-    for idx, member in enumerate(presentation):
+    for idx, member in enumerate(_checked(Iterable, presentation)):
         groups.setdefault(u._own(member), []).append(idx)
     members = u._children[u._own(h)]
     if tuple(sorted(groups)) != members:
@@ -99,7 +100,7 @@ def elements_ordinal(h: SetHandle) -> FinOrd:
 def set_of_mewo(X: Mewo, u: SetUniverse) -> SetHandle:
     """The set whose members are the codes of the marked elements: the root
     of the collapse of X's presentation."""
-    return SetHandle(u, _collapse(X, _checked(SetUniverse, u))[0][X.size])
+    return SetHandle(u, _collapse(X, u)[0][X.size])
 
 
 def mewo_of_set(h: SetHandle) -> Mewo:

@@ -65,6 +65,7 @@ class ParseError(HfkitError):
     def __init__(self, line, col, message, expected=()):
         self.line = line
         self.col = col
+        self.message = message
         self.expected = tuple(expected)
         detail = f"{line}:{col}: {message}"
         if self.expected:
@@ -77,7 +78,8 @@ class EvalError(HfkitError):
 
 
 def _checked(kind: type, value):
-    """value, which must be a `kind`; else a ValidationError naming both kinds."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"expected a {kind.__name__}, got {type(value).__name__}") from None
+    """value, which must be a `kind` (a bool is no int); else a ValidationError naming both kinds."""
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise ValidationError(f"expected {article} {kind.__name__}, got {type(value).__name__}") from None
     return value

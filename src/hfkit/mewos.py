@@ -23,17 +23,18 @@ wellfoundedness make this coding injective on the carrier, so:
   Y; cover is a property of X alone, found on first use and kept on X;
 - principality fails exactly when every marked x has a marked partner but
   some x has none, since a simulation restricts to a partial one.
-No decision walks anything once the codes are cached; `union` and
-`singleton` store the codes they compute. The brute-force permutation,
-map and segment searches in hfkit.oracle stay the authoritative
-cross-check, and the literal recursion, checked against `mewo_of_set`,
-is never a route. A value that is not a Mewo is a ValidationError naming
-its kind.
+Every decision and `union` take the caller's universe, and none walks
+anything once the codes are cached for it; `union` and `singleton` store
+the codes they compute. The brute-force permutation, map and segment
+searches in hfkit.oracle stay the authoritative cross-check; the literal
+recursion, checked against `mewo_of_set`, is never a route. A mewo or a
+universe of another kind is a ValidationError naming that kind.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterable
 from itertools import compress
 
 from .errors import ExtensionalityError, FormatError, _checked
@@ -169,22 +170,22 @@ def from_ordinal(alpha: FinOrd) -> Mewo:
 
 def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
     """Mostowski codes: code(x) interns the set of its predecessors' codes."""
-    return tuple(SetHandle(u, i) for i in _collapse(X, _checked(SetUniverse, u))[0][:X.size])
+    return tuple(SetHandle(u, i) for i in _collapse(X, u)[0][:X.size])
 
 
 def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
     """The collapse in u of `preds` plus a root over the marked elements: the
     code id of each element, then the id of the set X presents; and the
     element of X with each code id. Kept on X for the last universe, held
-    weakly: the universe keeps no per-mewo state. `union` and `singleton`
-    store theirs when they build; the literal recursion through them is
-    checked against `mewo_of_set`, never a route."""
+    weakly (the universe keeps no per-mewo state; `union` and `singleton`
+    store theirs), and read back only for that universe, alive. The one
+    universe check of the mewo operations: None is a ValidationError too."""
     try:
         got = X._collapsed
     except AttributeError:
         _checked(Mewo, X)
         raise
-    if got is None or got[0]() is not u:
+    if got is None or got[0]() is not u or u is None:
         ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
         index = dict(zip(ids, range(X.size)))
         assert len(index) == X.size, "codes must be injective on the carrier"
@@ -192,24 +193,22 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
     return got[1], got[2]
 
 
-def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
+def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     """Equality as marked orders, read off the codes: X equals Y exactly when
     both carry the same codes (a code-preserving bijection is an isomorphism)
     and present the same set (the same marked codes)."""
-    u = u if u is not None else SetUniverse()
     cx, index_x = _collapse(X, u)
     cy, index_y = _collapse(Y, u)
     return cx[X.size] == cy[Y.size] and index_x.keys() == index_y.keys()
 
 
-def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitness | None:
+def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> SimWitness | None:
     """The unique marking-preserving simulation X -> Y, or None.
 
     An element map is a simulation exactly when it matches initial
     segments pointwise, i.e. preserves Mostowski codes, and sends marked
     elements to marked elements.
     """
-    u = u if u is not None else SetUniverse()
     cx, _ = _collapse(X, u)
     _, index_y = _collapse(Y, u)
     f = tuple(map(index_y.get, cx[:X.size]))
@@ -218,7 +217,7 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> SimWitnes
     return SimWitness(f)
 
 
-def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedSimWitness | None:
+def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | None:
     """The unique marked bound y with X equal to down_plus(Y, y), plus the
     equivalence as a map from X onto original Y indices.
 
@@ -228,7 +227,6 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedS
     keeps on X, so no call walks X or the universe. The equivalence sends
     each x to the element of Y with the same code.
     """
-    u = u if u is not None else SetUniverse()
     _, index_y = _collapse(Y, u)
     if not is_covered(X):
         return None
@@ -239,23 +237,21 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> BoundedS
     return BoundedSimWitness(y, tuple(map(index_y.__getitem__, cx[:X.size])))
 
 
-def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> dict[int, int] | None:
+def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse) -> dict[int, int] | None:
     """Map each marked x to the unique marked y with the same initial segment."""
-    u = u if u is not None else SetUniverse()
     cx, _ = _collapse(X, u)
     _, index_y = _collapse(Y, u)
     f = dict(zip(compress(range(X.size), X.marks), map(index_y.get, compress(cx, X.marks))))
     return None if None in f.values() or not all(map(Y.marks.__getitem__, f.values())) else f
 
 
-def principality_check(X: Mewo, Y: Mewo, u: SetUniverse | None = None) -> bool:
+def principality_check(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     """Does a partial simulation into Y determine a full one and vice versa?
 
     Both sides are unique when they exist, and a simulation restricts to a
     partial one, so the check fails exactly when every marked x has a
     marked partner in Y but some x has no partner at all.
     """
-    u = u if u is not None else SetUniverse()
     cx, _ = _collapse(X, u)
     _, index_y = _collapse(Y, u)
     f = list(map(index_y.get, cx[:X.size]))
@@ -286,7 +282,7 @@ def singleton(X: Mewo) -> Mewo:
     return S
 
 
-def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
+def union(F: list[Mewo], u: SetUniverse) -> Mewo:
     """Union of a family: one element per distinct initial segment.
 
     Segments are compared through their codes; the order is code
@@ -298,11 +294,10 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
     of a class is the code of its members, so the result carries its codes
     in u, and the set it presents costs one intern.
     """
-    u = _checked(SetUniverse, u) if u is not None else SetUniverse()
     order: list[int] = []  # the code id of each class
     reps: dict[int, int] = {}  # code id -> class
     marked: list[bool] = []
-    for X in F:
+    for X in _checked(Iterable, F):
         for c, m in zip(_collapse(X, u)[0], X.marks):  # the codes; zip drops the root
             pos = reps.get(c)
             if pos is None:
@@ -311,7 +306,7 @@ def union(F: list[Mewo], u: SetUniverse | None = None) -> Mewo:
                 marked.append(m)
             elif m:
                 marked[pos] = True
-    children, cls = u._children, reps.__getitem__
+    children, cls = _checked(SetUniverse, u)._children, reps.__getitem__
     Z = Mewo(tuple([tuple(sorted(map(cls, children[i]))) for i in order]), marked)
     root = u._intern_locked(tuple(sorted(c for c, m in zip(order, marked) if m)))
     Z._collapsed = (weakref.ref(u), order + [root], reps)

@@ -369,20 +369,14 @@ def _covers(lt: list[list[bool]], marked: list[bool]) -> bool:
 
 
 def _collapse_to_extensional(lt: list[list[bool]]) -> list[list[bool]]:
+    """Merge each element into the first with the same predecessors, until no two share them."""
     while True:
-        n = len(lt)
-        seen: dict[tuple[bool, ...], int] = {}
-        dup = None
-        for x in range(n):
-            key = tuple(row[x] for row in lt)
-            if key in seen:
-                dup = (seen[key], x)
-                break
-            seen[key] = x
-        if dup is None:
+        cols = [tuple(row[x] for row in lt) for x in range(len(lt))]
+        drop = next((x for x, col in enumerate(cols) if col in cols[:x]), None)
+        if drop is None:
             return lt
-        keep, drop = dup
+        keep = cols.index(cols[drop])
         # successors of the dropped element fold into the kept one
         lt[keep] = [a or b for a, b in zip(lt[keep], lt[drop])]
-        live = [i for i in range(n) if i != drop]
+        live = [i for i in range(len(lt)) if i != drop]
         lt = [[lt[i][j] for j in live] for i in live]

@@ -16,7 +16,8 @@ passed SetUniverse.is_st_ordinal.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 from .errors import (
     CyclicError,
@@ -220,7 +221,7 @@ def sup_classes(family: list[FinOrd]) -> list[list[tuple[int, int]]]:
     representative first; classes are returned in order-type order.
     """
     classes: dict[int, list[tuple[int, int]]] = {}
-    for i, f in enumerate(family):
+    for i, f in enumerate(_checked(Iterable, family)):
         for x, p in enumerate(_checked(FinOrd, f).pos):
             classes.setdefault(p, []).append((i, x))
     return [sorted(classes[k]) for k in sorted(classes)]
@@ -233,7 +234,7 @@ def sup(family: list[FinOrd]) -> FinOrd:
     the classes are the positions below the longest member, ordered as
     positions (the class order of sup_classes).
     """
-    return chain(max((_checked(FinOrd, f).size for f in family), default=0))
+    return chain(max((_checked(FinOrd, f).size for f in _checked(Iterable, family)), default=0))
 
 
 # -- serialization ------------------------------------------------------------

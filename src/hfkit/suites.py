@@ -273,26 +273,25 @@ def _suite_ordinals(seed: int, max_size: int, max_depth: int):
 
 
 def _suite_mewos(seed: int, max_size: int, max_depth: int):
-    point, open_point, cb = bullet(), circ(), circ_bullet()
+    point, open_point, cb, u = bullet(), circ(), circ_bullet(), SetUniverse()
     yield "covered.single.unmarked", "one unmarked point", False, is_covered(open_point)
     yield "covered.two.chain", "unmarked below marked", True, is_covered(cb)
     seg = down_plus(cb, 1)
-    yield "down_plus.two.chain", "top segment of two-chain", True, mewo_equal(seg, point)
+    yield "down_plus.two.chain", "top segment of two-chain", True, mewo_equal(seg, point, u)
     ok = not segments_covered(oracle.enumerate_mewos(min(3, max_size)))
     yield "down_plus.covered", "all segments at small size", True, ok
     yield "singleton.uncovered", "one unmarked point", "extensionality", _outcome(singleton, open_point)
-    yield "singleton.bullet", "marked point", True, mewo_equal(singleton(point), cb)
+    yield "singleton.bullet", "marked point", True, mewo_equal(singleton(point), cb, u)
     two_marked = from_ordinal(chain(2))
     yield (
         "union.marking.exists",
         "fully marked 2-chain with partially marked one",
         True,
-        mewo_equal(union([two_marked, cb]), two_marked),
+        mewo_equal(union([two_marked, cb], u), two_marked, u),
     )
-    got = principality_check(open_point, covered_part(open_point))
+    got = principality_check(open_point, covered_part(open_point), u)
     yield "principality.uncovered", "unmarked point vs its covered part", False, got
     small = [m for s in range(min(3, max_size) + 1) for m in oracle.enumerate_mewos(s)]
-    u = SetUniverse()
     agree = not simulations_match_oracle(small, lambda X, Y: simulation_mewo(X, Y, u))
     yield "simulation.vs.oracle", "all pairs at small size", True, agree
 
@@ -324,15 +323,15 @@ def _suite_correspondence(seed: int, max_size: int, max_depth: int):
 
 
 def _suite_counterexamples(seed: int, max_size: int, max_depth: int):
-    point, cb, emp = bullet(), circ_bullet(), empty_mewo()
-    strict, weak = bounded_sim_mewo(point, cb) is not None, simulation_mewo(point, cb) is not None
+    point, cb, emp, u = bullet(), circ_bullet(), empty_mewo(), SetUniverse()
+    strict, weak = bounded_sim_mewo(point, cb, u) is not None, simulation_mewo(point, cb, u) is not None
     yield "bounded.sim.exists", "marked point into two-chain", True, strict
     yield "simulation.missing", "marked point into two-chain", True, not weak
-    yield "empty.below.point", "empty into marked point", True, bounded_sim_mewo(emp, point) is not None
-    got = bounded_sim_mewo(emp, cb) is None
+    yield "empty.below.point", "empty into marked point", True, bounded_sim_mewo(emp, point, u) is not None
+    got = bounded_sim_mewo(emp, cb, u) is None
     yield "not.transitive", "empty into two-chain despite the chain of bounded sims", True, got
     yield "strict.not.weak", "bounded sim without full simulation", True, strict and not weak
-    got = simulation_mewo(point, mark_all(cb)) is not None
+    got = simulation_mewo(point, mark_all(cb), u) is not None
     yield "marked.into.markall", "simulation appears after trivializing the marking", True, got
 
 

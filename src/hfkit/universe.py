@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError, _checked
 
@@ -78,7 +78,10 @@ class PointedGraph:
 
     @classmethod
     def make(cls, successors: Sequence[Sequence[int]], root: int = 0) -> "PointedGraph":
-        succ = tuple(tuple(s) for s in successors)
+        try:
+            succ = tuple(map(tuple, successors))
+        except TypeError:
+            raise FormatError("the successors of a pointed graph are a list of vertex lists") from None
         return cls(len(succ), succ, root)
 
     def reroot(self, v: int) -> "PointedGraph":
@@ -162,7 +165,12 @@ class SetUniverse:
 
     def mk_set(self, children: Iterable[SetHandle]) -> SetHandle:
         """Intern the set whose members are `children` (order and duplicates ignored)."""
-        return SetHandle(self, self._intern_locked(tuple(sorted({self._own(ch) for ch in children}))))
+        try:
+            ids = {self._own(ch) for ch in children}
+        except TypeError:
+            _checked(Iterable, children)
+            raise
+        return SetHandle(self, self._intern_locked(tuple(sorted(ids))))
 
     def _intern_locked(self, key: tuple[int, ...]) -> int:
         """`_intern_ids` as one step under `_lock`, for a caller that holds no lock."""

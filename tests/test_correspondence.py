@@ -50,6 +50,8 @@ from hfkit import (
     mewo_to_json,
     mewo_to_text,
     order_type,
+    partial_sim,
+    principality_check,
     ord_to_json,
     ord_to_text,
     rank_ordinal,
@@ -297,14 +299,14 @@ def test_set_of_mewo_fixtures(fixtures_mewos, u):
 
 def test_mewo_of_set_fixtures(fixtures_mewos, u):
     bullet, _, cb, emp = fixtures_mewos
-    assert mewo_equal(mewo_of_set(u.empty()), emp)
-    assert mewo_equal(mewo_of_set(u.mk_set([u.mk_set([u.empty()])])), cb)
-    assert mewo_equal(mewo_of_set(u.von_neumann(2)), from_ordinal(chain(2)))
+    assert mewo_equal(mewo_of_set(u.empty()), emp, u)
+    assert mewo_equal(mewo_of_set(u.mk_set([u.mk_set([u.empty()])])), cb, u)
+    assert mewo_equal(mewo_of_set(u.von_neumann(2)), from_ordinal(chain(2)), u)
 
 
 def test_mewo_of_set_literal_agrees(u):
     for h in gen_random_set(GenConfig(seed=13, max_width=4, max_depth=4, count=60), u):
-        assert mewo_equal(mewo_of_set(h), mewo_of_set_literal(h))
+        assert mewo_equal(mewo_of_set(h), mewo_of_set_literal(h), u)
 
 
 def test_mewo_of_set_literal_below_the_recursion_limit(u, low_recursion_limit):
@@ -326,7 +328,7 @@ def test_mewo_of_set_literal_equals_the_fast_path(u):
         n = rng.randint(1, 12)
         succ = [[rng.randrange(v) for _ in range(rng.randint(0, min(v, 3)))] for v in range(n)]
         h = u.from_graph(PointedGraph.make(succ, root=n - 1))
-        assert mewo_equal(mewo_of_set_literal(h), mewo_of_set(h))
+        assert mewo_equal(mewo_of_set_literal(h), mewo_of_set(h), u)
 
 
 def test_mewo_of_set_on_the_large_collapse_root():
@@ -366,7 +368,7 @@ def test_set_mewo_roundtrip_on_sets(u):
 
 def test_set_mewo_roundtrip_on_covered(covered_pool, u):
     for X in covered_pool:
-        assert mewo_equal(X, mewo_of_set(set_of_mewo(X, u)))
+        assert mewo_equal(X, mewo_of_set(set_of_mewo(X, u)), u)
 
 
 def test_simulation_transport(covered_pool):
@@ -382,7 +384,7 @@ def test_simulation_transport(covered_pool):
 def test_square_commutes(u):
     for n in range(7):
         left = mewo_of_set(set_of_ordinal(chain(n), u))
-        assert mewo_equal(left, from_ordinal(chain(n)))
+        assert mewo_equal(left, from_ordinal(chain(n)), u)
 
 
 def _coded_in_a_dropped_universe():
@@ -392,6 +394,25 @@ def _coded_in_a_dropped_universe():
     gc.collect()
     assert X._collapsed[0]() is None
     return X
+
+
+@pytest.mark.parametrize("call", [
+    lambda X: mewo_equal(X, X, None),
+    lambda X: simulation_mewo(X, X, None),
+    lambda X: bounded_sim_mewo(X, X, None),
+    lambda X: partial_sim(X, X, None),
+    lambda X: principality_check(X, X, None),
+    lambda X: union([X], None),
+    lambda X: codes(X, None),
+    lambda X: set_of_mewo(X, None),
+], ids=["mewo_equal", "simulation_mewo", "bounded_sim_mewo", "partial_sim", "principality_check", "union", "codes",
+        "set_of_mewo"])
+def test_no_mewo_operation_takes_none_for_a_universe(call):
+    # neither a mewo without codes nor one whose codes name a collected
+    # universe is answered: the dead codes are never read
+    for X in (from_ordinal(chain(2)), _coded_in_a_dropped_universe()):
+        with pytest.raises(ValidationError, match="^expected a SetUniverse, got NoneType$"):
+            call(X)
 
 
 # Ordinal-side values of the wrong kind or out of range. Each is refused, as
@@ -415,6 +436,7 @@ def _coded_in_a_dropped_universe():
     pytest.param(lambda u: simulation_mewo(from_ordinal(chain(1)), from_ordinal(chain(1)), "u"),
                  ValidationError, id="simulation_mewo(u=str)"),
     pytest.param(lambda u: union([], "u"), ValidationError, id="union(u=str)"),
+    pytest.param(lambda u: union([], None), ValidationError, id="union(u=None)"),
     pytest.param(lambda u: set_of_mewo(_coded_in_a_dropped_universe(), None), ValidationError,
                  id="set_of_mewo(u=None) after its universe is gone"),
     pytest.param(lambda u: codes(_coded_in_a_dropped_universe(), None), ValidationError,
@@ -470,6 +492,17 @@ def _coded_in_a_dropped_universe():
     pytest.param(lambda u: enumerate_mewos(None), ValidationError, id="enumerate_mewos(None)"),
     pytest.param(lambda u: enumerate_mewos(-1), SizeLimitError, id="enumerate_mewos(-1)"),
     pytest.param(lambda u: SetUniverse(node_limit="x"), ValidationError, id="SetUniverse(node_limit=str)"),
+    # a bool is no int
+    pytest.param(lambda u: SetUniverse(node_limit=True), ValidationError, id="SetUniverse(node_limit=True)"),
+    pytest.param(lambda u: enumerate_v(True, u), ValidationError, id="enumerate_v(True)"),
+    pytest.param(lambda u: enumerate_mewos(True), ValidationError, id="enumerate_mewos(True)"),
+    # a family that is not iterable; these raised a bare TypeError
+    pytest.param(lambda u: sup(None), ValidationError, id="sup(None)"),
+    pytest.param(lambda u: sup_classes(None), ValidationError, id="sup_classes(None)"),
+    pytest.param(lambda u: union(None, u), ValidationError, id="union(None)"),
+    pytest.param(lambda u: u.mk_set(None), ValidationError, id="mk_set(None)"),
+    pytest.param(lambda u: rank_quotient(u.empty(), None), ValidationError, id="rank_quotient(h, None)"),
+    pytest.param(lambda u: PointedGraph.make(None), FormatError, id="PointedGraph.make(None)"),
 ])
 def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
     with pytest.raises(error):
@@ -487,6 +520,8 @@ def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
                  id="import_slice"),
     pytest.param(lambda: parse(None), "expected a str, got NoneType", id="parse"),
     pytest.param(lambda: mem_raw(PointedGraph.make([[]]), "a"), "expected a PointedGraph, got str", id="mem_raw"),
+    pytest.param(lambda: SetUniverse(node_limit=True), "expected an int, got bool", id="SetUniverse"),
+    pytest.param(lambda: sup(None), "expected an Iterable, got NoneType", id="sup(None)"),
 ])
 def test_a_wrong_kind_is_named_with_the_kind_expected(call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

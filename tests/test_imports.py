@@ -1,7 +1,8 @@
 """Every name a module of src/hfkit imports is used in that module, every
 private module-level function or class is used somewhere in src/hfkit,
-and the wrong-kind message, the interning lock and the mewo code cache
-each stay in their one module.
+the wrong-kind message, the interning lock and the mewo code cache
+each stay in their one module, and the mewo operations make no universe
+of their own.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -111,3 +112,32 @@ def test_the_check_sees_a_borrowed_internal():
 @pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_borrowed_internal(module):
     assert borrowed_internals(module.name, module.read_text(encoding="utf-8")) == []
+
+
+def universes_made_up(source: str) -> list[str]:
+    """The places where `source` makes a universe of its own: a call of
+    `SetUniverse`, or a public function that gives a parameter `u` a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        called = isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        if called == "SetUniverse":
+            found.append((node.lineno, "SetUniverse()"))
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            params = node.args.posonlyargs + node.args.args
+            defaulted = params[len(params) - len(node.args.defaults):]
+            defaulted += [p for p, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+            if any(p.arg == "u" for p in defaulted):
+                found.append((node.lineno, f"{node.name}(u=...)"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_check_sees_a_universe_made_up():
+    source = ("def f(X, u=None):\n    u = u if u is not None else SetUniverse()\n"
+              "def g(X, *, u=None): pass\ndef _h(u=None): pass\ndef k(X, u, v=1): hfkit.SetUniverse()\n")
+    assert universes_made_up(source) == ["f(u=...) (line 1)", "SetUniverse() (line 2)", "g(u=...) (line 3)",
+                                         "SetUniverse() (line 5)"]
+    assert universes_made_up("def f(X, u, n=0): return SetUniverse\n") == []
+
+
+def test_the_mewo_operations_take_their_callers_universe():
+    assert universes_made_up((SRC / "mewos.py").read_text(encoding="utf-8")) == []

@@ -179,9 +179,9 @@ def test_mark_all_covers(mewo_pool):
         assert mark_all(mark_all(X)) == mark_all(X)
 
 
-def test_down_plus_two_chain(fixtures_mewos):
+def test_down_plus_two_chain(fixtures_mewos, u):
     bullet, _, cb, emp = fixtures_mewos
-    assert mewo_equal(down_plus(cb, 1), bullet)
+    assert mewo_equal(down_plus(cb, 1), bullet, u)
     assert down_plus(cb, 0) == emp
 
 
@@ -240,10 +240,10 @@ def test_codes_injective(mewo_pool, u):
         assert len({cs[i] for i in range(X.size)}) == X.size
 
 
-def test_mewo_equal_basic(fixtures_mewos):
+def test_mewo_equal_basic(fixtures_mewos, u):
     bullet, circ, cb, _ = fixtures_mewos
-    assert mewo_equal(cb, cb)
-    assert not mewo_equal(bullet, circ)
+    assert mewo_equal(cb, cb, u)
+    assert not mewo_equal(bullet, circ, u)
 
 
 def test_mewo_equal_permuted_copies(covered_pool):
@@ -264,9 +264,9 @@ def test_mewo_equal_agrees_with_permutation_search(small_mewo_pool):
             assert mewo_equal(X, Y, u) == equal_by_permutation(X, Y)
 
 
-def test_simulation_fixture_missing_marking(fixtures_mewos):
+def test_simulation_fixture_missing_marking(fixtures_mewos, u):
     bullet, _, cb, _ = fixtures_mewos
-    assert simulation_mewo(bullet, cb) is None
+    assert simulation_mewo(bullet, cb, u) is None
 
 
 def test_simulation_into_mark_all(mewo_pool):
@@ -276,9 +276,9 @@ def test_simulation_into_mark_all(mewo_pool):
         assert w is not None and w.mapping == tuple(range(X.size))
 
 
-def test_simulation_identity(fixtures_mewos):
+def test_simulation_identity(fixtures_mewos, u):
     bullet, _, _, _ = fixtures_mewos
-    w = simulation_mewo(bullet, bullet)
+    w = simulation_mewo(bullet, bullet, u)
     assert w is not None and w.mapping == (0,)
 
 
@@ -314,12 +314,12 @@ def test_simulations_compose_and_are_antisymmetric(small_mewo_pool):
                     assert composed == sims[i, k].mapping
 
 
-def test_bounded_sim_fixtures(fixtures_mewos):
+def test_bounded_sim_fixtures(fixtures_mewos, u):
     bullet, _, cb, emp = fixtures_mewos
-    got = bounded_sim_mewo(bullet, cb)
+    got = bounded_sim_mewo(bullet, cb, u)
     assert got is not None and got[0] == 1
-    assert bounded_sim_mewo(emp, bullet) is not None
-    assert bounded_sim_mewo(emp, cb) is None
+    assert bounded_sim_mewo(emp, bullet, u) is not None
+    assert bounded_sim_mewo(emp, cb, u) is None
 
 
 def test_bounded_sim_decides_on_codes_alone(small_mewo_pool, monkeypatch):
@@ -391,11 +391,11 @@ def test_pointwise_code_criterion(small_mewo_pool):
                 assert pointwise == is_simulation(X, Y, f)
 
 
-def test_partial_sim_fixtures(fixtures_mewos):
+def test_partial_sim_fixtures(fixtures_mewos, u):
     bullet, circ, cb, _ = fixtures_mewos
-    assert partial_sim(bullet, cb) is None
-    assert partial_sim(cb, cb) == {1: 1}
-    assert partial_sim(circ, covered_part(circ)) == {}
+    assert partial_sim(bullet, cb, u) is None
+    assert partial_sim(cb, cb, u) == {1: 1}
+    assert partial_sim(circ, covered_part(circ), u) == {}
 
 
 def test_partial_sim_into_covered_part(mewo_pool):
@@ -417,11 +417,11 @@ def test_covered_part_is_identity_iff_covered(mewo_pool):
         assert is_covered(covered_part(X))
 
 
-def test_principality_fixtures(fixtures_mewos):
+def test_principality_fixtures(fixtures_mewos, u):
     bullet, circ, cb, emp = fixtures_mewos
-    assert principality_check(circ, emp) is False
-    assert principality_check(cb, cb)
-    assert principality_check(bullet, bullet)
+    assert principality_check(circ, emp, u) is False
+    assert principality_check(cb, cb, u)
+    assert principality_check(bullet, bullet, u)
 
 
 def test_covered_is_principal_everywhere(covered_pool, small_mewo_pool):
@@ -440,10 +440,10 @@ def test_uncovered_fails_against_covered_part(mewo_pool):
             assert not principality_check(X, covered_part(X), u)
 
 
-def test_singleton_fixtures(fixtures_mewos):
+def test_singleton_fixtures(fixtures_mewos, u):
     bullet, circ, cb, emp = fixtures_mewos
-    assert mewo_equal(singleton(emp), bullet)
-    assert mewo_equal(singleton(bullet), cb)
+    assert mewo_equal(singleton(emp), bullet, u)
+    assert mewo_equal(singleton(bullet), cb, u)
     with pytest.raises(ExtensionalityError):
         singleton(circ)
 
@@ -470,7 +470,7 @@ def test_singleton_keeps_the_validator_witness(mewo_pool):
             assert singleton(X) == expected
 
 
-def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool):
+def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool, u):
     # the validator rebuilds preds from the derived matrix: equal means same preds
     built = [from_ordinal(chain(n)) for n in range(5)]
     built.append(from_ordinal(ord_from_text("ord { size: 3; lt: 2<0, 2<1, 0<1 }")))
@@ -479,7 +479,7 @@ def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool):
         built += [down_plus(X, x) for x in range(X.size)]
     small = [X for X in covered_pool if X.size <= 3]
     built += [singleton(X) for X in covered_pool]
-    built += [union([X, Y]) for X in small for Y in small[:12]]
+    built += [union([X, Y], u) for X in small for Y in small[:12]]
     for Z in built:
         assert validate_mewo(Z.size, Z.lt, Z.marked) == Z
 
@@ -528,10 +528,10 @@ def test_codes_cache_keeps_no_state_on_the_universe(mewo_pool):
     }
 
 
-def test_codes_cache_shared_by_threads_in_two_universes(covered_pool):
+def test_codes_cache_shared_by_threads_in_two_universes(covered_pool, u):
     # the threads flip the cache of each mewo between two universes while reading it
     pool = [Mewo(X.preds, X.marks) for X in covered_pool[:20]]  # fresh copies, no cache yet
-    expected = [simulation_mewo(X, Y) for X in covered_pool[:20] for Y in covered_pool[:20]]
+    expected = [simulation_mewo(X, Y, u) for X in covered_pool[:20] for Y in covered_pool[:20]]
     universes = [SetUniverse(), SetUniverse()]
     h = universes[1].empty()
     for _ in range(10):  # so that one set has different ids in the two universes
@@ -616,13 +616,13 @@ def test_decisions_on_fresh_copies_shared_by_threads(mewo_pool):
     assert all(r == expected for r in results)
 
 
-def test_union_fixtures(fixtures_mewos):
+def test_union_fixtures(fixtures_mewos, u):
     bullet, _, cb, emp = fixtures_mewos
-    assert union([]) == emp
+    assert union([], u) == emp
     two_marked = from_ordinal(chain(2))
-    assert mewo_equal(union([two_marked, cb]), two_marked)
+    assert mewo_equal(union([two_marked, cb], u), two_marked, u)
     for X in (bullet, cb, two_marked):
-        assert mewo_equal(union([X]), X)
+        assert mewo_equal(union([X], u), X, u)
 
 
 def _fresh_collapse(Z, u):
@@ -697,10 +697,10 @@ def test_a_singleton_of_a_mewo_whose_universe_was_collected_carries_nothing():
     assert _collapse(S, u) == _fresh_collapse(S, u)
 
 
-def test_union_of_covered_is_covered(covered_pool):
+def test_union_of_covered_is_covered(covered_pool, u):
     fam = [X for X in covered_pool if X.size <= 2]
     for pair in itertools.product(fam, repeat=2):
-        assert is_covered(union(list(pair)))
+        assert is_covered(union(list(pair), u))
 
 
 def test_union_is_least_upper_bound(covered_pool, mewo_pool):
@@ -838,9 +838,8 @@ def test_a_non_mewo_is_a_typed_error(decide):
     for good in (from_ordinal(chain(2)), Mewo(((),), (False,))):
         for bad in (chain(2), "x", None):
             for args in ((good, bad), (bad, good)):
-                for u in ((), (SetUniverse(),)):
-                    with pytest.raises(ValidationError, match=f"expected a Mewo, got {type(bad).__name__}$"):
-                        decide(*args, *u)
+                with pytest.raises(ValidationError, match=f"expected a Mewo, got {type(bad).__name__}$"):
+                    decide(*args, SetUniverse())
 
 
 def test_cover_of_a_non_mewo_is_a_typed_error():

@@ -168,7 +168,7 @@ def test_enumerate_mewos_limit():
 def test_enumerated_covered_roundtrip(covered_pool):
     u = SetUniverse()
     for X in covered_pool:
-        assert mewo_equal(X, mewo_of_set(set_of_mewo(X, u)))
+        assert mewo_equal(X, mewo_of_set(set_of_mewo(X, u)), u)
 
 
 def test_gen_random_set_reproducible():

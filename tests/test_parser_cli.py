@@ -232,10 +232,16 @@ def test_the_parser_reads_its_commands_from_the_session_table(monkeypatch):
     ("let m = tomewo 1\nphi m", "phi expects an ordinal, got Mewo"),
     ("let a = psi 1\n1 eq a", "eq expects two values of the same kind"),
     ("let a = psi 1\nin 1 a", "in expects a set, got FinOrd"),
+    ("let m = tomewo 1\n{m}", "only sets can be members of a set"),
 ])
 def test_eval_checks_arity_and_kinds_from_the_table(program, message):
     with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
         Session().run_program(program)
+
+
+def test_apply_names_an_unknown_command():
+    with pytest.raises(EvalError, match="^unknown command 'nope'$"):
+        Session().apply("nope", [])
 
 
 def test_eval_unbound_and_shadowing():
@@ -633,6 +639,12 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
 def test_cli_repl_decides_ord_at_the_numeral_bound():
     res = run_cli("repl", stdin="ord? 1024\n", timeout=5)
     assert res.returncode == 0 and res.stdout == "true\n"
+
+
+def test_cli_repl_names_the_stdin_line_of_a_parse_error():
+    res = run_cli("repl", stdin="rank 3\ncanon {\n")
+    assert res.returncode == 1 and res.stdout == "3\n"
+    assert res.stderr.startswith("error: 2:8:"), res.stderr
 
 
 def test_cli_repl_refuses_canon_past_the_output_limit():

@@ -81,7 +81,7 @@ def test_set_and_mewo_round_trip(g):
     u = SetUniverse()
     h = u.from_graph(g)
     X = mewo_of_set(h)
-    assert mewo_equal(mewo_of_set_literal(h), X)
+    assert mewo_equal(mewo_of_set_literal(h), X, u)
     assert set_of_mewo(X, u) == h
 
 

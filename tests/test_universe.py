@@ -146,7 +146,7 @@ def test_is_st_ordinal_agrees_with_the_definition():
     for h in pool:
         members = set(h.elements())
         assert u.is_transitive_set(h) == all(set(m.elements()) <= members for m in members)
-    # the walk caches along its path, so ask from both ends, on fresh universes
+    # ask from both ends, on fresh universes: no answer may depend on the sets asked about before
     for order in (lambda p: p, reversed):
         v = SetUniverse()
         for h, want in order(list(zip(_agreement_pool(v), expected))):
