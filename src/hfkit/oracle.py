@@ -36,12 +36,18 @@ ENUM_MEWO_LIMIT = 4
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Reproducible generator settings; equal configs give equal streams."""
+    """Reproducible generator settings; equal configs give equal streams.
+    Every field is an int, and all but the seed are non-negative."""
 
     seed: int
     max_width: int = 4
     max_depth: int = 4
     count: int = 100
+
+    def __post_init__(self):
+        _checked(int, self.seed)
+        if min(_checked(int, self.max_width), _checked(int, self.max_depth), _checked(int, self.count)) < 0:
+            raise ValidationError(f"{self} has a negative width, depth or count")
 
 
 def _pair_lists(X, Y, bounded: str = "") -> tuple:

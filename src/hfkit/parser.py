@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import ParseError, _checked
+from .errors import ParseError, ValidationError, _checked
 
 # Parsing and evaluation recurse once per open brace; this bound keeps both
 # well under the interpreter's default recursion limit of 1000.
@@ -57,138 +56,125 @@ Expr = object  # Braces | Numeral | Ident | Op
 
 # -- tokenizer ----------------------------------------------------------------
 
+# A token is a tuple (kind, text, offset), and a punctuation mark is its own
+# kind. Whitespace and comments match no named group and are skipped; `;`
+# ends a statement as a newline does.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
+    [ \t]+ | \#[^\n]*
   | (?P<nat>[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*\??)
-  | (?P<punct>[{},=;\n])
+  | (?P<newline>[\n;])
+  | (?P<punct>[{},=])
   | (?P<junk>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
-# The kind of each punctuation token: `;` ends a statement as a newline does.
-_PUNCT_KINDS = {"\n": "newline", ";": "newline", "{": "{", "}": "}", ",": ",", "=": "="}
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+def _error(text: str, pos: int, message: str, expected=()) -> ParseError:
+    """A ParseError at offset `pos` of `text`, given as line and column
+    (a tab is one column); only a failing parse counts lines."""
+    return ParseError(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos), message, expected)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    # Every character starts a match, so the matches tile the text; a
-    # newline only ever matches as `punct`, so the column is the offset
-    # from the start of the line.
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(_checked(str, text)):
         kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
+        if kind is None:
             continue
-        value = m.group()
-        pos = m.start()
+        value = m[0]
         if kind == "punct":
-            toks.append(_Tok(_PUNCT_KINDS[value], value, line, pos - line_start + 1))
-            if value == "\n":
-                line += 1
-                line_start = pos + 1
+            kind = value
         elif kind == "junk":
-            raise ParseError(line, pos - line_start + 1, f"unexpected character {value!r}")
-        else:
-            toks.append(_Tok(kind, value, line, pos - line_start + 1))
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
+            raise _error(text, m.start(), f"unexpected character {value!r}")
+        toks.append((kind, value, m.start()))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
         self.commands = session.COMMAND_TABLE
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0  # braces open at the current token
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected) -> ParseError:
-        tok = self.peek()
-        found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        return ParseError(tok.line, tok.col, f"found {found}", expected)
+        kind, value, pos = self.toks[self.pos]
+        found = repr(value) if kind != "eof" else "end of input"
+        return _error(self.text, pos, f"found {found}", expected)
 
-    def expect(self, kind: str, expected) -> _Tok:
-        if self.peek().kind != kind:
+    def expect(self, kind: str, expected) -> str:
+        tok = self.toks[self.pos]
+        if tok[0] != kind:
             raise self.fail(expected)
-        return self.next()
+        self.pos += 1
+        return tok[1]
+
+    def skip_newlines(self) -> None:
+        while self.toks[self.pos][0] == "newline":
+            self.pos += 1
 
     # expr := '{' [expr {',' expr}] '}' | NAT | IDENT
     def expr(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "{":
+        kind, value, pos = self.toks[self.pos]
+        if kind == "{":
             if self.depth == MAX_BRACE_DEPTH:
-                raise ParseError(tok.line, tok.col, f"braces nested deeper than {MAX_BRACE_DEPTH}")
-            self.next()
-            if self.peek().kind == "}":
-                self.next()
+                raise _error(self.text, pos, f"braces nested deeper than {MAX_BRACE_DEPTH}")
+            self.pos += 1
+            if self.toks[self.pos][0] == "}":
+                self.pos += 1
                 return Braces(())
             self.depth += 1
             items = [self.expr()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.toks[self.pos][0] == ",":
+                self.pos += 1
                 items.append(self.expr())
             self.expect("}", ("'}'", "','"))
             self.depth -= 1
             return Braces(tuple(items))
-        if tok.kind == "nat":
+        if kind == "nat":
             try:
-                value = int(tok.text)
+                number = int(value)
             except ValueError:  # more digits than the interpreter converts
-                message = f"numeral of {len(tok.text)} digits is too long"
-                raise ParseError(tok.line, tok.col, message) from None
-            self.next()
-            return Numeral(value)
-        if tok.kind == "ident" and tok.text not in self.commands and tok.text != "let":
-            self.next()
-            return Ident(tok.text)
+                raise _error(self.text, pos, f"numeral of {len(value)} digits is too long") from None
+            self.pos += 1
+            return Numeral(number)
+        if kind == "ident" and value not in self.commands and value != "let":
+            self.pos += 1
+            return Ident(value)
         raise self.fail(("'{'", "number", "identifier"))
 
     def command_args(self, name: str) -> Op:
         args = [self.expr()]
-        while self.peek().kind in ("{", "nat") or (
-            self.peek().kind == "ident" and self.peek().text not in self.commands
-        ):
+        while True:
+            kind, value, _ = self.toks[self.pos]
+            if not (kind == "{" or kind == "nat" or kind == "ident" and value not in self.commands):
+                return Op(name, tuple(args))
             args.append(self.expr())
-        return Op(name, tuple(args))
 
     def rhs(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in self.commands:
-            self.next()
-            return self.command_args(tok.text)
-        return self.maybe_infix(self.expr())
-
-    def maybe_infix(self, first: Expr) -> Expr:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in self.commands and len(self.commands[tok.text][0]) == 2:
-            self.next()
-            return Op(tok.text, (first, self.expr()))
+        kind, value, _ = self.toks[self.pos]
+        if kind == "ident" and value in self.commands:
+            self.pos += 1
+            return self.command_args(value)
+        first = self.expr()
+        kind, value, _ = self.toks[self.pos]
+        if kind == "ident" and value in self.commands and len(self.commands[value][0]) == 2:
+            self.pos += 1
+            return Op(value, (first, self.expr()))
         return first
 
     def stmt(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "let":
-            self.next()
-            name = self.expect("ident", ("identifier",)).text
+        kind, value, pos = self.toks[self.pos]
+        if kind == "ident" and value == "let":
+            self.pos += 1
+            name = self.expect("ident", ("identifier",))
             if name in self.commands or name == "let":
-                raise ParseError(tok.line, tok.col, f"{name!r} is a reserved command name")
+                raise _error(self.text, pos, f"{name!r} is a reserved command name")
             self.expect("=", ("'='",))
             return Let(name, self.rhs())
         return self.rhs()
@@ -196,23 +182,20 @@ class _Parser:
     def program(self) -> list:
         stmts = []
         while True:
-            while self.peek().kind == "newline":
-                self.next()
-            if self.peek().kind == "eof":
+            self.skip_newlines()
+            if self.toks[self.pos][0] == "eof":
                 return stmts
             stmts.append(self.stmt())
-            if self.peek().kind not in ("newline", "eof"):
+            if self.toks[self.pos][0] not in ("newline", "eof"):
                 raise self.fail(("end of statement",))
 
 
 def parse(text: str) -> Expr:
     """Parse a single expression (or command application)."""
     p = _Parser(text)
-    while p.peek().kind == "newline":
-        p.next()
+    p.skip_newlines()
     result = p.rhs()
-    while p.peek().kind == "newline":
-        p.next()
+    p.skip_newlines()
     p.expect("eof", ("end of input",))
     return result
 
@@ -233,7 +216,7 @@ def format_expr(e: Expr) -> str:
         return e.name + " " + " ".join(format_expr(a) for a in e.args)
     if isinstance(e, Let):
         return f"let {e.name} = {format_expr(e.value)}"
-    raise TypeError(f"not an AST node: {e!r}")
+    raise ValidationError(f"not an AST node: {e!r}")
 
 
 from . import session  # noqa: E402  bound last: session imports this module

@@ -16,7 +16,7 @@ from .correspondence import (
     set_of_mewo,
     set_of_ordinal,
 )
-from .errors import EvalError, LimitExceededError
+from .errors import EvalError, LimitExceededError, _checked
 from .mewos import Mewo, _names, mewo_equal, mewo_to_dot, mewo_to_json, mewo_to_text
 from .ordinals import FinOrd, ord_to_json, ord_to_text, same_order_type
 from .parser import Braces, Expr, Ident, Let, Numeral, Op, parse_program
@@ -149,7 +149,7 @@ class Session:
     """Bindings plus the universe they live in. Bindings never rebind."""
 
     def __init__(self, universe: SetUniverse | None = None):
-        self.universe = universe if universe is not None else SetUniverse()
+        self.universe = _checked(SetUniverse, universe) if universe is not None else SetUniverse()
         self.bindings: dict[str, object] = {}
 
     # -- expression evaluation ------------------------------------------------

@@ -278,8 +278,8 @@ def _suite_mewos(seed: int, max_size: int, max_depth: int):
     yield "covered.two.chain", "unmarked below marked", True, is_covered(cb)
     seg = down_plus(cb, 1)
     yield "down_plus.two.chain", "top segment of two-chain", True, mewo_equal(seg, point, u)
-    ok = not segments_covered(oracle.enumerate_mewos(min(3, max_size)))
-    yield "down_plus.covered", "all segments at small size", True, ok
+    small = [m for s in range(min(3, max_size) + 1) for m in oracle.enumerate_mewos(s)]
+    yield "down_plus.covered", "all segments at small size", True, not segments_covered(small)
     yield "singleton.uncovered", "one unmarked point", "extensionality", _outcome(singleton, open_point)
     yield "singleton.bullet", "marked point", True, mewo_equal(singleton(point), cb, u)
     two_marked = from_ordinal(chain(2))
@@ -291,7 +291,6 @@ def _suite_mewos(seed: int, max_size: int, max_depth: int):
     )
     got = principality_check(open_point, covered_part(open_point), u)
     yield "principality.uncovered", "unmarked point vs its covered part", False, got
-    small = [m for s in range(min(3, max_size) + 1) for m in oracle.enumerate_mewos(s)]
     agree = not simulations_match_oracle(small, lambda X, Y: simulation_mewo(X, Y, u))
     yield "simulation.vs.oracle", "all pairs at small size", True, agree
 

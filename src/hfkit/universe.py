@@ -18,7 +18,6 @@ import os
 import threading
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError, _checked
@@ -32,8 +31,8 @@ class SetHandle:
     """Canonical reference to one set in a universe.
 
     Two handles from the same universe denote the same set iff they are
-    equal. Handles are ordered by creation index, the key order used for
-    children lists.
+    equal. Handles have no order of their own; their ids, in creation
+    order, give the key order used for children lists.
     """
 
     universe: "SetUniverse"
@@ -126,6 +125,34 @@ def _postorder(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> Iterator
                 yield v
 
 
+class _Interning:
+    """`with _Interning(u) as intern:` holds `u._lock` for a block that
+    interns through the step `intern`; if the block raises, every set it
+    interned is forgotten, and so are the numerals it cached (their ids
+    ascend). A block that interns nothing costs one lock step."""
+
+    __slots__ = ("u", "mark")
+
+    def __init__(self, u: SetUniverse):
+        self.u = u
+
+    def __enter__(self):
+        self.u._lock.acquire()
+        self.mark = len(self.u._children)
+        return self.u._intern_ids
+
+    def __exit__(self, kind, exc, tb) -> None:
+        u, mark = self.u, self.mark
+        try:
+            if kind is not None:
+                for key in u._children[mark:]:
+                    del u._intern[key]
+                del u._children[mark:]
+                del u._numerals[bisect_left(u._numerals, mark):]
+        finally:
+            u._lock.release()
+
+
 class SetUniverse:
     """Append-only interning arena; the cumulative hierarchy at desk scale.
 
@@ -188,22 +215,6 @@ class SetUniverse:
             self._intern[key] = idx
         return idx
 
-    @contextmanager
-    def _interning(self):
-        """Hold `_lock` for a block that interns through the step it is
-        given; if the block raises, every set it interned is forgotten,
-        and so are the numerals it cached (their ids ascend)."""
-        with self._lock:
-            mark = len(self._children)
-            try:
-                yield self._intern_ids
-            except BaseException:
-                for key in self._children[mark:]:
-                    del self._intern[key]
-                del self._children[mark:]
-                del self._numerals[bisect_left(self._numerals, mark):]
-                raise
-
     def empty(self) -> SetHandle:
         return self.mk_set(())
 
@@ -254,7 +265,7 @@ class SetUniverse:
             raise FormatError(f"numeral {n} is negative; numerals are non-negative")
         if n > DEFAULT_NUMERAL_LIMIT:
             raise LimitExceededError(f"numeral {n} exceeds the numeral bound {DEFAULT_NUMERAL_LIMIT}")
-        with self._interning() as intern:
+        with _Interning(self) as intern:
             numerals = self._numerals
             if not numerals:
                 numerals.append(intern(()))
@@ -307,7 +318,7 @@ class SetUniverse:
         `starts` in turn: the set id of every vertex reached, -1 elsewhere.
         A walk that raises interns nothing."""
         result = [-1] * len(succ)
-        with self._interning() as intern:
+        with _Interning(self) as intern:
             for v in _postorder(succ, starts):
                 result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
         return result
@@ -346,7 +357,7 @@ def import_slice(doc: dict, u: SetUniverse) -> SetHandle:
     if type(root) is not int or not 0 <= root < len(nodes):
         raise FormatError(f"root {root!r} is not a node position")
     ids: list[int] = []
-    with _checked(SetUniverse, u)._interning() as intern:
+    with _Interning(_checked(SetUniverse, u)) as intern:
         for pos, child_positions in enumerate(nodes):
             if not isinstance(child_positions, (list, tuple)):
                 raise FormatError(f"node {pos} is not a list of child positions")

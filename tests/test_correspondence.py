@@ -26,6 +26,7 @@ from hfkit import (
     LimitExceededError,
     NotAnOrdinalError,
     PointedGraph,
+    Session,
     SetHandle,
     SetUniverse,
     ValidationError,
@@ -492,10 +493,16 @@ def test_no_mewo_operation_takes_none_for_a_universe(call):
     pytest.param(lambda u: enumerate_mewos(None), ValidationError, id="enumerate_mewos(None)"),
     pytest.param(lambda u: enumerate_mewos(-1), SizeLimitError, id="enumerate_mewos(-1)"),
     pytest.param(lambda u: SetUniverse(node_limit="x"), ValidationError, id="SetUniverse(node_limit=str)"),
+    pytest.param(lambda u: Session("x"), ValidationError, id="Session(universe=str)"),
+    pytest.param(lambda u: GenConfig(seed=1, count=None), ValidationError, id="GenConfig(count=None)"),
+    pytest.param(lambda u: GenConfig(seed=1, max_width=-1), ValidationError, id="GenConfig(max_width=-1)"),
+    pytest.param(lambda u: GenConfig(seed="a"), ValidationError, id="GenConfig(seed=str)"),
     # a bool is no int
     pytest.param(lambda u: SetUniverse(node_limit=True), ValidationError, id="SetUniverse(node_limit=True)"),
     pytest.param(lambda u: enumerate_v(True, u), ValidationError, id="enumerate_v(True)"),
     pytest.param(lambda u: enumerate_mewos(True), ValidationError, id="enumerate_mewos(True)"),
+    pytest.param(lambda u: GenConfig(seed=True), ValidationError, id="GenConfig(seed=True)"),
+    pytest.param(lambda u: GenConfig(seed=1, max_depth=True), ValidationError, id="GenConfig(max_depth=True)"),
     # a family that is not iterable; these raised a bare TypeError
     pytest.param(lambda u: sup(None), ValidationError, id="sup(None)"),
     pytest.param(lambda u: sup_classes(None), ValidationError, id="sup_classes(None)"),

@@ -50,6 +50,7 @@ from hfkit.parser import (
 from hfkit.session import COMMAND_TABLE, MAX_RENDERED_CHARS, set_to_dot
 
 DATA = Path(__file__).parent / "data"
+ANY_EXPR = ("'{'", "number", "identifier")
 
 
 def test_parse_empty_set():
@@ -80,6 +81,34 @@ def test_parse_error_positions(program, position):
     with pytest.raises(ParseError) as exc:
         parse_program(program)
     assert (exc.value.line, exc.value.col) == position
+
+
+# Positions are counted from a token's offset only when a parse fails, so
+# each failure is checked in full: line, column, message and expected set.
+@pytest.mark.parametrize("program, line, col, message, expected", [
+    ("let x = 1; let y = ;", 1, 20, "found ';'", ANY_EXPR),
+    ("# only a comment\nrank 1 2 3 }", 2, 12, "found '}'", ("end of statement",)),
+    ("rank 1\n# a comment\n\tcanon {1,\t=}", 3, 12, "found '='", ANY_EXPR),
+    ("let a = 1\n\tlet b = @", 2, 10, "unexpected character '@'", ()),
+    ("rank 1\n\n" + "{" * (MAX_BRACE_DEPTH + 1), 3, MAX_BRACE_DEPTH + 1,
+     f"braces nested deeper than {MAX_BRACE_DEPTH}", ()),
+    ("let x = 1\nrank x\nrank", 3, 5, "found end of input", ANY_EXPR),
+    ("let in = 2", 1, 1, "'in' is a reserved command name", ()),
+    ("canon 1 # note\nlet x = 1 let", 2, 11, "found 'let'", ("end of statement",)),
+    ("let x = 1\nrank " + "9" * 5000, 2, 6, "numeral of 5000 digits is too long", ()),
+    ("{1, 2\n}", 1, 6, "found '\\n'", ("'}'", "','")),
+    ("rank 1;\n rank 2; canon\t{{}, 1 2}", 2, 23, "found '2'", ("'}'", "','")),
+])
+def test_parse_errors_in_full(program, line, col, message, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_program(program)
+    assert (exc.value.line, exc.value.col, exc.value.message, exc.value.expected) == (line, col, message, expected)
+
+
+def test_format_expr_of_a_non_node_is_refused():
+    for value in (None, "x", Braces((None,))):
+        with pytest.raises(HfkitError, match="not an AST node"):
+            format_expr(value)
 
 
 def test_parse_overlong_numeral_is_a_parse_error():

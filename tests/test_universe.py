@@ -464,6 +464,53 @@ def test_concurrent_numerals_are_correct():
         sys.setswitchinterval(interval)
 
 
+def test_numeral_hits_during_a_refused_extension():
+    # readers take cached numerals while another thread's extension of the
+    # cache is refused at the node limit and rolled back: no reader gets a
+    # numeral of the refused extension, and the cache is left as it was
+    cached, limit, refusals = 40, 120, 50
+    u = SetUniverse(node_limit=limit)
+    u.mk_set([u.von_neumann(1)])  # from numeral 2 on, a numeral's id is not its index
+    before = [u.von_neumann(m) for m in range(cached + 1)]
+    size = len(u)
+    taken, refused = [], []
+    done = threading.Event()
+
+    def reader(k):
+        rng = random.Random(k)
+        while not done.is_set():
+            m = rng.randint(0, cached)
+            taken.append((m, u.von_neumann(m)))
+
+    def extender():
+        try:
+            for _ in range(refusals):
+                try:
+                    u.von_neumann(limit)
+                except LimitExceededError:
+                    refused.append(len(u))
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,), daemon=True) for k in range(3)]
+        threads.append(threading.Thread(target=extender, daemon=True))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert refused == [size] * refusals and len(u) == size
+    assert taken and all(u.rank_nat(h) == m and h.id < len(u) for m, h in taken)
+    assert [u.von_neumann(m) for m in range(cached + 1)] == before
+    # nothing of a refused extension stayed cached: the next numeral is new
+    assert u.rank_nat(u.von_neumann(cached + 1)) == cached + 1 and len(u) == size + 1
+
+
 # -- raw graphs ----------------------------------------------------------------
 
 
