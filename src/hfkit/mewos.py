@@ -13,20 +13,23 @@ principality) are read off Mostowski codes alone: each element is
 collapsed bottom-up to the canonical set of its direct predecessors'
 codes, by one walk of the universe's collapse that also gives the set the
 mewo presents, the set of its marked elements' codes. Extensionality plus
-wellfoundedness make this coding injective on the carrier, so:
-- X equals Y exactly when both carry the same codes (a code-preserving
-  bijection is an isomorphism) and present the same set;
-- a simulation X -> Y sends each x to the element of Y with its code, and
-  exists when every code has a partner and marked goes to marked;
+wellfoundedness make this coding injective on the carrier, so X is fixed
+by T_X, the codes of its elements, and M_X, those of its marked elements
+(the members of the set X presents), and each decision is an inclusion:
+- X equals Y exactly when T_X = T_Y (a code-preserving bijection is an
+  isomorphism) and both present the same set;
+- a simulation X -> Y, sending each x to the element of Y with its code,
+  exists exactly when T_X <= T_Y and M_X <= M_Y; a partial one, exactly
+  when M_X <= M_Y;
 - X < Y (X is the segment below a marked element of Y) holds exactly when
-  X is covered and the set X presents is the code of a marked element of
-  Y; cover is a property of X alone, found on first use and kept on X;
-- principality fails exactly when every marked x has a marked partner but
-  some x has none, since a simulation restricts to a partial one.
-Every decision and `union` take the caller's universe, and none walks
-anything once the codes are cached for it; `union` and `singleton` store
-the codes they compute. The brute-force permutation, map and segment
-searches in hfkit.oracle stay the authoritative cross-check; the literal
+  X is covered (a property of X alone, kept on X) and the set X presents
+  is in M_Y;
+- principality holds exactly when T_X <= T_Y or not M_X <= M_Y.
+The sets are kept on X as one record per universe (`_collapse`), so a
+decision on cached codes walks nothing and builds only its witness;
+`union` and `singleton` store theirs. Every decision and `union` take the
+caller's universe. The brute-force permutation, map and segment searches
+in hfkit.oracle stay the authoritative cross-check; the literal
 recursion, checked against `mewo_of_set`, is never a route. A mewo or a
 universe of another kind is a ValidationError naming that kind.
 """
@@ -65,7 +68,7 @@ class Mewo:
         self.preds = preds
         self.marks = tuple(marks)
         self._covered = None  # computed on first use; see is_covered
-        self._collapsed = None  # (weakref to a universe, ids, index): see _collapse
+        self._collapsed = None  # (weakref to a universe, (ids, index, marked)): see _collapse
 
     @property
     def lt(self):
@@ -173,12 +176,15 @@ def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
     return tuple(SetHandle(u, i) for i in _collapse(X, u)[0][:X.size])
 
 
-def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
-    """The collapse in u of `preds` plus a root over the marked elements: the
-    code id of each element, then the id of the set X presents; and the
-    element of X with each code id. Kept on X for the last universe, held
-    weakly (the universe keeps no per-mewo state; `union` and `singleton`
-    store theirs), and read back only for that universe, alive. The one
+def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], frozenset[int]]:
+    """X's code record in u, `(ids, index, marked)`, from the collapse in u of
+    `preds` plus a root over the marked elements. `ids` holds the code id of
+    each element, then the id of the set X presents; `index` maps each
+    element's code id to the element, so its keys are T_X; `marked` is the
+    set of the marked elements' code ids, M_X, the members of the root.
+    The record is kept on X for the last universe, held weakly (the universe
+    keeps no per-mewo state; `union` and `singleton` store theirs), and is
+    returned itself, read back only for that universe, alive. The one
     universe check of the mewo operations: None is a ValidationError too."""
     try:
         got = X._collapsed
@@ -189,16 +195,16 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int]]:
         ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
         index = dict(zip(ids, range(X.size)))
         assert len(index) == X.size, "codes must be injective on the carrier"
-        got = X._collapsed = (weakref.ref(u), ids, index)
-    return got[1], got[2]
+        got = X._collapsed = (weakref.ref(u), (ids, index, frozenset(compress(ids, X.marks))))
+    return got[1]
 
 
 def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     """Equality as marked orders, read off the codes: X equals Y exactly when
     both carry the same codes (a code-preserving bijection is an isomorphism)
     and present the same set (the same marked codes)."""
-    cx, index_x = _collapse(X, u)
-    cy, index_y = _collapse(Y, u)
+    cx, index_x, _ = _collapse(X, u)
+    cy, index_y, _ = _collapse(Y, u)
     return cx[X.size] == cy[Y.size] and index_x.keys() == index_y.keys()
 
 
@@ -207,14 +213,14 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> SimWitness | None:
 
     An element map is a simulation exactly when it matches initial
     segments pointwise, i.e. preserves Mostowski codes, and sends marked
-    elements to marked elements.
+    elements to marked elements: it exists exactly when T_X <= T_Y and
+    M_X <= M_Y, and only then is the map built.
     """
-    cx, _ = _collapse(X, u)
-    _, index_y = _collapse(Y, u)
-    f = tuple(map(index_y.get, cx[:X.size]))
-    if None in f or not all(map(Y.marks.__getitem__, compress(f, X.marks))):
+    cx, index_x, marked_x = _collapse(X, u)
+    _, index_y, marked_y = _collapse(Y, u)
+    if not (index_x.keys() <= index_y.keys() and marked_x <= marked_y):
         return None
-    return SimWitness(f)
+    return SimWitness(tuple(map(index_y.__getitem__, cx[:X.size])))
 
 
 def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | None:
@@ -222,45 +228,39 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | No
     equivalence as a map from X onto original Y indices.
 
     Decided on codes: the segment below y presents code(y), so the bound
-    exists exactly when X is covered and the set of the codes of X's marked
-    elements is the code of a marked y. Cover is the flag `is_covered`
-    keeps on X, so no call walks X or the universe. The equivalence sends
-    each x to the element of Y with the same code.
+    exists exactly when X is covered and the set X presents is in M_Y, the
+    codes of Y's marked elements. Cover is the flag `is_covered` keeps on
+    X, so no call walks X or the universe. The equivalence sends each x to
+    the element of Y with the same code.
     """
-    _, index_y = _collapse(Y, u)
+    _, index_y, marked_y = _collapse(Y, u)
     if not is_covered(X):
         return None
-    cx, _ = _collapse(X, u)
-    y = index_y.get(cx[X.size])  # the set X presents: its marked elements' codes
-    if y is None or not Y.marks[y]:
+    cx, _, _ = _collapse(X, u)
+    if cx[X.size] not in marked_y:
         return None
-    return BoundedSimWitness(y, tuple(map(index_y.__getitem__, cx[:X.size])))
+    return BoundedSimWitness(index_y[cx[X.size]], tuple(map(index_y.__getitem__, cx[:X.size])))
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse) -> dict[int, int] | None:
-    """Map each marked x to the unique marked y with the same initial segment."""
-    cx, _ = _collapse(X, u)
-    _, index_y = _collapse(Y, u)
-    f = dict(zip(compress(range(X.size), X.marks), map(index_y.get, compress(cx, X.marks))))
-    return None if None in f.values() or not all(map(Y.marks.__getitem__, f.values())) else f
+    """Map each marked x to the unique marked y with the same initial segment:
+    it exists exactly when M_X <= M_Y."""
+    cx, _, marked_x = _collapse(X, u)
+    _, index_y, marked_y = _collapse(Y, u)
+    if not marked_x <= marked_y:
+        return None
+    return {x: index_y[cx[x]] for x in X.marked_elements()}
 
 
 def principality_check(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     """Does a partial simulation into Y determine a full one and vice versa?
 
     Both sides are unique when they exist, and a simulation restricts to a
-    partial one, so the check fails exactly when every marked x has a
-    marked partner in Y but some x has no partner at all.
+    partial one, so the check fails exactly when M_X <= M_Y but not T_X <= T_Y.
     """
-    cx, _ = _collapse(X, u)
-    _, index_y = _collapse(Y, u)
-    f = list(map(index_y.get, cx[:X.size]))
-    if None not in f:
-        return True
-    for y in compress(f, X.marks):
-        if y is None or not Y.marks[y]:
-            return True
-    return False
+    _, index_x, marked_x = _collapse(X, u)
+    _, index_y, marked_y = _collapse(Y, u)
+    return index_x.keys() <= index_y.keys() or not marked_x <= marked_y
 
 
 def singleton(X: Mewo) -> Mewo:
@@ -276,9 +276,9 @@ def singleton(X: Mewo) -> Mewo:
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
-    ref, ids, index = X._collapsed or (lambda: None, None, None)
+    ref, (ids, index, _) = X._collapsed or (lambda: None, (None, None, None))
     if (u := ref()) is not None:  # X's codes, in a live universe; by the check, the top's code is new
-        S._collapsed = (ref, ids + [u._intern_locked((ids[-1],))], {**index, ids[-1]: X.size})
+        S._collapsed = (ref, (ids + [u._intern_locked((ids[-1],))], {**index, ids[-1]: X.size}, frozenset((ids[-1],))))
     return S
 
 
@@ -308,8 +308,8 @@ def union(F: list[Mewo], u: SetUniverse) -> Mewo:
                 marked[pos] = True
     children, cls = _checked(SetUniverse, u)._children, reps.__getitem__
     Z = Mewo(tuple([tuple(sorted(map(cls, children[i]))) for i in order]), marked)
-    root = u._intern_locked(tuple(sorted(c for c, m in zip(order, marked) if m)))
-    Z._collapsed = (weakref.ref(u), order + [root], reps)
+    key = tuple(sorted(compress(order, marked)))  # the set Z presents
+    Z._collapsed = (weakref.ref(u), (order + [u._intern_locked(key)], reps, frozenset(key)))
     return Z
 
 

@@ -17,6 +17,7 @@ from hfkit import (
     is_hereditarily_transitive,
     mem_raw,
     mewo_from_text,
+    ord_from_json,
     ord_from_text,
     parse,
     parse_program,
@@ -510,6 +511,13 @@ def test_no_mewo_operation_takes_none_for_a_universe(call):
     pytest.param(lambda u: u.mk_set(None), ValidationError, id="mk_set(None)"),
     pytest.param(lambda u: rank_quotient(u.empty(), None), ValidationError, id="rank_quotient(h, None)"),
     pytest.param(lambda u: PointedGraph.make(None), FormatError, id="PointedGraph.make(None)"),
+    # one past the last index: a pair naming index `size`, a slice node that
+    # names itself, element `size`
+    pytest.param(lambda u: ord_from_json({"size": 2, "pairs": [[0, 2]]}), ValidationError,
+                 id="ord_from_json(pair names size)"),
+    pytest.param(lambda u: import_slice({"nodes": [[], [1]], "root": 1}, u), FormatError,
+                 id="import_slice(node names itself)"),
+    pytest.param(lambda u: down_plus(from_ordinal(chain(3)), 3), IndexError, id="down_plus(size)"),
 ])
 def test_ordinal_side_inputs_of_the_wrong_kind_are_refused(call, error, u):
     with pytest.raises(error):

@@ -41,6 +41,7 @@ from hfkit import (
     mewo_to_text,
     ord_from_text,
     partial_sim,
+    partial_sim_by_segments,
     principality_check,
     simulation_mewo,
     singleton,
@@ -670,8 +671,9 @@ def test_a_singleton_interns_at_most_the_set_it_presents(covered_pool):
         before = len(u)
         S = singleton(X)
         assert S._collapsed[0]() is u and len(u) - before <= 1
-        ids, index = _collapse(S, u)
-        assert (ids, index) == _fresh_collapse(S, u)
+        ids, index, marked = _collapse(S, u)
+        assert (ids, index, marked) == _fresh_collapse(S, u)
+        assert marked == {_collapse(X, u)[0][-1]}  # the top's code: the set X presents
         assert len(u) == before or ids[-1] == before  # the one new set is the set S presents
 
 
@@ -829,6 +831,28 @@ def test_equality_and_principality_keep_their_former_definitions(mewo_pool):
             reflects = w is not None and X.size == Y.size and X.marks == tuple(Y.marks[y] for y in w.mapping)
             assert mewo_equal(X, Y, u) == reflects, (X, Y)
             assert principality_check(X, Y, u) == ((w is not None) == (partial_sim(X, Y, u) is not None)), (X, Y)
+
+
+def test_decisions_agree_with_the_oracles_in_each_cell_of_the_two_inclusions(small_mewo_pool):
+    # each pair sits in one cell of (T_X <= T_Y, M_X <= M_Y), the codes of all
+    # elements and of the marked ones; the two mixed cells are the early
+    # exits, codes included but marking not and the reverse
+    u = SetUniverse()
+    cells = set()
+    for X in small_mewo_pool:
+        for Y in small_mewo_pool:
+            cx, cy = codes(X, u), codes(Y, u)
+            marked_x, marked_y = set(itertools.compress(cx, X.marks)), set(itertools.compress(cy, Y.marks))
+            assert _collapse(X, u)[2] == {h.id for h in marked_x}
+            cell = (set(cx) <= set(cy), marked_x <= marked_y)
+            cells.add(cell)
+            maps, partial = enum_simulations(X, Y), partial_sim_by_segments(X, Y)
+            assert (bool(maps), partial is not None) == (all(cell), cell[1]), (X, Y)
+            w = simulation_mewo(X, Y, u)
+            assert ([w.mapping] if w else []) == maps, (X, Y)
+            assert partial_sim(X, Y, u) == partial, (X, Y)
+            assert principality_check(X, Y, u) == (bool(maps) == (partial is not None)), (X, Y)
+    assert cells == set(itertools.product((False, True), repeat=2))
 
 
 @pytest.mark.parametrize("decide", [simulation_mewo, bounded_sim_mewo, mewo_equal, principality_check, partial_sim],
