@@ -25,18 +25,18 @@ by T_X, the codes of its elements, and M_X, those of its marked elements
   X is covered (a property of X alone, kept on X) and the set X presents
   is in M_Y;
 - principality holds exactly when T_X <= T_Y or not M_X <= M_Y.
-The sets are kept on X as one record per universe (`_collapse`), so a
-decision on cached codes walks nothing and builds only its witness;
-`union` and `singleton` store theirs. Every decision and `union` take the
-caller's universe. The brute-force permutation, map and segment searches
-in hfkit.oracle stay the authoritative cross-check; the literal
+Both are frozensets in X's one code record, kept for the last universe
+and read back after one identity test against it (`_collapse`), so a
+decision on cached codes compares frozensets, walks nothing and builds
+only its witness; `union` and `singleton` store their records. Every
+decision and `union` take the caller's universe. The brute-force
+searches in hfkit.oracle stay the authoritative cross-check; the literal
 recursion, checked against `mewo_of_set`, is never a route. A mewo or a
 universe of another kind is a ValidationError naming that kind.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable
 from itertools import compress
 
@@ -68,7 +68,7 @@ class Mewo:
         self.preds = preds
         self.marks = tuple(marks)
         self._covered = None  # computed on first use; see is_covered
-        self._collapsed = None  # (weakref to a universe, (ids, index, marked)): see _collapse
+        self._collapsed = None  # (u._ref, (ids, index, T_X, M_X)) for the last universe u: see _collapse
 
     @property
     def lt(self):
@@ -100,7 +100,7 @@ class Mewo:
         return f"Mewo(size={self.size}, lt={_pairs(self)}, marked={self.marked_elements()})"
 
     def marked_elements(self) -> list[int]:
-        return [x for x, m in enumerate(self.marks) if m]
+        return list(compress(range(self.size), self.marks))
 
 
 def validate_mewo(size: int, lt, marked) -> Mewo:
@@ -176,26 +176,28 @@ def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
     return tuple(SetHandle(u, i) for i in _collapse(X, u)[0][:X.size])
 
 
-def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], frozenset[int]]:
-    """X's code record in u, `(ids, index, marked)`, from the collapse in u of
-    `preds` plus a root over the marked elements. `ids` holds the code id of
-    each element, then the id of the set X presents; `index` maps each
-    element's code id to the element, so its keys are T_X; `marked` is the
-    set of the marked elements' code ids, M_X, the members of the root.
-    The record is kept on X for the last universe, held weakly (the universe
-    keeps no per-mewo state; `union` and `singleton` store theirs), and is
-    returned itself, read back only for that universe, alive. The one
-    universe check of the mewo operations: None is a ValidationError too."""
+def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], frozenset[int], frozenset[int]]:
+    """X's code record in u, `(ids, index, T_X, M_X)`, from the collapse in u
+    of `preds` plus a root over the marked elements: `ids` holds each
+    element's code id, then the id of the set X presents; `index` maps a
+    code id to its element; T_X and M_X are the frozensets of the code ids
+    of all elements and of the marked ones. The record is kept on X beside
+    `u._ref`, u's weakref to itself (u keeps no per-mewo state; `union` and
+    `singleton` store theirs), and is returned itself when that is the
+    reference stored: an identity test no new universe passes. The one
+    universe check of the mewo operations: a non-universe is a ValidationError."""
     try:
         got = X._collapsed
+        if got is not None and got[0] is u._ref:
+            return got[1]
     except AttributeError:
         _checked(Mewo, X)
+        _checked(SetUniverse, u)
         raise
-    if got is None or got[0]() is not u or u is None:
-        ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
-        index = dict(zip(ids, range(X.size)))
-        assert len(index) == X.size, "codes must be injective on the carrier"
-        got = X._collapsed = (weakref.ref(u), (ids, index, frozenset(compress(ids, X.marks))))
+    ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
+    index = dict(zip(ids, range(X.size)))
+    assert len(index) == X.size, "codes must be injective on the carrier"
+    got = X._collapsed = (u._ref, (ids, index, frozenset(index), frozenset(compress(ids, X.marks))))
     return got[1]
 
 
@@ -203,9 +205,9 @@ def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     """Equality as marked orders, read off the codes: X equals Y exactly when
     both carry the same codes (a code-preserving bijection is an isomorphism)
     and present the same set (the same marked codes)."""
-    cx, index_x, _ = _collapse(X, u)
-    cy, index_y, _ = _collapse(Y, u)
-    return cx[X.size] == cy[Y.size] and index_x.keys() == index_y.keys()
+    cx, _, codes_x, _ = _collapse(X, u)
+    cy, _, codes_y, _ = _collapse(Y, u)
+    return cx[-1] == cy[-1] and codes_x == codes_y
 
 
 def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> SimWitness | None:
@@ -216,11 +218,11 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> SimWitness | None:
     elements to marked elements: it exists exactly when T_X <= T_Y and
     M_X <= M_Y, and only then is the map built.
     """
-    cx, index_x, marked_x = _collapse(X, u)
-    _, index_y, marked_y = _collapse(Y, u)
-    if not (index_x.keys() <= index_y.keys() and marked_x <= marked_y):
+    cx, _, codes_x, marked_x = _collapse(X, u)
+    _, index_y, codes_y, marked_y = _collapse(Y, u)
+    if not (codes_x <= codes_y and marked_x <= marked_y):
         return None
-    return SimWitness(tuple(map(index_y.__getitem__, cx[:X.size])))
+    return SimWitness(tuple(map(index_y.__getitem__, cx[:-1])))
 
 
 def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | None:
@@ -233,20 +235,20 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | No
     X, so no call walks X or the universe. The equivalence sends each x to
     the element of Y with the same code.
     """
-    _, index_y, marked_y = _collapse(Y, u)
+    _, index_y, _, marked_y = _collapse(Y, u)
     if not is_covered(X):
         return None
-    cx, _, _ = _collapse(X, u)
-    if cx[X.size] not in marked_y:
+    cx = _collapse(X, u)[0]
+    if cx[-1] not in marked_y:
         return None
-    return BoundedSimWitness(index_y[cx[X.size]], tuple(map(index_y.__getitem__, cx[:X.size])))
+    return BoundedSimWitness(index_y[cx[-1]], tuple(map(index_y.__getitem__, cx[:-1])))
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse) -> dict[int, int] | None:
     """Map each marked x to the unique marked y with the same initial segment:
     it exists exactly when M_X <= M_Y."""
-    cx, _, marked_x = _collapse(X, u)
-    _, index_y, marked_y = _collapse(Y, u)
+    cx, _, _, marked_x = _collapse(X, u)
+    _, index_y, _, marked_y = _collapse(Y, u)
     if not marked_x <= marked_y:
         return None
     return {x: index_y[cx[x]] for x in X.marked_elements()}
@@ -258,9 +260,9 @@ def principality_check(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     Both sides are unique when they exist, and a simulation restricts to a
     partial one, so the check fails exactly when M_X <= M_Y but not T_X <= T_Y.
     """
-    _, index_x, marked_x = _collapse(X, u)
-    _, index_y, marked_y = _collapse(Y, u)
-    return index_x.keys() <= index_y.keys() or not marked_x <= marked_y
+    _, _, codes_x, marked_x = _collapse(X, u)
+    _, _, codes_y, marked_y = _collapse(Y, u)
+    return codes_x <= codes_y or not marked_x <= marked_y
 
 
 def singleton(X: Mewo) -> Mewo:
@@ -276,9 +278,10 @@ def singleton(X: Mewo) -> Mewo:
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
-    ref, (ids, index, _) = X._collapsed or (lambda: None, (None, None, None))
+    ref, (ids, index, codes_x, _) = X._collapsed or (lambda: None, (None,) * 4)
     if (u := ref()) is not None:  # X's codes, in a live universe; by the check, the top's code is new
-        S._collapsed = (ref, (ids + [u._intern_locked((ids[-1],))], {**index, ids[-1]: X.size}, frozenset((ids[-1],))))
+        c = ids[-1]  # the set X presents, the code of S's top
+        S._collapsed = (ref, (ids + [u._intern_locked((c,))], {**index, c: X.size}, codes_x | {c}, frozenset((c,))))
     return S
 
 
@@ -309,7 +312,7 @@ def union(F: list[Mewo], u: SetUniverse) -> Mewo:
     children, cls = _checked(SetUniverse, u)._children, reps.__getitem__
     Z = Mewo(tuple([tuple(sorted(map(cls, children[i]))) for i in order]), marked)
     key = tuple(sorted(compress(order, marked)))  # the set Z presents
-    Z._collapsed = (weakref.ref(u), (order + [u._intern_locked(key)], reps, frozenset(key)))
+    Z._collapsed = (u._ref, (order + [u._intern_locked(key)], reps, frozenset(order), frozenset(key)))
     return Z
 
 

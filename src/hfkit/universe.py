@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -174,6 +175,7 @@ class SetUniverse:
         self._lock = threading.Lock()
         self._rank: dict[int, int] = {}
         self._numerals: list[int] = []
+        self._ref = weakref.ref(self)  # the one weak reference mewo code records name this universe by
 
     def __len__(self) -> int:
         return len(self._children)

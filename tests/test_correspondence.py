@@ -399,22 +399,29 @@ def _coded_in_a_dropped_universe():
 
 
 @pytest.mark.parametrize("call", [
-    lambda X: mewo_equal(X, X, None),
-    lambda X: simulation_mewo(X, X, None),
-    lambda X: bounded_sim_mewo(X, X, None),
-    lambda X: partial_sim(X, X, None),
-    lambda X: principality_check(X, X, None),
-    lambda X: union([X], None),
-    lambda X: codes(X, None),
-    lambda X: set_of_mewo(X, None),
+    lambda X, u: mewo_equal(X, X, u),
+    lambda X, u: simulation_mewo(X, X, u),
+    lambda X, u: bounded_sim_mewo(X, X, u),
+    lambda X, u: partial_sim(X, X, u),
+    lambda X, u: principality_check(X, X, u),
+    lambda X, u: union([X], u),
+    lambda X, u: codes(X, u),
+    lambda X, u: set_of_mewo(X, u),
 ], ids=["mewo_equal", "simulation_mewo", "bounded_sim_mewo", "partial_sim", "principality_check", "union", "codes",
         "set_of_mewo"])
 def test_no_mewo_operation_takes_none_for_a_universe(call):
-    # neither a mewo without codes nor one whose codes name a collected
-    # universe is answered: the dead codes are never read
-    for X in (from_ordinal(chain(2)), _coded_in_a_dropped_universe()):
-        with pytest.raises(ValidationError, match="^expected a SetUniverse, got NoneType$"):
-            call(X)
+    # neither a mewo without codes, nor one whose codes name a collected
+    # universe, nor one holding a record for a live universe is answered
+    # for None or another kind: the dead codes are never read, and the
+    # identity test against the record's universe lets no other kind by
+    live = SetUniverse()
+    coded = from_ordinal(chain(2))
+    codes(coded, live)
+    for X in (from_ordinal(chain(2)), _coded_in_a_dropped_universe(), coded):
+        for bad in (None, "u", 3, from_ordinal(chain(1))):
+            with pytest.raises(ValidationError, match=f"^expected a SetUniverse, got {type(bad).__name__}$"):
+                call(X, bad)
+    assert coded._collapsed[0] is live._ref
 
 
 # Ordinal-side values of the wrong kind or out of range. Each is refused, as

@@ -671,9 +671,10 @@ def test_a_singleton_interns_at_most_the_set_it_presents(covered_pool):
         before = len(u)
         S = singleton(X)
         assert S._collapsed[0]() is u and len(u) - before <= 1
-        ids, index, marked = _collapse(S, u)
-        assert (ids, index, marked) == _fresh_collapse(S, u)
+        ids, index, codes_s, marked = _collapse(S, u)
+        assert (ids, index, codes_s, marked) == _fresh_collapse(S, u)
         assert marked == {_collapse(X, u)[0][-1]}  # the top's code: the set X presents
+        assert codes_s == _collapse(X, u)[2] | marked
         assert len(u) == before or ids[-1] == before  # the one new set is the set S presents
 
 
@@ -697,6 +698,26 @@ def test_a_singleton_of_a_mewo_whose_universe_was_collected_carries_nothing():
     assert S._collapsed is None
     u = SetUniverse()
     assert _collapse(S, u) == _fresh_collapse(S, u)
+
+
+def test_a_record_kept_for_a_collected_universe_is_not_read_for_a_fresh_one():
+    # the record names its universe by the weakref it keeps alive, so no new
+    # universe passes the identity check, not even one at the collected
+    # universe's address (CPython reuses it at once); the loop stops there
+    for _ in range(50):
+        X = from_ordinal(chain(3))
+        old = SetUniverse()
+        stale, address = _collapse(X, old)[0], id(old)
+        del old
+        assert X._collapsed[0]() is None
+        u = SetUniverse()
+        h = u.empty()
+        for _ in range(10):  # so that X's codes have other ids in u
+            h = u.mk_set([h])
+        assert _collapse(X, u) == _fresh_collapse(X, u) and _collapse(X, u)[0] != stale
+        assert X._collapsed[0] is u._ref
+        if id(u) == address:
+            break
 
 
 def test_union_of_covered_is_covered(covered_pool, u):
@@ -813,6 +834,17 @@ def test_codes_cache_dies_with_its_universe(fixtures_mewos):
     assert ref() is None
 
 
+@pytest.mark.parametrize("n, names", [(26, [chr(ord("a") + i) for i in range(26)]),
+                                      (27, [f"v{i}" for i in range(27)])])
+def test_names_are_letters_up_to_26_elements(n, names):
+    X = from_ordinal(chain(n))
+    assert mewo_to_text(X).startswith(f"mewo {{ elems: {' '.join(names)}; lt: {names[0]}<{names[1]}, ")
+    assert mewo_to_json(X)["elems"] == names and mewo_to_json(X)["marked"] == names
+    dot = mewo_to_dot(X).splitlines()
+    assert [line.split()[0] for line in dot[1:n + 1]] == names and f"  {names[-2]} -> {names[-1]};" in dot
+    assert mewo_from_text(mewo_to_text(X)) == X and mewo_from_json(mewo_to_json(X)) == X
+
+
 def test_dot_marks_filled(fixtures_mewos):
     _, _, cb, _ = fixtures_mewos
     dot = mewo_to_dot(cb)
@@ -843,7 +875,7 @@ def test_decisions_agree_with_the_oracles_in_each_cell_of_the_two_inclusions(sma
         for Y in small_mewo_pool:
             cx, cy = codes(X, u), codes(Y, u)
             marked_x, marked_y = set(itertools.compress(cx, X.marks)), set(itertools.compress(cy, Y.marks))
-            assert _collapse(X, u)[2] == {h.id for h in marked_x}
+            assert _collapse(X, u)[2:] == ({h.id for h in cx}, {h.id for h in marked_x})
             cell = (set(cx) <= set(cy), marked_x <= marked_y)
             cells.add(cell)
             maps, partial = enum_simulations(X, Y), partial_sim_by_segments(X, Y)
