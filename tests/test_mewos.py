@@ -455,20 +455,26 @@ def test_singleton_of_covered_is_covered(covered_pool):
 
 
 def test_singleton_keeps_the_validator_witness(mewo_pool):
-    # the new top clashes with the element whose predecessors are the marked ones
+    # the new top clashes with the element whose predecessors are the marked
+    # ones, found in preds for a copy without codes and by its code for one
+    # coded in a live universe
+    u = SetUniverse()
     for X in mewo_pool:
         lt = np.zeros((X.size + 1, X.size + 1), dtype=bool)
         lt[:X.size, :X.size] = X.lt
         lt[:X.size, X.size] = X.marked
         marked = np.arange(X.size + 1) == X.size
-        try:
-            expected = validate_mewo(X.size + 1, lt, marked)
-        except ExtensionalityError as exc:
-            with pytest.raises(ExtensionalityError) as got:
-                singleton(X)
-            assert got.value.args == exc.args
-        else:
-            assert singleton(X) == expected
+        bare, coded = Mewo(X.preds, X.marks), Mewo(X.preds, X.marks)
+        codes(coded, u)
+        for Y in (bare, coded):
+            try:
+                expected = validate_mewo(X.size + 1, lt, marked)
+            except ExtensionalityError as exc:
+                with pytest.raises(ExtensionalityError) as got:
+                    singleton(Y)
+                assert got.value.args == exc.args
+            else:
+                assert singleton(Y) == expected
 
 
 def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool, u):
