@@ -179,13 +179,13 @@ def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
 def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], frozenset[int], frozenset[int]]:
     """X's code record in u, `(ids, index, T_X, M_X)`, from the collapse in u
     of `preds` plus a root over the marked elements: `ids` holds each
-    element's code id, then the id of the set X presents; `index` maps a
-    code id to its element; T_X and M_X are the frozensets of the code ids
-    of all elements and of the marked ones. The record is kept on X beside
-    `u._ref`, u's weakref to itself (u keeps no per-mewo state; `union` and
-    `singleton` store theirs), and is returned itself when that is the
-    reference stored: an identity test no new universe passes. The one
-    universe check of the mewo operations: a non-universe is a ValidationError."""
+    element's code id, then the id of the set X presents; `index` maps each
+    code id to its element, in carrier order; T_X and M_X are the frozensets
+    of the code ids of all elements and of the marked ones. The record is
+    kept on X beside `u._ref`, u's weakref to itself (u keeps no per-mewo
+    state; `union` and `singleton` store theirs), and is returned itself when
+    that is the reference stored: an identity test no new universe passes.
+    The one universe check of the mewo operations: a non-universe is a ValidationError."""
     try:
         got = X._collapsed
         if got is not None and got[0] is u._ref:
