@@ -180,7 +180,7 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
     """X's code record in u, `(ids, index, T_X, M_X)`, from the collapse in u
     of `preds` plus a root over the marked elements: `ids` holds each
     element's code id, then the id of the set X presents; `index` maps each
-    code id to its element, in carrier order; T_X and M_X are the frozensets
+    code id to its element; T_X and M_X are the frozensets
     of the code ids of all elements and of the marked ones. The record is
     kept on X beside `u._ref`, u's weakref to itself (u keeps no per-mewo
     state; `union` and `singleton` store theirs), and is returned itself when
@@ -275,11 +275,11 @@ def singleton(X: Mewo) -> Mewo:
     set it presents: `LimitExceededError` at the node limit. The literal
     recursion through it is checked against `mewo_of_set`, never a route."""
     top = tuple(_checked(Mewo, X).marked_elements())
-    ref, (ids, index, codes_x, _) = X._collapsed or (lambda: None, (None,) * 4)
-    if top in X.preds if (u := ref()) is None else ids[-1] in codes_x:  # some x has the top's preds (or code)
+    if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
-    if u is not None:  # so the top's code is new
+    ref, (ids, index, codes_x, _) = X._collapsed or (lambda: None, (None,) * 4)
+    if (u := ref()) is not None:  # X's codes, in a live universe; by the check, the top's code is new
         c = ids[-1]  # the set X presents, the code of S's top
         S._collapsed = (ref, (ids + [u._intern_locked((c,))], {**index, c: X.size}, codes_x | {c}, frozenset((c,))))
     return S
@@ -289,29 +289,30 @@ def union(F: list[Mewo], u: SetUniverse) -> Mewo:
     """Union of a family: one element per distinct initial segment.
 
     Segments are compared through their codes; the order is code
-    membership, and a class is marked when its code is in some M_X. Class
-    representatives are the lexicographically least (member index, element
-    index) pairs, and the carrier lists classes in that order: the first
-    member's elements, with its order, come first. Distinct codes have
-    distinct members and membership is wellfounded, so the result needs no
-    validation. A class's code is its members' code, so the result carries
-    its codes in u, and the set it presents costs one intern.
+    membership, and an element is marked when some representative is
+    marked in its member. Class representatives are the lexicographically
+    least (member index, element index) pairs, and the carrier lists
+    classes in that order. Distinct codes have distinct members and code
+    membership is wellfounded, so the result needs no validation. The code
+    of a class is the code of its members, so the result carries its codes
+    in u, and the set it presents costs one intern.
     """
-    reps, marked, preds = {}, frozenset(), []  # code id -> class, in class order; M_Z; each class's preds
+    order: list[int] = []  # the code id of each class
+    reps: dict[int, int] = {}  # code id -> class
+    marked: list[bool] = []
     for X in _checked(Iterable, F):
-        ids, index, _, marked_x = _collapse(X, u)
-        if not reps:  # the first member's elements are the first classes
-            reps, marked, preds = dict(index), marked_x, list(X.preds)
-            continue
-        marked |= marked_x
-        for c in ids[:-1]:
-            if c not in reps:
-                reps[c] = len(reps)
-    order = list(reps)  # the code id of each class
+        for c, m in zip(_collapse(X, u)[0], X.marks):  # the codes; zip drops the root
+            pos = reps.get(c)
+            if pos is None:
+                reps[c] = len(order)
+                order.append(c)
+                marked.append(m)
+            elif m:
+                marked[pos] = True
     children, cls = _checked(SetUniverse, u)._children, reps.__getitem__
-    preds += [tuple(sorted(map(cls, children[i]))) for i in order[len(preds):]]
-    Z = Mewo(tuple(preds), map(marked.__contains__, order))
-    Z._collapsed = (u._ref, (order + [u._intern_locked(tuple(sorted(marked)))], reps, frozenset(order), marked))
+    Z = Mewo(tuple([tuple(sorted(map(cls, children[i]))) for i in order]), marked)
+    key = tuple(sorted(compress(order, marked)))  # the set Z presents
+    Z._collapsed = (u._ref, (order + [u._intern_locked(key)], reps, frozenset(order), frozenset(key)))
     return Z
 
 

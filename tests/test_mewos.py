@@ -456,8 +456,8 @@ def test_singleton_of_covered_is_covered(covered_pool):
 
 def test_singleton_keeps_the_validator_witness(mewo_pool):
     # the new top clashes with the element whose predecessors are the marked
-    # ones, found in preds for a copy without codes and by its code for one
-    # coded in a live universe
+    # ones, for a copy without codes and for one coded in a live universe,
+    # whose singleton also carries codes
     u = SetUniverse()
     for X in mewo_pool:
         lt = np.zeros((X.size + 1, X.size + 1), dtype=bool)
