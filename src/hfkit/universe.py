@@ -21,7 +21,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError, _checked
+from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError, ValidationError, _checked
 
 DEFAULT_NODE_LIMIT = 1 << 20
 DEFAULT_NUMERAL_LIMIT = 1024
@@ -170,6 +170,8 @@ class SetUniverse:
                 raise HfkitError(f"HFKIT_NODE_LIMIT={raw!r} is not a non-negative integer")
             node_limit = int(raw)
         self.node_limit = _checked(int, node_limit)
+        if node_limit < 0:
+            raise ValidationError(f"node limit {node_limit} is negative")
         self._children: list[tuple[int, ...]] = []
         self._intern: dict[tuple[int, ...], int] = {}
         self._lock = threading.Lock()

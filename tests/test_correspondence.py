@@ -504,6 +504,7 @@ def test_no_mewo_operation_takes_none_for_a_universe(call):
     pytest.param(lambda u: Session("x"), ValidationError, id="Session(universe=str)"),
     pytest.param(lambda u: GenConfig(seed=1, count=None), ValidationError, id="GenConfig(count=None)"),
     pytest.param(lambda u: GenConfig(seed=1, max_width=-1), ValidationError, id="GenConfig(max_width=-1)"),
+    pytest.param(lambda u: SetUniverse(node_limit=-1), ValidationError, id="SetUniverse(node_limit=-1)"),
     pytest.param(lambda u: GenConfig(seed="a"), ValidationError, id="GenConfig(seed=str)"),
     # a bool is no int
     pytest.param(lambda u: SetUniverse(node_limit=True), ValidationError, id="SetUniverse(node_limit=True)"),

@@ -1,8 +1,9 @@
 """Every name a module of src/hfkit imports is used in that module, every
 private module-level function or class is used somewhere in src/hfkit,
 the wrong-kind message, the interning lock and the mewo code cache
-each stay in their one module, and the mewo operations make no universe
-of their own.
+each stay in their one module, the mewo operations make no universe
+of their own, and the only tests that start a process are the ones
+`KEPT_SPAWNS` in test_parser_cli.py names.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hfkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hfkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -141,3 +143,42 @@ def test_the_check_sees_a_universe_made_up():
 
 def test_the_mewo_operations_take_their_callers_universe():
     assert universes_made_up((SRC / "mewos.py").read_text(encoding="utf-8")) == []
+
+
+SPAWNING = {"run", "Popen", "call", "check_call", "check_output"}  # the calls of `subprocess` that start a process
+
+
+def called_name(call: ast.Call) -> str | None:
+    """The name of the function `call` calls, "subprocess" for one of SPAWNING."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "subprocess":
+        return "subprocess" if func.attr in SPAWNING else None
+    return getattr(func, "id", None)
+
+
+def spawning_tests(source: str) -> list[str]:
+    """The test functions of `source` that start a process: each calls one
+    of SPAWNING, or a function of `source` that does."""
+    functions = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    calls = {f.name: {called_name(c) for c in ast.walk(f) if isinstance(c, ast.Call)} for f in functions}
+    spawners = {"subprocess"}
+    while True:
+        grown = spawners | {name for name, called in calls.items() if called & spawners}
+        if grown == spawners:
+            return sorted(name for name in spawners if name.startswith("test_"))
+        spawners = grown
+
+
+def test_the_check_sees_a_spawn():
+    source = ("def spawn(*args):\n    return subprocess.run(args)\ndef via(*args):\n    return spawn(*args)\n"
+              "def test_a():\n    subprocess.check_output(['x'])\ndef test_b():\n    via('x')\n"
+              "def test_c():\n    return subprocess.CompletedProcess([], 0)\ndef test_d():\n    run(['x'])\n")
+    assert spawning_tests(source) == ["test_a", "test_b"]
+
+
+def test_every_spawn_is_kept_for_its_process():
+    tree = ast.parse((TESTS / "test_parser_cli.py").read_text(encoding="utf-8"))
+    kept = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "KEPT_SPAWNS")
+    found = [name for path in sorted(TESTS.glob("*.py")) for name in spawning_tests(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(kept)

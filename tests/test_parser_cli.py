@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -279,6 +280,8 @@ def test_eval_unbound_and_shadowing():
         s.run_program("canon nope")
     with pytest.raises(EvalError):
         s.run_program("let x = {}\nlet x = {{}}")
+    with pytest.raises(EvalError, match="^cannot evaluate Let"):  # a statement is no expression
+        s.eval(Let("x", Numeral(1)))
 
 
 def test_eval_numeral_bound():
@@ -396,7 +399,7 @@ def test_run_suite_counterexamples():
     assert report["cases"] >= 4
 
 
-def test_check_reports_a_raising_case_as_a_failure(monkeypatch, capsys):
+def test_check_reports_a_raising_case_as_a_failure(monkeypatch):
     import hfkit.suites as suites_module
 
     real_down = suites_module.down
@@ -408,11 +411,11 @@ def test_check_reports_a_raising_case_as_a_failure(monkeypatch, capsys):
 
     others = sum(run_suite(name)["cases"] for name in ("sets", "mewos", "correspondence", "counterexamples"))
     monkeypatch.setattr(suites_module, "down", down)
-    assert cli_module.main(["check", "--suite", "all", "--format", "text"]) == 1
-    out = capsys.readouterr()
-    assert "Traceback" not in out.out + out.err
+    res = run_cli("check", "--suite", "all", "--format", "text")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stdout + res.stderr
     assert ("  FAIL ordinals.raised [the rest of the suite]: expected no exception, "
-            "got IndexError: element 0 out of range for size 0") in out.out.splitlines()
+            "got IndexError: element 0 out of range for size 0") in res.stdout.splitlines()
     report = run_suite("all")
     # the 3 ordinal cases before segments.iterate, the raised case, every other suite
     assert report["cases"] == 3 + 1 + others
@@ -436,23 +439,49 @@ def test_run_suite_unknown_name():
 # -- console entry points ---------------------------------------------------------
 
 
-def run_cli(*args, stdin=None, timeout=None, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "hfkit.cli", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=None if env is None else {**os.environ, **env},
-    )
+def run_cli(*args, stdin=""):
+    """`hfkit *args` run by `cli.main` in this process, with `stdin` as its
+    standard input, as the CompletedProcess a `python -m hfkit.cli` child
+    would give. A usage error or `--help` ends in argparse's exit status; any
+    other exception propagates and fails the test. A test that needs the
+    process itself calls `spawn_cli` and is named in KEPT_SPAWNS."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)  # not a terminal, so `repl` reads it as piped
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = cli_module.main(list(args))
+            except SystemExit as exc:
+                status = exc.code
+    finally:
+        sys.stdin = saved
+    return subprocess.CompletedProcess(args, status, out.getvalue(), err.getvalue())
+
+
+# The tests that start a fresh interpreter, each with the reason the process
+# is the point; `test_every_spawn_is_kept_for_its_process` holds the list to
+# the tests that do.
+KEPT_SPAWNS = {
+    "test_cli_check_exit_codes": "the `python -m hfkit.cli` entry and the exit status a shell sees",
+    "test_cli_paths_do_not_import_numpy": "a clean `sys.modules`",
+    "test_cli_check_seeded_reports_identical": "two interpreters, each with its own string-hash seed",
+    "test_cli_parser_is_built_once_and_reused": "the first `main` call of a new process",
+    "test_cli_repl_decides_ord_at_the_numeral_bound": "a timeout that guards against a hang",
+}
+
+
+def spawn_cli(*args, stdin=None, timeout=None):
+    """`python -m hfkit.cli *args` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "hfkit.cli", *args],
+                          input=stdin, capture_output=True, text=True, timeout=timeout)
 
 
 def test_cli_check_exit_codes():
-    ok = run_cli("check", "--suite", "counterexamples")
+    ok = spawn_cli("check", "--suite", "counterexamples")
     assert ok.returncode == 0
     report = json.loads(ok.stdout)
     assert report["failures"] == []
-    usage = run_cli("check", "--suite", "nope")
+    usage = spawn_cli("check", "--suite", "nope")
     assert usage.returncode == 2
 
 
@@ -500,8 +529,8 @@ def test_cli_paths_do_not_import_numpy(tmp_path):
 
 
 def test_cli_check_seeded_reports_identical():
-    a = run_cli("check", "--suite", "sets", "--seed", "42", "--max-size", "4")
-    b = run_cli("check", "--suite", "sets", "--seed", "42", "--max-size", "4")
+    a = spawn_cli("check", "--suite", "sets", "--seed", "42", "--max-size", "4")
+    b = spawn_cli("check", "--suite", "sets", "--seed", "42", "--max-size", "4")
     assert a.stdout == b.stdout and a.returncode == 0
 
 
@@ -648,7 +677,7 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
     assert cli_module._build_parser() is cli_module._build_parser()
     program = tmp_path / "p.hf"
     program.write_text("let x = {{},{{}}}\nrank x\ncanon {2,0,1}\nlet m = tomewo x\ndot m\n")
-    fresh = run_cli("run", str(program))  # the first call of a new process
+    fresh = spawn_cli("run", str(program))  # the first call of a new process
     assert fresh.returncode == 0
     with pytest.raises(SystemExit) as exc:
         cli_module.main(["check", "--suite", "all", "--max-size", "-1"])
@@ -666,7 +695,7 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
 
 
 def test_cli_repl_decides_ord_at_the_numeral_bound():
-    res = run_cli("repl", stdin="ord? 1024\n", timeout=5)
+    res = spawn_cli("repl", stdin="ord? 1024\n", timeout=5)
     assert res.returncode == 0 and res.stdout == "true\n"
 
 
@@ -702,28 +731,29 @@ def test_cli_unreadable_input_is_an_error_line(command, name, content, tmp_path)
 
 
 @pytest.mark.parametrize("value", ["abc", "1e3"])
-def test_cli_malformed_node_limit_is_an_error_line(value, tmp_path):
+def test_cli_malformed_node_limit_is_an_error_line(value, tmp_path, monkeypatch):
     path = tmp_path / "one.hf"
     path.write_text("canon 1\n")
-    for res in (run_cli("run", str(path), env={"HFKIT_NODE_LIMIT": value}),
-                run_cli("repl", stdin="canon 1\n", env={"HFKIT_NODE_LIMIT": value})):
+    monkeypatch.setenv("HFKIT_NODE_LIMIT", value)  # read each time a SetUniverse is made
+    for res in (run_cli("run", str(path)), run_cli("repl", stdin="canon 1\n")):
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("error: HFKIT_NODE_LIMIT") and "Traceback" not in res.stderr
 
 
-def test_cli_mewo_refuses_output_past_the_limit(tmp_path, monkeypatch, capsys):
+def test_cli_mewo_refuses_output_past_the_limit(tmp_path, monkeypatch):
     text = "mewo { elems: a b; lt: a<b; marked: b }"
     path = tmp_path / "two.mewo"
     path.write_text(text + "\n")
     needs = {fmt: len(render(mewo_from_text(text), fmt)) for fmt in ("text", "json", "dot")}
     for fmt, need in needs.items():
         monkeypatch.setattr(session_module, "MAX_RENDERED_CHARS", need)
-        assert cli_module.main(["mewo", str(path), "--format", fmt]) == 0
-        assert len(capsys.readouterr().out) == need + 1
+        res = run_cli("mewo", str(path), "--format", fmt)
+        assert res.returncode == 0
+        assert len(res.stdout) == need + 1
         monkeypatch.setattr(session_module, "MAX_RENDERED_CHARS", need - 1)
-        assert cli_module.main(["mewo", str(path), "--format", fmt]) == 1
-        out = capsys.readouterr()
-        assert out.out == "" and out.err.startswith("error: rendering needs")
+        res = run_cli("mewo", str(path), "--format", fmt)
+        assert res.returncode == 1
+        assert res.stdout == "" and res.stderr.startswith("error: rendering needs")
 
 
 @pytest.mark.parametrize("read, doc", [
@@ -744,7 +774,7 @@ def test_readers_raise_format_errors(read, doc):
     assert isinstance(exc.value, HfkitError) and isinstance(exc.value, ValueError)
 
 
-def test_cli_mewo_file_of_a_long_chain_builds_no_matrix(tmp_path, monkeypatch, capsys):
+def test_cli_mewo_file_of_a_long_chain_builds_no_matrix(tmp_path, monkeypatch):
     # a 30,000 x 30,000 matrix would take 900 MB; reader, validator and writers use pairs
     n = 30_000
     names = [f"v{i}" for i in range(n)]
@@ -760,16 +790,18 @@ def test_cli_mewo_file_of_a_long_chain_builds_no_matrix(tmp_path, monkeypatch, c
     monkeypatch.setattr(Mewo, "lt", property(no_matrix))
     outputs = {}
     for fmt in ("text", "json", "dot"):
-        assert cli_module.main(["mewo", str(path), "--format", fmt]) == 0
-        outputs[fmt] = capsys.readouterr().out
+        res = run_cli("mewo", str(path), "--format", fmt)
+        assert res.returncode == 0
+        outputs[fmt] = res.stdout
     assert outputs["text"] == text + "\n"
     assert json.loads(outputs["json"]) == {"elems": names, "lt": pairs, "marked": [f"v{n - 1}"]}
     edges = [line for line in outputs["dot"].splitlines() if " -> " in line]
     assert edges == [f"  {a} -> {b};" for a, b in pairs]
     as_json = tmp_path / "chain.json"
     as_json.write_text(outputs["json"])
-    assert cli_module.main(["mewo", str(as_json)]) == 0
-    assert capsys.readouterr().out == outputs["text"]
+    back = run_cli("mewo", str(as_json))
+    assert back.returncode == 0
+    assert back.stdout == outputs["text"]
 
 
 @pytest.mark.parametrize("stmt", [

@@ -30,6 +30,7 @@ from hfkit import (
 
 
 def test_mk_set_empty(u):
+    assert repr(u) == "<SetUniverse with 0 sets>"
     e = u.mk_set([])
     assert u.elements(e) == []
     assert u.rank_nat(e) == 0
