@@ -2,8 +2,9 @@
 private module-level function or class is used somewhere in src/hfkit,
 the wrong-kind message, the interning lock and the mewo code cache
 each stay in their one module, the mewo operations make no universe
-of their own, and the only tests that start a process are the ones
-`KEPT_SPAWNS` in test_parser_cli.py names.
+of their own, the only tests that start a process are the ones
+`KEPT_SPAWNS` in test_parser_cli.py names, and the package exports the
+names it always has, each its defining layer's object.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -12,9 +13,13 @@ There is no linter among the dependencies, so these are `ast` passes:
 from __future__ import annotations
 
 import ast
+import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import hfkit
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hfkit"
@@ -52,13 +57,15 @@ def test_no_unused_import(module):
 
 def unreferenced_private_definitions(sources: list[str]) -> list[str]:
     """The private functions and classes defined at the top level of one of
-    `sources` that no source reads by name or as an attribute."""
+    `sources` that no source reads by name or as an attribute. A `__dunder__`
+    name is not private: the interpreter calls it by protocol."""
     trees = [ast.parse(source) for source in sources]
     defined = [
         node.name
         for tree in trees
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -72,6 +79,7 @@ def unreferenced_private_definitions(sources: list[str]) -> list[str]:
 def test_the_check_sees_an_unreferenced_private_definition():
     sources = ["def _a(): pass\ndef _b(): pass\nclass _C: pass\n_b()\n", "from m import _C\nx = m._C\n"]
     assert unreferenced_private_definitions(sources) == ["_a"]
+    assert unreferenced_private_definitions(["def __getattr__(name): pass\ndef _a(): pass\n"]) == ["_a"]
 
 
 def test_no_unreferenced_private_definition():
@@ -182,3 +190,38 @@ def test_every_spawn_is_kept_for_its_process():
                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "KEPT_SPAWNS")
     found = [name for path in sorted(TESTS.glob("*.py")) for name in spawning_tests(path.read_text(encoding="utf-8"))]
     assert sorted(found) == sorted(kept)
+
+
+# The public names `hfkit` exports, whether bound at import or on first read.
+EXPORTS = {
+    "BoundedSimWitness", "CyclicError", "EvalError", "ExtensionalityError", "FinOrd", "ForeignHandleError",
+    "FormatError", "GenConfig", "HfkitError", "LimitExceededError", "Mewo", "MewoSimWitness",
+    "NotAnOrdinalError", "ParseError", "PointedGraph", "QuotientRank", "Session", "SetHandle", "SetUniverse",
+    "SimWitness", "SizeLimitError", "TransitivityError", "ValidationError", "WellfoundednessError", "bisimilar",
+    "bounded_sim", "bounded_sim_mewo", "canon", "chain", "codes", "covered_part", "down", "down_plus",
+    "elements_ordinal", "enum_bounded_sims", "enum_simulations", "enumerate_mewos", "enumerate_v",
+    "equal_by_permutation", "export_slice", "format_expr", "from_ordinal", "gen_random_mewo", "gen_random_set",
+    "import_slice", "is_covered", "is_hereditarily_transitive", "is_simulation", "mark_all", "mem_raw",
+    "mewo_equal", "mewo_from_json", "mewo_from_text", "mewo_of_set", "mewo_of_set_literal", "mewo_to_dot",
+    "mewo_to_json", "mewo_to_text", "ord_from_json", "ord_from_text", "ord_sum", "ord_to_json", "ord_to_text",
+    "order_type", "parse", "parse_program", "partial_sim", "partial_sim_by_segments", "principality_check",
+    "rank_ordinal", "rank_quotient", "render", "run_suite", "same_order_type", "set_of_mewo", "set_of_ordinal",
+    "set_to_dot", "simulation", "simulation_mewo", "singleton", "sup", "sup_classes", "union", "validate_mewo",
+    "validate_ord",
+}
+LAYERS = {"errors", "universe", "ordinals", "mewos", "correspondence", "oracle", "parser", "session", "suites"}
+
+
+def test_the_package_exports_each_name_from_its_layer():
+    assert len(EXPORTS) == 85
+    for name in sorted(EXPORTS - {"MewoSimWitness"}):
+        obj = getattr(hfkit, name)
+        assert obj.__module__.removeprefix("hfkit.") in LAYERS and getattr(sys.modules[obj.__module__], name) is obj
+    assert hfkit.chain is hfkit.ordinals.chain and hfkit.MewoSimWitness is hfkit.SimWitness
+    assert all(getattr(hfkit, layer) is sys.modules[f"hfkit.{layer}"] for layer in LAYERS)
+    listed = set(dir(hfkit))
+    assert EXPORTS | LAYERS <= listed
+    assert {name for name in listed if not name.startswith("_")
+            and not isinstance(getattr(hfkit, name), types.ModuleType)} == EXPORTS
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hfkit.no_such_name

@@ -18,6 +18,7 @@ from hfkit import (
     chain,
     down,
     enum_simulations,
+    from_ordinal,
     is_simulation,
     ord_from_json,
     ord_from_text,
@@ -66,6 +67,12 @@ def test_validate_chain_ok():
     alpha = validate_ord(3, chain(3).lt)
     assert alpha == chain(3) and hash(alpha) == hash(chain(3))
     assert len({alpha, chain(3), FinOrd(reversed(range(3)))}) == 2
+
+
+def test_an_ordinal_never_equals_a_non_ordinal():
+    assert chain(2) != None  # noqa: E711  the operator itself is under test
+    assert chain(1) != (0,)
+    assert chain(0) != from_ordinal(chain(0))
 
 
 def test_validate_antichain_extensionality():
@@ -432,7 +439,7 @@ def test_text_reader_accepts_repeated_clauses():
 
 
 def test_json_rejects_out_of_range_pairs():
-    for pair in ([0, -1], [0, 5], [-2, 1]):
+    for pair in ([0, -1], [0, 5], [-2, 1], [2, 0]):
         with pytest.raises(ValidationError, match=re.escape(str(pair))):
             ord_from_json({"size": 2, "pairs": [pair]})
 

@@ -463,7 +463,8 @@ def run_cli(*args, stdin=""):
 # the tests that do.
 KEPT_SPAWNS = {
     "test_cli_check_exit_codes": "the `python -m hfkit.cli` entry and the exit status a shell sees",
-    "test_cli_paths_do_not_import_numpy": "a clean `sys.modules`",
+    "test_cli_paths_do_not_import_numpy": "a clean `sys.modules`: what `import hfkit` loads, the first reads "
+                                           "of the other layers from four threads, and no numpy",
     "test_cli_check_seeded_reports_identical": "two interpreters, each with its own string-hash seed",
     "test_cli_parser_is_built_once_and_reused": "the first `main` call of a new process",
     "test_cli_repl_decides_ord_at_the_numeral_bound": "a timeout that guards against a hang",
@@ -485,14 +486,37 @@ def test_cli_check_exit_codes():
     assert usage.returncode == 2
 
 
-# Imports hfkit, enumerates the size-4 mewo pool and runs the CLI on a
-# program, a repl input and both mewo file forms in every format, all in one
-# interpreter; numpy is only for the `lt` and `marked` views, which none read.
+# Imports hfkit, which loads the set layer alone, lets four threads make the
+# first reads of names from four other layers at once, enumerates the size-4
+# mewo pool and runs the CLI on a program, a repl input and both mewo file
+# forms in every format, all in one interpreter; numpy is only for the `lt`
+# and `marked` views, which none read.
 NUMPY_FREE_RUN = """
 import io
 import sys
+import threading
 
 import hfkit
+
+loaded = sorted(name for name in sys.modules if name == "hfkit" or name.startswith("hfkit."))
+assert loaded == ["hfkit", "hfkit.errors", "hfkit.universe"], loaded
+assert "chain" in dir(hfkit) and "hfkit.ordinals" not in sys.modules
+reads = {"chain": "ordinals", "union": "mewos", "bisimilar": "oracle", "canon": "session"}
+got, start = {}, threading.Barrier(len(reads))
+def read(name):
+    start.wait()
+    got[name] = getattr(hfkit, name)
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=read, args=(name,)) for name in reads]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+for name, layer in reads.items():
+    assert got[name] is getattr(sys.modules["hfkit." + layer], name), name
+assert "__getattr__" not in vars(hfkit)
+
 import hfkit.cli
 
 assert len(hfkit.enumerate_mewos(4)) == 144

@@ -332,6 +332,14 @@ def test_universe_acyclic_after_batches(u):
     assert u.check_acyclic()
 
 
+def test_check_acyclic_sees_a_node_that_names_itself():
+    # construction cannot make one, so the table is broken by hand
+    scratch = SetUniverse()
+    scratch.mk_set([scratch.empty()])
+    scratch._children.append((len(scratch._children),))
+    assert not scratch.check_acyclic()
+
+
 def test_concurrent_interning_is_consistent():
     shared = SetUniverse()
     results = [None] * 8
