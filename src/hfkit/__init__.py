@@ -76,6 +76,7 @@ def __getattr__(name):
 
 
 def __dir__():
+    """The package's names, with every layer's exports whether bound yet or not."""
     return sorted(globals().keys() | {n for names in _LAYERS.values() for n in names} | {"MewoSimWitness"})
 
 
