@@ -14,8 +14,12 @@ pos[x] < pos[y]) and a mewo's off `preds` and `marks`, never codes, and
 turns them into nested lists once per call, an ordinal as the mewo with
 every element marked; it walks pointed graphs and relations with one walk
 of its own, `_reach`. The generators build their relations as nested
-lists of bools too. Nothing here reads a numpy view, so no oracle and no
-generator imports numpy.
+lists of bools too. `enumerate_mewos` walks only the strictly
+upper-triangular relations, 2^(n(n-1)/2) of them: every acyclic relation
+relabels to one along a topological order, so no class is missed. Each
+class is represented by the relabeling that a walk over all 2^(n(n-1))
+relations would meet first, so the output is that walk's. Nothing here
+reads a numpy view, so no oracle and no generator imports numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .universe import PointedGraph, SetHandle, SetUniverse
 
 ENUM_SIM_LIMIT = 6
 ENUM_V_LIMIT = 5
-ENUM_MEWO_LIMIT = 4
+ENUM_MEWO_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -287,36 +291,45 @@ def enumerate_v(level: int, u: SetUniverse) -> list[SetHandle]:
 def enumerate_mewos(size: int) -> list[Mewo]:
     """All mewos on a carrier of exactly `size` elements, up to relabeling.
 
-    Every acyclic relation is filtered for extensionality and crossed with
-    every marking; candidates are deduplicated by the least (matrix, marking)
-    under all carrier permutations: each relation is relabeled once, and its
-    markings only by the permutations that give the least matrix.
+    Only the strictly upper-triangular relations (i < j) are walked, none
+    of them cyclic: every acyclic relation relabels to one along a
+    topological order, so every class is met. Each is filtered for
+    extensionality, which relabeling keeps. A class met for the first time
+    (its least relabeled matrix not seen yet) is represented by the
+    relabeling a walk over all off-diagonal slots would meet first, the one
+    with the least slot bits, the last slot weighing most. That
+    representative is crossed with every marking; candidates are
+    deduplicated by the least (matrix, marking) under all carrier
+    permutations, the markings relabeled only by the permutations that give
+    the least matrix. So each class keeps the candidate that walk would keep.
     """
     if not 0 <= _checked(int, size) <= ENUM_MEWO_LIMIT:
         raise SizeLimitError(f"enumerate_mewos is bounded at sizes 0 to {ENUM_MEWO_LIMIT}, not {size}")
     slots = [(i, j) for i in range(size) for j in range(size) if i != j]
+    upper = [(i, j) for i, j in slots if i < j]
     perms = list(permutations(range(size)))
     out: dict[tuple, Mewo] = {}
-    for bits in range(1 << len(slots)):
+    classes = set()
+    for bits in range(1 << len(upper)):
         lt = [[False] * size for _ in range(size)]
-        for k, (i, j) in enumerate(slots):
+        for k, (i, j) in enumerate(upper):
             if bits >> k & 1:
                 lt[i][j] = True
-        if _has_cycle(lt) or not _is_extensional(lt):
+        if not _is_extensional(lt):
             continue
-        relabeled = [tuple(lt[a][b] for a in p for b in p) for p in perms]
-        least = min(relabeled)
-        best = [p for p, r in zip(perms, relabeled) if r == least]
+        least = min(tuple(lt[a][b] for a in p for b in p) for p in perms)
+        if least in classes:
+            continue
+        classes.add(least)
+        lt = min(([[lt[a][b] for b in p] for a in p] for p in perms),
+                 key=lambda m: [m[i][j] for i, j in reversed(slots)])
+        best = [p for p in perms if tuple(lt[a][b] for a in p for b in p) == least]
         for mbits in range(1 << size):
             marked = [mbits >> i & 1 == 1 for i in range(size)]
             key = (least, min(tuple(marked[a] for a in p) for p in best))
             if key not in out:
                 out[key] = validate_mewo(size, lt, marked)
     return [out[k] for k in sorted(out)]
-
-
-def _has_cycle(lt) -> bool:
-    return any(b in _below_transitively(lt, b) for b in range(len(lt)))
 
 
 def _is_extensional(lt) -> bool:

@@ -162,7 +162,32 @@ def test_enumerate_mewos_distinct_and_valid():
 
 def test_enumerate_mewos_limit():
     with pytest.raises(SizeLimitError):
-        enumerate_mewos(5)
+        enumerate_mewos(6)
+
+
+def test_enumerate_mewos_at_size_5():
+    u = SetUniverse()
+    pool = enumerate_mewos(5)
+    covered = [X for X in pool if is_covered(X)]
+    assert (len(pool), len(covered)) == (2816, 1248)
+    sets = [set_of_mewo(X, u) for X in covered]
+    assert len(set(sets)) == 1248
+    for X, h in zip(covered, sets):
+        assert mewo_equal(X, mewo_of_set(h), u)
+
+
+def test_enumerate_mewos_tests_one_relation_per_upper_triangle(monkeypatch):
+    calls = []
+    is_extensional = hfkit.oracle._is_extensional
+
+    def counted(lt):
+        calls.append(len(lt))
+        return is_extensional(lt)
+
+    monkeypatch.setattr(hfkit.oracle, "_is_extensional", counted)
+    for size in range(5):
+        enumerate_mewos(size)
+    assert [calls.count(size) for size in range(5)] == [1, 1, 2, 8, 64]
 
 
 def test_enumerated_covered_roundtrip(covered_pool):
@@ -313,7 +338,7 @@ def _least_relabeling(lt, marked):
 
 
 def test_enumerate_mewos_keeps_the_first_candidate_of_each_least_relabeling():
-    for size in range(4):
+    for size in range(5):
         slots = [(i, j) for i in range(size) for j in range(size) if i != j]
         out = {}
         for bits in range(1 << len(slots)):

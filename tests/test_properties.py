@@ -36,7 +36,18 @@ from hfkit import (  # noqa: E402
     validate_mewo,
 )
 from hfkit.ordinals import FinOrd  # noqa: E402
-from hfkit.oracle import _has_cycle, _is_extensional  # noqa: E402
+from hfkit.oracle import _is_extensional  # noqa: E402
+
+
+def _has_cycle(lt) -> bool:
+    """Does some element reach itself along lt: Warshall's transitive
+    closure on nested lists, the acyclicity reference for validate_mewo."""
+    reach = [[bool(v) for v in row] for row in lt]
+    for k in range(len(reach)):
+        for i in range(len(reach)):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return any(reach[i][i] for i in range(len(reach)))
 
 
 @st.composite
