@@ -25,10 +25,11 @@ by T_X, the codes of its elements, and M_X, those of its marked elements
   X is covered (a property of X alone, kept on X) and the set X presents
   is in M_Y;
 - principality holds exactly when T_X <= T_Y or not M_X <= M_Y.
-Both are frozensets in X's one code record, kept for the last universe
-and read back after one identity test against it (`_collapse`), so a
-decision on cached codes compares frozensets, walks nothing and builds
-only its witness; `union` and `singleton` store their records. Every
+Both are frozensets in X's one code record, kept for the last universe.
+Each decision reads its operands' records and tests their universe inline,
+one identity test each, so on cached codes it calls nothing, compares
+frozensets and builds only its witness; a miss or a wrong kind goes to
+`_collapse`. `union` and `singleton` store their records. Every
 decision and `union` take the caller's universe. The brute-force
 searches in hfkit.oracle stay the authoritative cross-check; the literal
 recursion, checked against `mewo_of_set`, is never a route. A mewo or a
@@ -185,7 +186,10 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
     kept on X beside `u._ref`, u's weakref to itself (u keeps no per-mewo
     state; `union` and `singleton` store theirs), and is returned itself when
     that is the reference stored: an identity test no new universe passes.
-    The one universe check of the mewo operations: a non-universe is a ValidationError."""
+    The four decisions make that test inline; this is their miss path, the one
+    place that builds, stores and refuses records: a universe or mewo of another
+    kind is a ValidationError, coinciding codes (only an unvalidated `Mewo(...)`
+    has them) an ExtensionalityError naming the pair, and nothing is stored."""
     try:
         got = X._collapsed
         if got is not None and got[0] is u._ref:
@@ -196,7 +200,9 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
         raise
     ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
     index = dict(zip(ids, range(X.size)))
-    assert len(index) == X.size, "codes must be injective on the carrier"
+    if len(index) < X.size:  # the least shared code c: below it no code is shared, so c's elements have equal preds
+        c = min(c for x, c in enumerate(ids[:-1]) if index[c] != x)
+        raise ExtensionalityError(ids.index(c), index[c])
     got = X._collapsed = (u._ref, (ids, index, frozenset(index), frozenset(compress(ids, X.marks))))
     return got[1]
 
@@ -205,8 +211,12 @@ def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     """Equality as marked orders, read off the codes: X equals Y exactly when
     both carry the same codes (a code-preserving bijection is an isomorphism)
     and present the same set (the same marked codes)."""
-    cx, _, codes_x, _ = _collapse(X, u)
-    cy, _, codes_y, _ = _collapse(Y, u)
+    try:
+        ref, rx, ry = u._ref, X._collapsed, Y._collapsed
+    except AttributeError:  # a wrong kind, which _collapse refuses
+        rx = ry = None
+    cx, _, codes_x, _ = rx[1] if rx and rx[0] is ref else _collapse(X, u)
+    cy, _, codes_y, _ = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
     return cx[-1] == cy[-1] and codes_x == codes_y
 
 
@@ -218,8 +228,12 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> SimWitness | None:
     elements to marked elements: it exists exactly when T_X <= T_Y and
     M_X <= M_Y, and only then is the map built.
     """
-    cx, _, codes_x, marked_x = _collapse(X, u)
-    _, index_y, codes_y, marked_y = _collapse(Y, u)
+    try:
+        ref, rx, ry = u._ref, X._collapsed, Y._collapsed
+    except AttributeError:
+        rx = ry = None
+    cx, _, codes_x, marked_x = rx[1] if rx and rx[0] is ref else _collapse(X, u)
+    _, index_y, codes_y, marked_y = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
     if not (codes_x <= codes_y and marked_x <= marked_y):
         return None
     return SimWitness(tuple(map(index_y.__getitem__, cx[:-1])))
@@ -235,10 +249,15 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | No
     X, so no call walks X or the universe. The equivalence sends each x to
     the element of Y with the same code.
     """
-    _, index_y, _, marked_y = _collapse(Y, u)
-    if not is_covered(X):
+    try:
+        ref, rx, ry = u._ref, X._collapsed, Y._collapsed
+        covered = X._covered
+    except AttributeError:
+        rx = ry = covered = None
+    _, index_y, _, marked_y = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
+    if not (is_covered(X) if covered is None else covered):
         return None
-    cx = _collapse(X, u)[0]
+    cx = (rx[1] if rx and rx[0] is ref else _collapse(X, u))[0]
     if cx[-1] not in marked_y:
         return None
     return BoundedSimWitness(index_y[cx[-1]], tuple(map(index_y.__getitem__, cx[:-1])))
@@ -260,8 +279,12 @@ def principality_check(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
     Both sides are unique when they exist, and a simulation restricts to a
     partial one, so the check fails exactly when M_X <= M_Y but not T_X <= T_Y.
     """
-    _, _, codes_x, marked_x = _collapse(X, u)
-    _, _, codes_y, marked_y = _collapse(Y, u)
+    try:
+        ref, rx, ry = u._ref, X._collapsed, Y._collapsed
+    except AttributeError:
+        rx = ry = None
+    _, _, codes_x, marked_x = rx[1] if rx and rx[0] is ref else _collapse(X, u)
+    _, _, codes_y, marked_y = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
     return codes_x <= codes_y or not marked_x <= marked_y
 
 

@@ -43,6 +43,7 @@ from hfkit import (
     partial_sim,
     partial_sim_by_segments,
     principality_check,
+    set_of_mewo,
     simulation_mewo,
     singleton,
     union,
@@ -726,6 +727,55 @@ def test_a_record_kept_for_a_collected_universe_is_not_read_for_a_fresh_one():
             break
 
 
+@pytest.mark.parametrize("decide", [simulation_mewo, bounded_sim_mewo, mewo_equal, principality_check],
+                         ids=lambda f: f.__name__)
+def test_decisions_on_records_of_two_universes_answer_as_on_fresh_copies(decide, small_mewo_pool):
+    # X keeps its record for A and Y its record for B; A interns a chain of
+    # singletons first, so that most codes have other ids in A than in B. In
+    # A, in B and in a fresh C each decision must read only the records of
+    # the universe it is given. D holds the answers on fresh copies
+    A, B, D = SetUniverse(), SetUniverse(), SetUniverse()
+    h = A.empty()
+    for _ in range(6):
+        h = A.mk_set([h])
+    for X in small_mewo_pool:
+        for Y in small_mewo_pool:
+            want = decide(Mewo(X.preds, X.marks), Mewo(Y.preds, Y.marks), D)
+            for u in (A, B, SetUniverse()):
+                x, y = Mewo(X.preds, X.marks), Mewo(Y.preds, Y.marks)
+                _collapse(x, A)
+                _collapse(y, B)
+                is_covered(x)
+                assert decide(x, y, u) == want, (X, Y, u)
+
+
+@pytest.mark.parametrize("decide", [simulation_mewo, bounded_sim_mewo, mewo_equal, principality_check, partial_sim],
+                         ids=lambda f: f.__name__)
+def test_coinciding_codes_are_an_extensionality_error(decide):
+    # `Mewo(...)` trusts its input. Two elements with the same predecessors
+    # get the same code; the decisions refuse such a mewo in either place,
+    # naming a pair with the same predecessors, and keep no record for it.
+    # This was an `assert`, so `python -O` answered: the first mewo equaled
+    # a one-element mewo, with a simulation that is not injective. In the
+    # third, 0 and 1 share a code too, but their predecessors differ; in the
+    # last, the least code, that of 0, is not shared
+    one = from_ordinal(chain(1))
+    for bad, pair in [(Mewo(((), ()), (True, False)), (0, 1)), (Mewo(((), ()), (True, True)), (0, 1)),
+                      (Mewo(((2,), (3,), (), ()), (True,) * 4), (2, 3)), (Mewo(((), (0,), (0,)), (True,) * 3), (1, 2))]:
+        for args in ((bad, one), (one, bad)):
+            u = SetUniverse()
+            if args[0] is bad and not is_covered(bad) and decide is bounded_sim_mewo:
+                assert decide(*args, u) is None  # an uncovered mewo is no segment; its codes are not read
+                continue
+            with pytest.raises(ExtensionalityError, match=f"^elements {pair[0]} and {pair[1]} have") as e:
+                decide(*args, u)
+            assert e.value.pair == pair and bad._collapsed is None
+            assert set(bad.preds[pair[0]]) == set(bad.preds[pair[1]])
+        with pytest.raises(ExtensionalityError, match=f"^elements {pair[0]} and {pair[1]} have"):
+            set_of_mewo(bad, SetUniverse())
+        assert bad._collapsed is None
+
+
 def test_union_of_covered_is_covered(covered_pool, u):
     fam = [X for X in covered_pool if X.size <= 2]
     for pair in itertools.product(fam, repeat=2):
@@ -896,12 +946,20 @@ def test_decisions_agree_with_the_oracles_in_each_cell_of_the_two_inclusions(sma
 @pytest.mark.parametrize("decide", [simulation_mewo, bounded_sim_mewo, mewo_equal, principality_check, partial_sim],
                          ids=lambda f: f.__name__)
 def test_a_non_mewo_is_a_typed_error(decide):
-    # covered and uncovered partners, the FinOrd of the same size as one of them
+    # covered and uncovered partners, the FinOrd of the same size as one of
+    # them; a partner coded in the universe passed (its record and cover
+    # kept) takes the decisions' inline reads, which must refuse the same
     for good in (from_ordinal(chain(2)), Mewo(((),), (False,))):
-        for bad in (chain(2), "x", None):
-            for args in ((good, bad), (bad, good)):
-                with pytest.raises(ValidationError, match=f"expected a Mewo, got {type(bad).__name__}$"):
-                    decide(*args, SetUniverse())
+        for coded in (False, True):
+            u = SetUniverse()
+            if coded:
+                _collapse(good, u)
+                is_covered(good)
+            for bad in (chain(2), "x", None):
+                for args in ((good, bad), (bad, good)):
+                    with pytest.raises(ValidationError, match=f"expected a Mewo, got {type(bad).__name__}$"):
+                        decide(*args, u)
+                assert good._collapsed is None or good._collapsed[0] is u._ref
 
 
 def test_cover_of_a_non_mewo_is_a_typed_error():
