@@ -189,7 +189,7 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
     The four decisions make that test inline; this is their miss path, the one
     place that builds, stores and refuses records: a universe or mewo of another
     kind is a ValidationError, coinciding codes (only an unvalidated `Mewo(...)`
-    has them) an ExtensionalityError naming the pair, and nothing is stored."""
+    has them) an ExtensionalityError naming the pair; a refusal stores and interns nothing."""
     try:
         got = X._collapsed
         if got is not None and got[0] is u._ref:
@@ -198,11 +198,11 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
         _checked(Mewo, X)
         _checked(SetUniverse, u)
         raise
-    ids = _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1))
-    index = dict(zip(ids, range(X.size)))
-    if len(index) < X.size:  # the least shared code c: below it no code is shared, so c's elements have equal preds
-        c = min(c for x, c in enumerate(ids[:-1]) if index[c] != x)
-        raise ExtensionalityError(ids.index(c), index[c])
+    with _checked(SetUniverse, u)._collapse_ids(X.preds + (tuple(X.marked_elements()),), range(X.size + 1)) as ids:
+        index = dict(zip(ids, range(X.size)))
+        if len(index) < X.size:  # the least shared code c: below it no code is shared, so c's elements have equal preds
+            c = min(c for x, c in enumerate(ids[:-1]) if index[c] != x)
+            raise ExtensionalityError(ids.index(c), index[c])  # inside the walk's block, so it interns nothing
     got = X._collapsed = (u._ref, (ids, index, frozenset(index), frozenset(compress(ids, X.marks))))
     return got[1]
 

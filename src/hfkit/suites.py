@@ -1,8 +1,10 @@
 """Named property suites behind the `check` command, and the laws they
 share with the acceptance tests.
 
-A law takes the pools it is given and returns a list of failures: the
-suites pass small seeded pools, the acceptance tests large ones. A report
+A law is a public function that takes the pools it is given and returns a
+list of failures; its docstring states what it checks, and no test restates
+its loop. The suites run every law on small seeded pools (the mewo laws on
+the mewos of size at most 2), the acceptance tests on large ones. A report
 is a plain dict ready for JSON emission; suites are seeded and
 size-bounded so runs are reproducible.
 """
@@ -10,6 +12,8 @@ size-bounded so runs are reproducible.
 from __future__ import annotations
 
 import random
+from functools import partial
+from itertools import combinations, product
 
 from . import oracle
 from .correspondence import (
@@ -83,19 +87,27 @@ def ordinal_roundtrips(u: SetUniverse, sets, ordinals) -> list:
     return failures
 
 
+def _transport(u: SetUniverse, pool, image, equal, strict, weak, label) -> list:
+    """The pairs of the pool on which `equal`, `strict` and `weak` disagree
+    with =, membership and inclusion of their images."""
+    pairs = list(zip(pool, map(image, pool)))
+    return [(tag, label(a), label(b)) for a, ha in pairs for b, hb in pairs for tag, decided, holds in (
+        ("equality", equal(a, b), ha == hb),
+        ("strict", strict(a, b) is not None, u.mem(ha, hb)),
+        ("weak", weak(a, b) is not None, u.subset(ha, hb)),
+    ) if decided != holds]
+
+
 def order_transport(u: SetUniverse, ordinals) -> list:
     """On every pair of ordinals, phi sends =, < and <= to =, membership and inclusion."""
-    failures = []
-    images = [set_of_ordinal(alpha, u) for alpha in ordinals]
-    for a, ha in zip(ordinals, images):
-        for b, hb in zip(ordinals, images):
-            if same_order_type(a, b) != (ha == hb):
-                failures.append(("equality", order_type(a), order_type(b)))
-            if (bounded_sim(a, b) is not None) != u.mem(ha, hb):
-                failures.append(("strict", order_type(a), order_type(b)))
-            if (simulation(a, b) is not None) != u.subset(ha, hb):
-                failures.append(("weak", order_type(a), order_type(b)))
-    return failures
+    return _transport(u, ordinals, partial(set_of_ordinal, u=u), same_order_type, bounded_sim, simulation, order_type)
+
+
+def mewo_transport(u: SetUniverse, covered) -> list:
+    """On every pair of covered mewos, the sets they present turn equality,
+    bounded simulation and simulation into =, membership and inclusion."""
+    equal, strict, weak = (partial(decide, u=u) for decide in (mewo_equal, bounded_sim_mewo, simulation_mewo))
+    return _transport(u, covered, partial(set_of_mewo, u=u), equal, strict, weak, lambda X: X.size)
 
 
 def rank_descriptions(presented) -> list:
@@ -194,6 +206,79 @@ def segments_covered(mewos) -> list:
     ]
 
 
+def sup_segments(families) -> list:
+    """A supremum is an upper bound of its family, and each of its initial
+    segments is an initial segment of one of the family's ordinals."""
+    failures = []
+    for fam in families:
+        s, sizes = sup(fam), tuple(f.size for f in fam)
+        failures += [("sup.segment", sizes) for y in range(s.size)
+                     if not any(same_order_type(down(s, y), down(f, x)) for f in fam for x in range(f.size))]
+        failures += [("sup.upper", sizes) for f in fam if simulation(f, s) is None]
+    return failures
+
+
+def segments_injective(u: SetUniverse, mewos) -> list:
+    """Distinct elements of a mewo have distinct initial segments down_plus."""
+    return [("segment.injective", X.size) for X in mewos
+            for S, T in combinations([down_plus(X, x) for x in range(X.size)], 2) if mewo_equal(S, T, u)]
+
+
+def covering_is_principality(u: SetUniverse, mewos, targets) -> list:
+    """A mewo is covered exactly when it is principal: a covered one passes
+    principality_check against every target, an uncovered one fails it
+    against its covered part."""
+    failures = []
+    for X in mewos:
+        if is_covered(X):
+            failures += [("covered not principal", X.size, Y.size) for Y in targets if not principality_check(X, Y, u)]
+        elif principality_check(X, covered_part(X), u):
+            failures.append(("uncovered looked principal", X.size))
+    return failures
+
+
+def _related(u: SetUniverse, mewos, decide) -> set:
+    """The index pairs (i, j) of the pool on which `decide` finds a witness."""
+    return {(i, j) for i, X in enumerate(mewos) for j, Y in enumerate(mewos) if decide(X, Y, u) is not None}
+
+
+def strict_into_markall(u: SetUniverse, mewos) -> list:
+    """Bounded simulations land in the fully marked codomain: X < Y gives a
+    simulation of X into mark_all(Y), and X < Y < Z gives X < mark_all(Z)."""
+    failures, strict, marked = [], _related(u, mewos, bounded_sim_mewo), [mark_all(Y) for Y in mewos]
+    for i, j in sorted(strict):
+        if simulation_mewo(mewos[i], marked[j], u) is None:
+            failures.append(("markall.weak", i, j))
+        failures += [("markall.strict", i, j, k) for k in range(len(mewos))
+                     if (j, k) in strict and bounded_sim_mewo(mewos[i], marked[k], u) is None]
+    return failures
+
+
+def strict_then_weak_is_strict(u: SetUniverse, mewos) -> list:
+    """Bounded simulation composes with simulation: X < Y and Y <= Z give X < Z."""
+    strict, weak = _related(u, mewos, bounded_sim_mewo), _related(u, mewos, simulation_mewo)
+    return [("strict.weak.compose", i, j, k) for i, j in sorted(strict) for k in range(len(mewos))
+            if (j, k) in weak and (i, k) not in strict]
+
+
+def unions_are_covered(u: SetUniverse, members) -> list:
+    """The union of two covered mewos is covered."""
+    return [("union.covered",) for fam in product(members, repeat=2) if not is_covered(union(list(fam), u))]
+
+
+def unions_are_least_upper_bounds(u: SetUniverse, members, bounds) -> list:
+    """The union of two mewos is a least upper bound under simulation: both
+    simulate into it, and it simulates into every bound that both do."""
+    failures = []
+    for fam in product(members, repeat=2):
+        big = union(list(fam), u)
+        if any(simulation_mewo(X, big, u) is None for X in fam):
+            failures.append(("union.upper",))
+        failures += [("union.least",) for Y in bounds
+                     if all(simulation_mewo(X, Y, u) is not None for X in fam) and simulation_mewo(big, Y, u) is None]
+    return failures
+
+
 # -- suites -------------------------------------------------------------------
 # Each suite yields its cases as (name, input, expected, got).
 
@@ -266,6 +351,7 @@ def _suite_ordinals(seed: int, max_size: int, max_depth: int):
     families = [(0,), (1, 2), (2, 3, 1), (3, 3), tuple(range(min(4, n)))]
     ok = all(order_type(sup([_relabeled(s) for s in sizes])) == max(sizes, default=0) for sizes in families)
     yield "sup.order.type", "small families", True, ok
+    yield "sup.segments", "small families", True, not sup_segments([list(map(_relabeled, f)) for f in families])
     bound = min(max_size, 5)
     pool = [_relabeled(i) for i in range(bound + 1)]
     agree = not simulations_match_oracle(pool, simulation) + bounded_sims_match_oracle(pool, bounded_sim)
@@ -293,6 +379,14 @@ def _suite_mewos(seed: int, max_size: int, max_depth: int):
     yield "principality.uncovered", "unmarked point vs its covered part", False, got
     agree = not simulations_match_oracle(small, lambda X, Y: simulation_mewo(X, Y, u))
     yield "simulation.vs.oracle", "all pairs at small size", True, agree
+    tiny, described = [X for X in small if X.size <= 2], f"mewos up to size {min(2, max_size)}"
+    covered, pairs = [X for X in tiny if is_covered(X)], f"pairs of covered {described}"
+    yield "covered.iff.principal", described, True, not covering_is_principality(u, tiny, tiny)
+    yield "segments.injective", described, True, not segments_injective(u, tiny)
+    yield "strict.into.markall", described, True, not strict_into_markall(u, tiny)
+    yield "strict.weak.compose", described, True, not strict_then_weak_is_strict(u, tiny)
+    yield "union.covered", pairs, True, not unions_are_covered(u, covered)
+    yield "union.least.upper", pairs, True, not unions_are_least_upper_bounds(u, covered, tiny)
 
 
 def _suite_correspondence(seed: int, max_size: int, max_depth: int):
@@ -303,6 +397,9 @@ def _suite_correspondence(seed: int, max_size: int, max_depth: int):
     bound = min(max_size, 5)
     ok = not order_transport(u, [_relabeled(i) for i in range(bound + 1)])
     yield "order.transport", f"chain pairs up to {bound}", True, ok
+    covered = [X for s in range(min(2, max_size) + 1) for X in oracle.enumerate_mewos(s) if is_covered(X)]
+    ok = not mewo_transport(u, covered)
+    yield "mewo.transport", f"covered mewo pairs up to size {min(2, max_size)}", True, ok
     rng = random.Random(seed)
     presented = []
     for _ in range(30):

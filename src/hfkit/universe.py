@@ -19,6 +19,7 @@ import threading
 import weakref
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError, ValidationError, _checked
@@ -315,17 +316,20 @@ class SetUniverse:
         identical handles. Rejects any cycle reachable from the root. The
         whole collapse runs under the universe lock, taken once per call.
         """
-        return SetHandle(self, self._collapse_ids(_checked(PointedGraph, g).successors, [g.root])[g.root])
+        with self._collapse_ids(_checked(PointedGraph, g).successors, [g.root]) as ids:
+            return SetHandle(self, ids[g.root])
 
-    def _collapse_ids(self, succ: Sequence[Sequence[int]], starts: Iterable[int]) -> list[int]:
-        """The walk of `from_graph` on the presentation `succ`, from each of
-        `starts` in turn: the set id of every vertex reached, -1 elsewhere.
-        A walk that raises interns nothing."""
+    @contextmanager
+    def _collapse_ids(self, succ: Sequence[Sequence[int]], starts: Iterable[int]) -> Iterator[list[int]]:
+        """`with u._collapse_ids(succ, starts) as ids:` binds the walk of `from_graph`
+        on the presentation `succ`, from each of `starts` in turn: the set id of
+        every vertex reached, -1 elsewhere. The block runs under the universe
+        lock; if the walk or the block raises, the walk interns nothing."""
         result = [-1] * len(succ)
         with _Interning(self) as intern:
             for v in _postorder(succ, starts):
                 result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
-        return result
+            yield result
 
 
 def _universe_of(h: SetHandle) -> SetUniverse:

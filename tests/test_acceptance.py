@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run as `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The laws that `hfkit check` also checks come from hfkit.suites; the
-criteria call them on larger pools.
+Every law of hfkit.suites, which `hfkit check` runs on small pools, is
+called here on the criteria's larger pools; what a criterion states
+inline, such as the counts of criterion 1 or the budget of criterion 9, no
+suite checks.
 """
 
 from __future__ import annotations
@@ -18,36 +20,35 @@ from hfkit import (
     bounded_sim,
     bounded_sim_mewo,
     chain,
-    covered_part,
-    down,
-    down_plus,
     enumerate_v,
     equal_by_permutation,
     gen_random_mewo,
     gen_random_set,
     GenConfig,
-    is_covered,
-    mark_all,
     mewo_equal,
-    principality_check,
     run_suite,
-    same_order_type,
     simulation,
     simulation_mewo,
-    sup,
-    union,
 )
 from hfkit.suites import (
     bounded_sims_match_oracle,
     collapse_matches_bisimilar,
+    covering_is_principality,
+    mewo_transport,
     nested_segments,
     order_transport,
     ordinal_roundtrips,
     rank_descriptions,
     segments_covered,
+    segments_injective,
     segments_of_sums,
     set_mewo_roundtrips,
     simulations_match_oracle,
+    strict_into_markall,
+    strict_then_weak_is_strict,
+    sup_segments,
+    unions_are_covered,
+    unions_are_least_upper_bounds,
 )
 from test_ordinals import labeled_ordinals
 
@@ -79,8 +80,10 @@ def test_criterion_1_theorem_33_roundtrips():
     report(1, "set/ordinal translations invert exactly", failures)
 
 
-def test_criterion_2_order_transport_trichotomy():
-    failures = order_transport(SetUniverse(), labeled_ordinals(6, all_perms_upto=4, samples=3, seed=2))
+def test_criterion_2_order_transport_trichotomy(covered_pool):
+    u = SetUniverse()
+    failures = order_transport(u, labeled_ordinals(6, all_perms_upto=4, samples=3, seed=2))
+    failures += mewo_transport(u, [X for X in covered_pool if X.size <= 3])
     report(2, "=, <, <= transport to =, membership, inclusion", failures)
 
 
@@ -115,17 +118,8 @@ def test_criterion_5_counterexample_fixtures():
     report(5, "strict order is neither weak-implying nor transitive", failures)
 
 
-def test_criterion_6_covering_is_principality(mewo_pool, covered_pool, small_mewo_pool):
-    failures = []
-    u = SetUniverse()
-    for X in covered_pool:
-        for Y in small_mewo_pool:
-            if not principality_check(X, Y, u):
-                failures.append(("covered not principal", X.size, Y.size))
-    for X in mewo_pool:
-        if not is_covered(X):
-            if principality_check(X, covered_part(X), u):
-                failures.append(("uncovered looked principal", X.size))
+def test_criterion_6_covering_is_principality(mewo_pool, small_mewo_pool):
+    failures = covering_is_principality(SetUniverse(), mewo_pool, small_mewo_pool)
     report(6, "covering and principality coincide on the corpus", failures)
 
 
@@ -182,64 +176,14 @@ def test_criterion_8_algebraic_laws(mewo_pool, covered_pool, small_mewo_pool):
     u = SetUniverse()
     failures = nested_segments(labeled_ordinals(7, all_perms_upto=3, samples=2, seed=8))
     failures += segments_of_sums(range(5))
-
-    # segments of suprema come from components
-    for k in (1, 2, 3):
-        for sizes in itertools.product(range(5), repeat=k):
-            fam = [chain(s) for s in sizes]
-            s = sup(fam)
-            for y in range(s.size):
-                if not any(
-                    same_order_type(down(s, y), down(f, x))
-                    for f in fam
-                    for x in range(f.size)
-                ):
-                    failures.append(("sup.segment", sizes))
-
-    # every mewo initial segment is covered
+    families = [list(map(chain, sizes)) for k in (1, 2, 3) for sizes in itertools.product(range(5), repeat=k)]
+    failures += sup_segments(families)
     failures += segments_covered(mewo_pool)
-
-    # strict drops into the fully marked codomain, and composes through it
-    pool3 = small_mewo_pool
-    strict = {}
-    weak = {}
-    for i, X in enumerate(pool3):
-        for j, Y in enumerate(pool3):
-            strict[i, j] = bounded_sim_mewo(X, Y, u) is not None
-            weak[i, j] = simulation_mewo(X, Y, u) is not None
-    for i, X in enumerate(pool3):
-        for j, Y in enumerate(pool3):
-            if strict[i, j] and simulation_mewo(X, mark_all(Y), u) is None:
-                failures.append(("markall.weak", i, j))
-            for k, Z in enumerate(pool3):
-                if strict[i, j] and strict[j, k]:
-                    if bounded_sim_mewo(X, mark_all(Z), u) is None:
-                        failures.append(("markall.strict", i, j, k))
-                if strict[i, j] and weak[j, k] and not strict[i, k]:
-                    failures.append(("strict.weak.compose", i, j, k))
-
-    # segments are injective
-    for X in mewo_pool:
-        for x1 in range(X.size):
-            for x2 in range(x1 + 1, X.size):
-                if mewo_equal(down_plus(X, x1), down_plus(X, x2), u):
-                    failures.append(("segment.injective", X.size))
-
-    # unions are least upper bounds and preserve covering
+    failures += strict_into_markall(u, small_mewo_pool)
+    failures += strict_then_weak_is_strict(u, small_mewo_pool)
+    failures += segments_injective(u, mewo_pool)
     members = [X for X in covered_pool if X.size <= 2]
-    bounds = [Y for Y in small_mewo_pool]
-    for fam in itertools.product(members, repeat=2):
-        fam = list(fam)
-        big = union(fam, u)
-        if not is_covered(big):
-            failures.append(("union.covered",))
-        if any(simulation_mewo(X, big, u) is None for X in fam):
-            failures.append(("union.upper",))
-        for Y in bounds:
-            if all(simulation_mewo(X, Y, u) is not None for X in fam):
-                if simulation_mewo(big, Y, u) is None:
-                    failures.append(("union.least",))
-
+    failures += unions_are_covered(u, members) + unions_are_least_upper_bounds(u, members, small_mewo_pool)
     report(8, "segment, sum, supremum, marking, and union laws hold", failures)
 
 

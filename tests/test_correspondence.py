@@ -73,7 +73,7 @@ from hfkit import (
     validate_ord,
 )
 from hfkit.mewos import covered_mask
-from hfkit.suites import _relabeled
+from hfkit.suites import _relabeled, mewo_transport, order_transport, ordinal_roundtrips, set_mewo_roundtrips
 
 
 def test_set_of_ordinal_base(u):
@@ -196,24 +196,15 @@ def test_rank_ordinal_accepts_non_ordinals(u):
 
 
 def test_roundtrip_on_enumerated_ordinals(u):
-    for h in enumerate_v(4, u):
-        if u.is_st_ordinal(h):
-            assert set_of_ordinal(rank_ordinal(h), u) == h
+    assert ordinal_roundtrips(u, [h for h in enumerate_v(4, u) if u.is_st_ordinal(h)], ()) == []
 
 
 def test_roundtrip_on_ordinal_structures(u):
-    for n in range(9):
-        assert same_order_type(rank_ordinal(set_of_ordinal(chain(n), u)), chain(n))
+    assert ordinal_roundtrips(u, (), [chain(n) for n in range(9)]) == []
 
 
 def test_order_transport_both_ways(u):
-    for i in range(5):
-        for j in range(5):
-            a, b = chain(i), chain(j)
-            ha, hb = set_of_ordinal(a, u), set_of_ordinal(b, u)
-            assert (ha == hb) == same_order_type(a, b)
-            assert u.mem(ha, hb) == (bounded_sim(a, b) is not None)
-            assert u.subset(ha, hb) == (simulation(a, b) is not None)
+    assert order_transport(u, [chain(i) for i in range(5)]) == []
 
 
 def test_rank_quotient_redundant_presentation(u):
@@ -369,18 +360,11 @@ def test_set_mewo_roundtrip_on_sets(u):
 
 
 def test_set_mewo_roundtrip_on_covered(covered_pool, u):
-    for X in covered_pool:
-        assert mewo_equal(X, mewo_of_set(set_of_mewo(X, u)), u)
+    assert set_mewo_roundtrips(u, (), covered_pool) == []
 
 
 def test_simulation_transport(covered_pool):
-    u = SetUniverse()
-    pool = [X for X in covered_pool if X.size <= 3]
-    for X in pool:
-        for Y in pool:
-            hx, hy = set_of_mewo(X, u), set_of_mewo(Y, u)
-            assert (simulation_mewo(X, Y, u) is not None) == u.subset(hx, hy)
-            assert (bounded_sim_mewo(X, Y, u) is not None) == u.mem(hx, hy)
+    assert mewo_transport(SetUniverse(), [X for X in covered_pool if X.size <= 3]) == []
 
 
 def test_square_commutes(u):

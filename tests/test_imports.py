@@ -3,8 +3,9 @@ private module-level function or class is used somewhere in src/hfkit,
 the wrong-kind message, the interning lock and the mewo code cache
 each stay in their one module, the mewo operations make no universe
 of their own, the only tests that start a process are the ones
-`KEPT_SPAWNS` in test_parser_cli.py names, and the package exports the
-names it always has, each its defining layer's object.
+`KEPT_SPAWNS` in test_parser_cli.py names, the package exports the
+names it always has, each its defining layer's object, and every law of
+hfkit.suites runs in `hfkit check` and in the acceptance tests.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import hfkit
+import hfkit.suites
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hfkit"
@@ -225,3 +227,20 @@ def test_the_package_exports_each_name_from_its_layer():
             and not isinstance(getattr(hfkit, name), types.ModuleType)} == EXPORTS
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         hfkit.no_such_name
+
+
+def test_every_suite_law_runs_in_check_and_in_the_acceptance_tests(monkeypatch):
+    # a law is a public function of hfkit.suites that returns a list of failures
+    laws = sorted(name for name, f in vars(hfkit.suites).items() if isinstance(f, types.FunctionType)
+                  and f.__module__ == "hfkit.suites" and not name.startswith("_")
+                  and f.__annotations__.get("return") == "list")
+    assert "mewo_transport" in laws
+    reached = set()
+    for name in laws:
+        law = getattr(hfkit.suites, name)
+        monkeypatch.setattr(hfkit.suites, name, lambda *args, name=name, law=law: reached.add(name) or law(*args))
+    hfkit.suites.run_suite("all")
+    tree = ast.parse((TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert [name for name in laws if name not in reached] == []
+    assert [name for name in laws if name not in called] == []

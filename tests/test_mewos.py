@@ -50,6 +50,15 @@ from hfkit import (
     validate_mewo,
 )
 from hfkit.mewos import Mewo, _collapse, covered_mask, down_plus_carrier
+from hfkit.suites import (
+    covering_is_principality,
+    segments_covered,
+    segments_injective,
+    strict_into_markall,
+    strict_then_weak_is_strict,
+    unions_are_covered,
+    unions_are_least_upper_bounds,
+)
 
 
 def permuted(X, perm):
@@ -195,17 +204,11 @@ def test_down_plus_transitive_chain_marks_both():
 
 
 def test_down_plus_always_covered(mewo_pool):
-    for X in mewo_pool:
-        for x in range(X.size):
-            assert is_covered(down_plus(X, x))
+    assert segments_covered(mewo_pool) == []
 
 
 def test_down_plus_injective(mewo_pool):
-    u = SetUniverse()
-    for X in mewo_pool:
-        for x1 in range(X.size):
-            for x2 in range(x1 + 1, X.size):
-                assert not mewo_equal(down_plus(X, x1), down_plus(X, x2), u)
+    assert segments_injective(SetUniverse(), mewo_pool) == []
 
 
 def test_projection_from_segment_is_simulation(mewo_pool):
@@ -349,33 +352,11 @@ def test_bounded_sim_strictly_shrinks(covered_pool):
 
 
 def test_strict_then_weak_gives_strict(small_mewo_pool):
-    # X < Y together with Y <= Z yields X < Z
-    u = SetUniverse()
-    pool = small_mewo_pool
-    for X in pool:
-        for Y in pool:
-            if bounded_sim_mewo(X, Y, u) is None:
-                continue
-            for Z in pool:
-                if simulation_mewo(Y, Z, u) is not None:
-                    assert bounded_sim_mewo(X, Z, u) is not None
+    assert strict_then_weak_is_strict(SetUniverse(), small_mewo_pool) == []
 
 
 def test_strict_into_marked_closure(small_mewo_pool):
-    # X < Y gives a simulation into mark_all(Y); chains of < land in mark_all
-    u = SetUniverse()
-    pool = small_mewo_pool
-    strict = {}
-    for i, X in enumerate(pool):
-        for j, Y in enumerate(pool):
-            strict[i, j] = bounded_sim_mewo(X, Y, u) is not None
-    for i, X in enumerate(pool):
-        for j, Y in enumerate(pool):
-            if strict[i, j]:
-                assert simulation_mewo(X, mark_all(Y), u) is not None
-            for k, Z in enumerate(pool):
-                if strict[i, j] and strict[j, k]:
-                    assert bounded_sim_mewo(X, mark_all(Z), u) is not None
+    assert strict_into_markall(SetUniverse(), small_mewo_pool) == []
 
 
 def test_pointwise_code_criterion(small_mewo_pool):
@@ -427,19 +408,12 @@ def test_principality_fixtures(fixtures_mewos, u):
 
 
 def test_covered_is_principal_everywhere(covered_pool, small_mewo_pool):
-    u = SetUniverse()
-    for X in covered_pool:
-        if X.size > 3:
-            continue
-        for Y in small_mewo_pool:
-            assert principality_check(X, Y, u)
+    covered = [X for X in covered_pool if X.size <= 3]
+    assert covering_is_principality(SetUniverse(), covered, small_mewo_pool) == []
 
 
 def test_uncovered_fails_against_covered_part(mewo_pool):
-    u = SetUniverse()
-    for X in mewo_pool:
-        if not is_covered(X):
-            assert not principality_check(X, covered_part(X), u)
+    assert covering_is_principality(SetUniverse(), mewo_pool, ()) == []
 
 
 def test_singleton_fixtures(fixtures_mewos, u):
@@ -754,7 +728,8 @@ def test_decisions_on_records_of_two_universes_answer_as_on_fresh_copies(decide,
 def test_coinciding_codes_are_an_extensionality_error(decide):
     # `Mewo(...)` trusts its input. Two elements with the same predecessors
     # get the same code; the decisions refuse such a mewo in either place,
-    # naming a pair with the same predecessors, and keep no record for it.
+    # naming a pair with the same predecessors, and keep no record for it
+    # and no set its walk interned.
     # This was an `assert`, so `python -O` answered: the first mewo equaled
     # a one-element mewo, with a simulation that is not injective. In the
     # third, 0 and 1 share a code too, but their predecessors differ; in the
@@ -764,36 +739,29 @@ def test_coinciding_codes_are_an_extensionality_error(decide):
                       (Mewo(((2,), (3,), (), ()), (True,) * 4), (2, 3)), (Mewo(((), (0,), (0,)), (True,) * 3), (1, 2))]:
         for args in ((bad, one), (one, bad)):
             u = SetUniverse()
+            u.von_neumann(1)  # the sets of `one`, so that only `bad` could intern more
             if args[0] is bad and not is_covered(bad) and decide is bounded_sim_mewo:
                 assert decide(*args, u) is None  # an uncovered mewo is no segment; its codes are not read
                 continue
+            size = len(u)
             with pytest.raises(ExtensionalityError, match=f"^elements {pair[0]} and {pair[1]} have") as e:
                 decide(*args, u)
-            assert e.value.pair == pair and bad._collapsed is None
+            assert e.value.pair == pair and bad._collapsed is None and len(u) == size
             assert set(bad.preds[pair[0]]) == set(bad.preds[pair[1]])
+        v = SetUniverse()
         with pytest.raises(ExtensionalityError, match=f"^elements {pair[0]} and {pair[1]} have"):
-            set_of_mewo(bad, SetUniverse())
-        assert bad._collapsed is None
+            set_of_mewo(bad, v)
+        assert bad._collapsed is None and len(v) == 0
 
 
 def test_union_of_covered_is_covered(covered_pool, u):
-    fam = [X for X in covered_pool if X.size <= 2]
-    for pair in itertools.product(fam, repeat=2):
-        assert is_covered(union(list(pair), u))
+    assert unions_are_covered(u, [X for X in covered_pool if X.size <= 2]) == []
 
 
 def test_union_is_least_upper_bound(covered_pool, mewo_pool):
-    u = SetUniverse()
     members = [X for X in covered_pool if X.size <= 2]
     bounds = [Y for Y in mewo_pool if Y.size <= 3]
-    for fam in itertools.product(members, repeat=2):
-        fam = list(fam)
-        big = union(fam, u)
-        for X in fam:
-            assert simulation_mewo(X, big, u) is not None
-        for Y in bounds:
-            if all(simulation_mewo(X, Y, u) is not None for X in fam):
-                assert simulation_mewo(big, Y, u) is not None
+    assert unions_are_least_upper_bounds(SetUniverse(), members, bounds) == []
 
 
 def test_extensionality_of_strict_order_on_covered(covered_pool):

@@ -33,6 +33,7 @@ from hfkit import (
     validate_ord,
 )
 from hfkit.ordinals import FinOrd, _clause, down_carrier
+from hfkit.suites import nested_segments, sup_segments
 
 
 def relabel(alpha, perm):
@@ -186,12 +187,7 @@ def test_segments_refuse_elements_out_of_range(segment):
 
 def test_down_down_simplifies():
     # nested segments collapse to the inner one, tested on every labeling
-    for alpha in labeled_ordinals(7, all_perms_upto=4, samples=3):
-        for a in range(alpha.size):
-            seg = down(alpha, a)
-            carrier = down_carrier(alpha, a)
-            for pos, b in enumerate(carrier):
-                assert down(seg, pos) == down(alpha, b)
+    assert nested_segments(labeled_ordinals(7, all_perms_upto=4, samples=3)) == []
 
 
 def test_down_example_instance():
@@ -297,24 +293,8 @@ def test_sup_segment_at_a_class_is_the_member_segment():
 
 
 def test_sup_segments_come_from_components():
-    # every initial segment of the supremum is a segment of some member
-    fams = []
-    sizes = range(5)
-    for k in (1, 2, 3):
-        fams.extend(itertools.product(sizes, repeat=k))
-    for sizes_tuple in fams:
-        fam = [chain(s) for s in sizes_tuple]
-        s = sup(fam)
-        for y in range(s.size):
-            seg = down(s, y)
-            assert any(
-                same_order_type(seg, down(f, x))
-                for f in fam
-                for x in range(f.size)
-            )
-        # and each member embeds into the supremum
-        for f in fam:
-            assert simulation(f, s) is not None
+    fams = [list(map(chain, sizes)) for k in (1, 2, 3) for sizes in itertools.product(range(5), repeat=k)]
+    assert sup_segments(fams) == []
 
 
 def test_order_type():
