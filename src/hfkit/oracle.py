@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import CyclicError, FormatError, SizeLimitError, ValidationError, _checked
@@ -64,6 +65,7 @@ def _pair_lists(X, Y, bounded: str = "") -> tuple:
     return (*_lists(X), *_lists(Y))
 
 
+@lru_cache(maxsize=1024)  # one list form per structure, shared by every caller: never written to
 def _lists(X) -> tuple[list[list[bool]], list[bool]]:
     """The order of X as nested lists and its marking as a list: a mewo's
     read off `preds` and `marks`, an ordinal's off its definition, x < y
@@ -356,7 +358,8 @@ def gen_random_mewo(cfg: GenConfig, covered_only: bool = False):
     Draws a random acyclic relation, then repairs extensionality by
     merging equal-predecessor elements until none remain, and finally
     assigns a random marking. With covered_only, structures whose marking
-    does not cover are skipped.
+    does not cover are skipped. Only cfg.seed, cfg.max_width and cfg.count
+    are read: cfg.max_depth does nothing here.
     """
     rng = random.Random(cfg.seed)
     produced = 0

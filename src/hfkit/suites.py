@@ -4,7 +4,7 @@ share with the acceptance tests.
 A law is a public function that takes the pools it is given and returns a
 list of failures; its docstring states what it checks, and no test restates
 its loop. The suites run every law on small seeded pools (the mewo laws on
-the mewos of size at most 2), the acceptance tests on large ones. A report
+the mewos of size at most 2 or 3), the acceptance tests on large ones. A report
 is a plain dict ready for JSON emission; suites are seeded and
 size-bounded so runs are reproducible.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from . import oracle
 from .correspondence import (
@@ -29,10 +29,12 @@ from .mewos import (
     bounded_sim_mewo,
     covered_part,
     down_plus,
+    down_plus_carrier,
     from_ordinal,
     is_covered,
     mark_all,
     mewo_equal,
+    partial_sim,
     principality_check,
     simulation_mewo,
     singleton,
@@ -136,29 +138,37 @@ def set_mewo_roundtrips(u: SetUniverse, sets, covered) -> list:
     return failures
 
 
-def simulations_match_oracle(pool, simulate) -> list:
-    """On every pair of the pool, `simulate` finds exactly the maps that
-    oracle.enum_simulations finds."""
-    failures = []
-    for X in pool:
-        for Y in pool:
-            w = simulate(X, Y)
-            if oracle.enum_simulations(X, Y) != ([] if w is None else [w.mapping]):
-                failures.append(("simulation", X.size, Y.size))
-    return failures
+def _match_oracle(pairs, checks) -> list:
+    """The pairs on which a check's fast decision and its oracle, called on the pair, answer differently."""
+    return [(tag, X.size, Y.size) for X, Y in pairs for tag, fast, slow in checks if fast(X, Y) != slow(X, Y)]
 
 
-def bounded_sims_match_oracle(pool, bounded) -> list:
-    """On every pair of the pool, `bounded` finds exactly the (bound, iso)
-    pairs that oracle.enum_bounded_sims finds, and that is at most one."""
-    failures = []
-    for X in pool:
-        for Y in pool:
-            w = bounded(X, Y)
-            ms = oracle.enum_bounded_sims(X, Y)
-            if len(ms) > 1 or ms != ([] if w is None else [w]):
-                failures.append(("bounded", X.size, Y.size))
-    return failures
+def _decisions_match_oracle(pairs, simulate, bounded, equal) -> list:
+    """Simulation, bounded simulation and equality against their oracles, a witness listed as its oracle lists it."""
+    return _match_oracle(pairs, (
+        ("simulation", lambda X, Y: [w.mapping for w in [simulate(X, Y)] if w is not None], oracle.enum_simulations),
+        ("bounded", lambda X, Y: [w for w in [bounded(X, Y)] if w is not None], oracle.enum_bounded_sims),
+        ("equality", equal, oracle.equal_by_permutation)))
+
+
+def ordinal_decisions_match_oracle(pairs) -> list:
+    """On every pair of ordinals, simulation, bounded_sim and same_order_type agree with
+    oracle.enum_simulations, oracle.enum_bounded_sims and oracle.equal_by_permutation."""
+    return _decisions_match_oracle(pairs, simulation, bounded_sim, same_order_type)
+
+
+def mewo_decisions_match_oracle(u: SetUniverse, pairs) -> list:
+    """On every pair of mewos, simulation_mewo, bounded_sim_mewo and mewo_equal agree with the same three oracles."""
+    simulate, bounded, equal = (partial(decide, u=u) for decide in (simulation_mewo, bounded_sim_mewo, mewo_equal))
+    return _decisions_match_oracle(pairs, simulate, bounded, equal)
+
+
+def partial_sims_match_oracle(u: SetUniverse, pairs) -> list:
+    """On every pair of mewos, partial_sim agrees with oracle.partial_sim_by_segments, and principality_check
+    holds exactly when oracle.enum_simulations finds a map just when a partial simulation exists."""
+    principal = lambda X, Y: bool(oracle.enum_simulations(X, Y)) == (oracle.partial_sim_by_segments(X, Y) is not None)
+    return _match_oracle(pairs, (("partial", partial(partial_sim, u=u), oracle.partial_sim_by_segments),
+                                 ("principality", partial(principality_check, u=u), principal)))
 
 
 def collapse_matches_bisimilar(u: SetUniverse, pairs) -> list:
@@ -200,10 +210,12 @@ def segments_of_sums(sizes) -> list:
 
 
 def segments_covered(mewos) -> list:
-    """Every initial segment down_plus(X, x) is covered."""
-    return [
-        ("segment.covered", X.size, x) for X in mewos for x in range(X.size) if not is_covered(down_plus(X, x))
-    ]
+    """Every initial segment down_plus(X, x) is covered and marks exactly the
+    direct predecessors X.preds[x], read through down_plus_carrier."""
+    return [(tag, X.size, x) for X in mewos for x in range(X.size) for seg in [down_plus(X, x)] for tag, holds in (
+        ("segment.covered", is_covered(seg)),
+        ("segment.marks", tuple(compress(down_plus_carrier(X, x), seg.marks)) == X.preds[x]),
+    ) if not holds]
 
 
 def sup_segments(families) -> list:
@@ -315,11 +327,7 @@ def _suite_sets(seed: int, max_size: int, max_depth: int):
     rng = random.Random(seed)
     for _ in range(40):
         n = rng.randint(1, max(2, min(max_size, 8) + 2))
-        succ = [
-            tuple(sorted(rng.sample(range(j), min(j, rng.randint(0, 2)))))
-            for j in range(n)
-        ]
-        gs.append(PointedGraph.make([list(s) for s in succ], root=n - 1))
+        gs.append(PointedGraph.make([sorted(rng.sample(range(j), min(j, rng.randint(0, 2)))) for j in range(n)], n - 1))
     agree = not collapse_matches_bisimilar(u, zip(gs[::2], gs[1::2]))
     yield "from_graph.vs.bisimilar", "20 seeded graph pairs", True, agree
     roundtrip = True
@@ -353,8 +361,7 @@ def _suite_ordinals(seed: int, max_size: int, max_depth: int):
     yield "sup.order.type", "small families", True, ok
     yield "sup.segments", "small families", True, not sup_segments([list(map(_relabeled, f)) for f in families])
     bound = min(max_size, 5)
-    pool = [_relabeled(i) for i in range(bound + 1)]
-    agree = not simulations_match_oracle(pool, simulation) + bounded_sims_match_oracle(pool, bounded_sim)
+    agree = not ordinal_decisions_match_oracle(product(map(_relabeled, range(bound + 1)), repeat=2))
     yield "simulation.vs.oracle", f"chain pairs up to {bound}", True, agree
 
 
@@ -362,8 +369,7 @@ def _suite_mewos(seed: int, max_size: int, max_depth: int):
     point, open_point, cb, u = bullet(), circ(), circ_bullet(), SetUniverse()
     yield "covered.single.unmarked", "one unmarked point", False, is_covered(open_point)
     yield "covered.two.chain", "unmarked below marked", True, is_covered(cb)
-    seg = down_plus(cb, 1)
-    yield "down_plus.two.chain", "top segment of two-chain", True, mewo_equal(seg, point, u)
+    yield "down_plus.two.chain", "top segment of two-chain", True, mewo_equal(down_plus(cb, 1), point, u)
     small = [m for s in range(min(3, max_size) + 1) for m in oracle.enumerate_mewos(s)]
     yield "down_plus.covered", "all segments at small size", True, not segments_covered(small)
     yield "singleton.uncovered", "one unmarked point", "extensionality", _outcome(singleton, open_point)
@@ -377,10 +383,11 @@ def _suite_mewos(seed: int, max_size: int, max_depth: int):
     )
     got = principality_check(open_point, covered_part(open_point), u)
     yield "principality.uncovered", "unmarked point vs its covered part", False, got
-    agree = not simulations_match_oracle(small, lambda X, Y: simulation_mewo(X, Y, u))
+    agree = not mewo_decisions_match_oracle(u, product(small, repeat=2))
     yield "simulation.vs.oracle", "all pairs at small size", True, agree
     tiny, described = [X for X in small if X.size <= 2], f"mewos up to size {min(2, max_size)}"
     covered, pairs = [X for X in tiny if is_covered(X)], f"pairs of covered {described}"
+    yield "partial.vs.oracle", f"pairs of {described}", True, not partial_sims_match_oracle(u, product(tiny, repeat=2))
     yield "covered.iff.principal", described, True, not covering_is_principality(u, tiny, tiny)
     yield "segments.injective", described, True, not segments_injective(u, tiny)
     yield "strict.into.markall", described, True, not strict_into_markall(u, tiny)

@@ -4,7 +4,9 @@ Run as `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Every law of hfkit.suites, which `hfkit check` runs on small pools, is
 called here on the criteria's larger pools; what a criterion states
 inline, such as the counts of criterion 1 or the budget of criterion 9, no
-suite checks.
+suite checks. Criterion 7a puts every mewo decision beside its oracle
+(the partial simulations on the pairs of size at most 3), and 7b every
+ordinal decision.
 """
 
 from __future__ import annotations
@@ -17,33 +19,28 @@ from hfkit import (
     PointedGraph,
     SetUniverse,
     bisimilar,
-    bounded_sim,
-    bounded_sim_mewo,
     chain,
     enumerate_v,
-    equal_by_permutation,
     gen_random_mewo,
     gen_random_set,
     GenConfig,
-    mewo_equal,
     run_suite,
-    simulation,
-    simulation_mewo,
 )
 from hfkit.suites import (
-    bounded_sims_match_oracle,
     collapse_matches_bisimilar,
     covering_is_principality,
+    mewo_decisions_match_oracle,
     mewo_transport,
     nested_segments,
     order_transport,
+    ordinal_decisions_match_oracle,
     ordinal_roundtrips,
+    partial_sims_match_oracle,
     rank_descriptions,
     segments_covered,
     segments_injective,
     segments_of_sums,
     set_mewo_roundtrips,
-    simulations_match_oracle,
     strict_into_markall,
     strict_then_weak_is_strict,
     sup_segments,
@@ -51,6 +48,7 @@ from hfkit.suites import (
     unions_are_least_upper_bounds,
 )
 from test_ordinals import labeled_ordinals
+from test_universe import rand_graph
 
 
 def report(criterion: int, description: str, failures: list) -> None:
@@ -108,7 +106,7 @@ def test_criterion_4_theorem_76_roundtrips(covered_pool):
         gen_random_set(GenConfig(seed=46, max_width=5, max_depth=5, count=1000), u)
     )
     covered = covered_pool + list(
-        gen_random_mewo(GenConfig(seed=47, max_width=7, max_depth=4, count=500), covered_only=True)
+        gen_random_mewo(GenConfig(seed=47, max_width=7, count=500), covered_only=True)
     )
     report(4, "set/covered-mewo translations invert", set_mewo_roundtrips(u, sets, covered))
 
@@ -123,21 +121,17 @@ def test_criterion_6_covering_is_principality(mewo_pool, small_mewo_pool):
     report(6, "covering and principality coincide on the corpus", failures)
 
 
-def test_criterion_7a_mewo_decisions_match_oracle(mewo_pool):
+def test_criterion_7a_mewo_decisions_match_oracle(mewo_pool, small_mewo_pool):
     u = SetUniverse()
-    failures = simulations_match_oracle(mewo_pool, lambda X, Y: simulation_mewo(X, Y, u))
-    failures += bounded_sims_match_oracle(mewo_pool, lambda X, Y: bounded_sim_mewo(X, Y, u))
-    for X in mewo_pool:
-        for Y in mewo_pool:
-            if mewo_equal(X, Y, u) != equal_by_permutation(X, Y):
-                failures.append(("equality", X.size, Y.size))
+    failures = mewo_decisions_match_oracle(u, itertools.product(mewo_pool, repeat=2))
+    failures += partial_sims_match_oracle(u, itertools.product(small_mewo_pool, repeat=2))
     report(7, "mewo decisions agree with brute force on every small pair", failures)
 
 
 def test_criterion_7b_ordinal_decisions_match_oracle():
     pool = labeled_ordinals(5, all_perms_upto=4, samples=3, seed=7)
-    failures = simulations_match_oracle(pool, simulation) + bounded_sims_match_oracle(pool, bounded_sim)
-    report(7, "ordinal decisions agree with brute force on every small pair", failures)
+    report(7, "ordinal decisions agree with brute force on every small pair",
+           ordinal_decisions_match_oracle(itertools.product(pool, repeat=2)))
 
 
 def test_criterion_7c_collapse_agrees_with_bisimulation():
@@ -159,16 +153,8 @@ def test_criterion_7c_collapse_agrees_with_bisimulation():
     small = [g for g in graphs if g.n <= 4]
     failures += collapse_matches_bisimilar(u, itertools.product(small, repeat=2))
     rng = random.Random(48)
-
-    def rand_graph():
-        n = rng.randint(1, 8)
-        succ = []
-        for v in range(n):
-            k = rng.randint(0, min(v, 3))
-            succ.append(tuple(rng.randrange(v) for _ in range(k)) if v else ())
-        return PointedGraph(n, tuple(succ), n - 1)
-
-    failures += collapse_matches_bisimilar(u, [(rand_graph(), rand_graph()) for _ in range(10_000)])
+    pairs = [(rand_graph(rng, 8, 3), rand_graph(rng, 8, 3)) for _ in range(10_000)]
+    failures += collapse_matches_bisimilar(u, pairs)
     report(7, "collapse equality is exactly bisimilarity", failures)
 
 

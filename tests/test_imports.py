@@ -4,8 +4,9 @@ the wrong-kind message, the interning lock and the mewo code cache
 each stay in their one module, the mewo operations make no universe
 of their own, the only tests that start a process are the ones
 `KEPT_SPAWNS` in test_parser_cli.py names, the package exports the
-names it always has, each its defining layer's object, and every law of
-hfkit.suites runs in `hfkit check` and in the acceptance tests.
+names it always has, each its defining layer's object, every law of
+hfkit.suites runs in `hfkit check` and in the acceptance tests, and only
+test_oracle.py calls an oracle that a law compares a fast decision with.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -192,6 +193,29 @@ def test_every_spawn_is_kept_for_its_process():
                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "KEPT_SPAWNS")
     found = [name for path in sorted(TESTS.glob("*.py")) for name in spawning_tests(path.read_text(encoding="utf-8"))]
     assert sorted(found) == sorted(kept)
+
+
+# The brute-force references that a test compares a fast decision with
+# only through a law of hfkit.suites; test_oracle.py tests them themselves.
+ORACLES = {"enum_simulations", "enum_bounded_sims", "equal_by_permutation", "partial_sim_by_segments"}
+
+
+def oracle_calls(source: str) -> list[str]:
+    """The places where `source` calls one of ORACLES, by name or as an attribute."""
+    return [f"{name} (line {node.lineno})" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)] if name in ORACLES]
+
+
+def test_the_check_sees_an_oracle_call():
+    source = ("maps = enum_simulations(X, Y)\nhfkit.oracle.partial_sim_by_segments(X, Y)\n"
+              "same = equal_by_permutation\nrun('hfkit.enum_bounded_sims(X, Y)')\n")
+    assert oracle_calls(source) == ["enum_simulations (line 1)", "partial_sim_by_segments (line 2)"]
+
+
+@pytest.mark.parametrize("module", sorted(p for p in TESTS.glob("*.py") if p.name != "test_oracle.py"),
+                         ids=lambda p: p.name)
+def test_only_the_oracle_tests_call_an_oracle(module):
+    assert oracle_calls(module.read_text(encoding="utf-8")) == []
 
 
 # The public names `hfkit` exports, whether bound at import or on first read.

@@ -24,9 +24,6 @@ from hfkit import (
     codes,
     covered_part,
     down_plus,
-    enum_bounded_sims,
-    enum_simulations,
-    equal_by_permutation,
     from_ordinal,
     gen_random_mewo,
     is_covered,
@@ -41,7 +38,6 @@ from hfkit import (
     mewo_to_text,
     ord_from_text,
     partial_sim,
-    partial_sim_by_segments,
     principality_check,
     set_of_mewo,
     simulation_mewo,
@@ -52,6 +48,8 @@ from hfkit import (
 from hfkit.mewos import Mewo, _collapse, covered_mask, down_plus_carrier
 from hfkit.suites import (
     covering_is_principality,
+    mewo_decisions_match_oracle,
+    partial_sims_match_oracle,
     segments_covered,
     segments_injective,
     strict_into_markall,
@@ -263,10 +261,7 @@ def test_mewo_equal_permuted_copies(covered_pool):
 
 
 def test_mewo_equal_agrees_with_permutation_search(small_mewo_pool):
-    u = SetUniverse()
-    for X in small_mewo_pool:
-        for Y in small_mewo_pool:
-            assert mewo_equal(X, Y, u) == equal_by_permutation(X, Y)
+    assert mewo_decisions_match_oracle(SetUniverse(), itertools.product(small_mewo_pool, repeat=2)) == []
 
 
 def test_simulation_fixture_missing_marking(fixtures_mewos, u):
@@ -288,17 +283,7 @@ def test_simulation_identity(fixtures_mewos, u):
 
 
 def test_simulation_agrees_with_oracle(small_mewo_pool):
-    u = SetUniverse()
-    for X in small_mewo_pool:
-        for Y in small_mewo_pool:
-            maps = enum_simulations(X, Y)
-            assert len(maps) <= 1
-            w = simulation_mewo(X, Y, u)
-            if maps:
-                assert w is not None and w.mapping == maps[0]
-                assert is_simulation(X, Y, w.mapping)
-            else:
-                assert w is None
+    assert mewo_decisions_match_oracle(SetUniverse(), itertools.product(small_mewo_pool, repeat=2)) == []
 
 
 def test_simulations_compose_and_are_antisymmetric(small_mewo_pool):
@@ -336,11 +321,7 @@ def test_bounded_sim_decides_on_codes_alone(small_mewo_pool, monkeypatch):
 
     for name in ("down_plus", "down_plus_carrier", "mewo_equal"):
         monkeypatch.setattr(mewos_module, name, forbidden)
-    u = SetUniverse()
-    for X in small_mewo_pool:
-        for Y in small_mewo_pool:
-            got = bounded_sim_mewo(X, Y, u)
-            assert enum_bounded_sims(X, Y) == ([got] if got else [])
+    assert mewo_decisions_match_oracle(SetUniverse(), itertools.product(small_mewo_pool, repeat=2)) == []
 
 
 def test_bounded_sim_strictly_shrinks(covered_pool):
@@ -895,20 +876,17 @@ def test_decisions_agree_with_the_oracles_in_each_cell_of_the_two_inclusions(sma
     # exits, codes included but marking not and the reverse
     u = SetUniverse()
     cells = set()
-    for X in small_mewo_pool:
-        for Y in small_mewo_pool:
-            cx, cy = codes(X, u), codes(Y, u)
-            marked_x, marked_y = set(itertools.compress(cx, X.marks)), set(itertools.compress(cy, Y.marks))
-            assert _collapse(X, u)[2:] == ({h.id for h in cx}, {h.id for h in marked_x})
-            cell = (set(cx) <= set(cy), marked_x <= marked_y)
-            cells.add(cell)
-            maps, partial = enum_simulations(X, Y), partial_sim_by_segments(X, Y)
-            assert (bool(maps), partial is not None) == (all(cell), cell[1]), (X, Y)
-            w = simulation_mewo(X, Y, u)
-            assert ([w.mapping] if w else []) == maps, (X, Y)
-            assert partial_sim(X, Y, u) == partial, (X, Y)
-            assert principality_check(X, Y, u) == (bool(maps) == (partial is not None)), (X, Y)
+    pairs = list(itertools.product(small_mewo_pool, repeat=2))
+    for X, Y in pairs:
+        cx, cy = codes(X, u), codes(Y, u)
+        marked_x, marked_y = set(itertools.compress(cx, X.marks)), set(itertools.compress(cy, Y.marks))
+        assert _collapse(X, u)[2:] == ({h.id for h in cx}, {h.id for h in marked_x})
+        cell = (set(cx) <= set(cy), marked_x <= marked_y)
+        cells.add(cell)
+        decided = (simulation_mewo(X, Y, u) is not None, partial_sim(X, Y, u) is not None)
+        assert decided == (all(cell), cell[1]), (X, Y)
     assert cells == set(itertools.product((False, True), repeat=2))
+    assert mewo_decisions_match_oracle(u, pairs) + partial_sims_match_oracle(u, pairs) == []
 
 
 @pytest.mark.parametrize("decide", [simulation_mewo, bounded_sim_mewo, mewo_equal, principality_check, partial_sim],

@@ -36,6 +36,7 @@ from hfkit import (
     validate_mewo,
 )
 from hfkit.oracle import _pair_lists
+from hfkit.suites import partial_sims_match_oracle
 from test_ordinals import labeled_ordinals
 
 
@@ -376,11 +377,6 @@ def test_partial_sims_and_principality_match_the_segment_reference(mewo_pool):
     small = [X for X in mewo_pool if X.size <= 2]
     pairs = list(itertools.product(small, repeat=2)) + [tuple(rng.choices(mewo_pool, k=2)) for _ in range(3000)]
     u = SetUniverse()
-    seen = set()
-    for X, Y in pairs:
-        partial = partial_sim_by_segments(X, Y)
-        principal = bool(enum_simulations(X, Y)) == (partial is not None)
-        assert partial_sim(X, Y, u) == partial, (X, Y)
-        assert principality_check(X, Y, u) == principal, (X, Y)
-        seen.add((partial is not None, principal))
+    assert partial_sims_match_oracle(u, pairs) == []
+    seen = {(partial_sim(X, Y, u) is not None, principality_check(X, Y, u)) for X, Y in pairs}
     assert seen == {(True, True), (True, False), (False, True)}

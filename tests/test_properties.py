@@ -18,10 +18,6 @@ from hfkit import (  # noqa: E402
     PointedGraph,
     SetUniverse,
     WellfoundednessError,
-    bounded_sim,
-    bounded_sim_mewo,
-    enum_bounded_sims,
-    enum_simulations,
     mewo_equal,
     mewo_of_set,
     mewo_of_set_literal,
@@ -31,12 +27,11 @@ from hfkit import (  # noqa: E402
     ord_to_text,
     set_of_mewo,
     set_of_ordinal,
-    simulation,
-    simulation_mewo,
     validate_mewo,
 )
 from hfkit.ordinals import FinOrd  # noqa: E402
 from hfkit.oracle import _is_extensional  # noqa: E402
+from hfkit.suites import mewo_decisions_match_oracle, ordinal_decisions_match_oracle  # noqa: E402
 
 
 def _has_cycle(lt) -> bool:
@@ -116,21 +111,13 @@ def test_validate_mewo_accepts_exactly_the_mewos(m):
 @settings(max_examples=150)
 @given(mewos(), mewos())
 def test_decisions_agree_with_the_oracle(X, Y):
-    u = SetUniverse()
-    maps = enum_simulations(X, Y)
-    w = simulation_mewo(X, Y, u)
-    assert maps == ([w.mapping] if w else [])
-    got = bounded_sim_mewo(X, Y, u)
-    assert enum_bounded_sims(X, Y) == ([got] if got else [])
+    assert mewo_decisions_match_oracle(SetUniverse(), [(X, Y)]) == []
 
 
 @settings(max_examples=150)
 @given(ordinals(), ordinals())
 def test_ordinal_decisions_agree_with_the_oracle(alpha, beta):
-    w = simulation(alpha, beta)
-    assert enum_simulations(alpha, beta) == ([w.mapping] if w else [])
-    got = bounded_sim(alpha, beta)
-    assert enum_bounded_sims(alpha, beta) == ([got] if got else [])
+    assert ordinal_decisions_match_oracle([(alpha, beta)]) == []
 
 
 @settings(max_examples=100)

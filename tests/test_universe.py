@@ -589,33 +589,23 @@ def test_bisimilar_rejects_cycles():
         bisimilar(PointedGraph.make([[0]]), PointedGraph.make([[]]))
 
 
+def rand_graph(rng, max_n, max_k):
+    """A pointed DAG of 1 to max_n vertices rooted at the last one, each
+    vertex v with up to min(v, max_k) edges to lower vertices, drawn from rng."""
+    n = rng.randint(1, max_n)
+    succ = [[rng.randrange(v) for _ in range(rng.randint(0, min(v, max_k)))] for v in range(n)]
+    return PointedGraph.make(succ, root=n - 1)
+
+
 def test_canonicity_matches_bisimilarity_random(u):
     rng = random.Random(17)
-
-    def rand_graph():
-        n = rng.randint(1, 8)
-        succ = []
-        for v in range(n):
-            k = rng.randint(0, min(v, 3))
-            succ.append([rng.randrange(v) for _ in range(k)] if v else [])
-        return PointedGraph.make(succ, root=n - 1)
-
-    assert collapse_matches_bisimilar(u, [(rand_graph(), rand_graph()) for _ in range(400)]) == []
+    assert collapse_matches_bisimilar(u, [(rand_graph(rng, 8, 3), rand_graph(rng, 8, 3)) for _ in range(400)]) == []
 
 
 def test_mem_raw_matches_mem(u):
     rng = random.Random(23)
-
-    def rand_graph():
-        n = rng.randint(1, 6)
-        succ = []
-        for v in range(n):
-            k = rng.randint(0, min(v, 2))
-            succ.append([rng.randrange(v) for _ in range(k)] if v else [])
-        return PointedGraph.make(succ, root=n - 1)
-
     for _ in range(200):
-        g1, g2 = rand_graph(), rand_graph()
+        g1, g2 = rand_graph(rng, 6, 2), rand_graph(rng, 6, 2)
         assert mem_raw(g1, g2) == u.mem(u.from_graph(g1), u.from_graph(g2))
 
 
