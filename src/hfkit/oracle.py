@@ -56,12 +56,17 @@ class GenConfig:
 
 
 def _pair_lists(X, Y, bounded: str = "") -> tuple:
-    """`_lists` of X, then of Y: two FinOrds or two Mewos. With `bounded`,
-    the name of the caller, sizes past ENUM_SIM_LIMIT are refused."""
+    """`_lists` of X, then of Y: two FinOrds or two Mewos, each with a hash.
+    With `bounded`, the name of the caller, sizes past ENUM_SIM_LIMIT are refused."""
     if not (type(X) is type(Y) and isinstance(X, (FinOrd, Mewo))):
         raise ValidationError("expected two FinOrds or two Mewos")
     if bounded and max(X.size, Y.size) > ENUM_SIM_LIMIT:
         raise SizeLimitError(f"{bounded} is bounded at size {ENUM_SIM_LIMIT}")
+    for Z in (X, Y):
+        try:
+            hash(Z)  # `_lists` caches by hash: a Mewo built with list rows has none
+        except TypeError:
+            raise ValidationError(f"{Z!r} has unhashable rows; build it with validate_mewo") from None
     return (*_lists(X), *_lists(Y))
 
 

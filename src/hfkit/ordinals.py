@@ -5,13 +5,13 @@ pos[x]; x < y exactly when pos[x] < pos[y]. The read-only numpy matrix `lt`
 (lt[i, j] means i < j) is built on each read; only that read loads numpy.
 validate_ord (from a matrix) and the readers (from pairs) are the only ways
 in from outside data: they check wellfoundedness, extensionality and
-transitivity with a witness, and assert the linearity they force on a
-finite carrier. Wellfoundedness is checked, for mewos too, by the walk of
-the collapse, universe._postorder, so a cycle reads as from_graph reports
-it. Everything built from validated ordinals is linear by construction,
-so it is position arithmetic, never validated again; so is
-the ordinal hfkit.correspondence reads off the member ids of a set that
-passed SetUniverse.is_st_ordinal.
+transitivity with a witness, and check the linearity they force on a
+finite carrier, raising a ValidationError, never an assert. Wellfoundedness
+is checked, for mewos too, by the listed walk of the collapse,
+universe._postorder, so a cycle reads as from_graph reports it. Everything
+built from validated ordinals is linear by construction, so it is position
+arithmetic, never validated again; so is the ordinal hfkit.correspondence
+reads off the member ids of a set that passed SetUniverse.is_st_ordinal.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def _checked_preds(succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     (universe._postorder) from each element in turn meets, else the first
     pair with equal predecessors."""
     try:
-        for _ in _postorder(succ, range(len(succ))):
-            pass
+        _postorder(succ, range(len(succ)))
     except CyclicError as exc:
         raise WellfoundednessError(exc.cycle) from None
     preds = tuple(map(tuple, _transpose(succ)))
@@ -146,8 +145,9 @@ def _checked_ord(succ) -> FinOrd:
             z = (gap & -gap).bit_length() - 1
             raise TransitivityError(x, next(y for y in s if bits[y] >> z & 1), z)
     # finite + wellfounded + extensional + transitive forces linearity;
-    # a failure here is a validator bug, not bad input
-    assert all(len(s) + len(p) == len(succ) - 1 for s, p in zip(succ, preds)), "validated order is not linear"
+    # a failure here is a validator bug, not bad input (an `if`, which -O keeps)
+    if any(len(s) + len(p) != len(succ) - 1 for s, p in zip(succ, preds)):
+        raise ValidationError("validated order is not linear")
     return FinOrd(map(len, preds))
 
 

@@ -12,7 +12,7 @@ size-bounded so runs are reproducible.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, compress, product
 
 from . import oracle
@@ -166,8 +166,9 @@ def mewo_decisions_match_oracle(u: SetUniverse, pairs) -> list:
 def partial_sims_match_oracle(u: SetUniverse, pairs) -> list:
     """On every pair of mewos, partial_sim agrees with oracle.partial_sim_by_segments, and principality_check
     holds exactly when oracle.enum_simulations finds a map just when a partial simulation exists."""
-    principal = lambda X, Y: bool(oracle.enum_simulations(X, Y)) == (oracle.partial_sim_by_segments(X, Y) is not None)
-    return _match_oracle(pairs, (("partial", partial(partial_sim, u=u), oracle.partial_sim_by_segments),
+    segments = lru_cache(maxsize=1)(oracle.partial_sim_by_segments)
+    principal = lambda X, Y: bool(oracle.enum_simulations(X, Y)) == (segments(X, Y) is not None)
+    return _match_oracle(pairs, (("partial", partial(partial_sim, u=u), segments),
                                  ("principality", partial(principality_check, u=u), principal)))
 
 

@@ -6,10 +6,10 @@ set equality. Every child id is strictly smaller than its parent's id,
 which makes the membership digraph acyclic by construction. A query
 takes a handle only from its own universe and with the id of a set in it.
 
-Only fast paths live here, with one cycle finder: the depth-first walk
-`_postorder`, which the collapse and the order validators share. The
-brute-force reference for the collapse, bisimulation of pointed graphs
-(`bisimilar`, `mem_raw`), is in hfkit.oracle.
+Only fast paths live here, with one cycle finder: `_postorder` lists the
+post-order of a depth-first walk, for the order validators and the collapse,
+which reads an intern hit inline and takes the locked interning step only on
+a miss. The collapse's reference, bisimulation (`bisimilar`), is in hfkit.oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ DEFAULT_NODE_LIMIT = 1 << 20
 DEFAULT_NUMERAL_LIMIT = 1024
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SetHandle:
     """Canonical reference to one set in a universe.
 
@@ -40,6 +40,10 @@ class SetHandle:
     universe: "SetUniverse"
     id: int
 
+    def __init__(self, universe: "SetUniverse", id: int):
+        _set_universe(self, universe)
+        _set_id(self, id)
+
     def elements(self) -> list["SetHandle"]:
         return self.universe.elements(self)
 
@@ -48,6 +52,9 @@ class SetHandle:
 
     def __repr__(self) -> str:
         return f"SetHandle({self.id})"
+
+
+_set_universe, _set_id = SetHandle.universe.__set__, SetHandle.id.__set__  # slot writers past the frozen __setattr__
 
 
 @dataclass(frozen=True)
@@ -102,12 +109,12 @@ def _below(adj: Sequence[Sequence[int]], tops: Iterable[int], known=()) -> set[i
     return seen
 
 
-def _postorder(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> Iterator[int]:
+def _postorder(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> list[int]:
     """The vertices reached from each of `starts` in turn along the lists
-    `succ`, each yielded after every vertex it reaches: a depth-first walk
+    `succ`, each listed after every vertex it reaches: a depth-first walk
     taking successors in list order. A back edge raises CyclicError with
     the walk's path from the vertex it reaches back to."""
-    state = [0] * len(succ)  # 0 fresh, 1 on the walk's path, 2 yielded
+    state, order = [0] * len(succ), []  # a state per vertex: 0 fresh, 1 on the walk's path, 2 listed
     stack = [(-1, iter(starts))]  # a virtual vertex -1 whose successors are the starts
     while stack:
         v, todo = stack[-1]
@@ -124,7 +131,8 @@ def _postorder(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> Iterator
             stack.pop()
             if v >= 0:
                 state[v] = 2
-                yield v
+                order.append(v)
+    return order
 
 
 class _Interning:
@@ -289,7 +297,7 @@ class SetUniverse:
             # ascending ids are a topological order: members come first
             for j in self._below_ids(i, cache) + [i]:
                 cs = children[j]
-                cache[j] = 1 + max([cache[c] for c in cs]) if cs else 0
+                cache[j] = 1 + max(map(cache.__getitem__, cs)) if cs else 0
         return cache[i]
 
     def hereditary_members(self, h: SetHandle) -> list[SetHandle]:
@@ -326,9 +334,11 @@ class SetUniverse:
         every vertex reached, -1 elsewhere. The block runs under the universe
         lock; if the walk or the block raises, the walk interns nothing."""
         result = [-1] * len(succ)
+        order, read, hit = _postorder(succ, starts), result.__getitem__, self._intern.get
         with _Interning(self) as intern:
-            for v in _postorder(succ, starts):
-                result[v] = intern(tuple(sorted({result[w] for w in succ[v]})))
+            for v in order:
+                key = tuple(sorted(set(map(read, succ[v]))))
+                result[v] = i if (i := hit(key)) is not None else intern(key)
             yield result
 
 
@@ -351,9 +361,8 @@ def export_slice(h: SetHandle) -> dict:
     u = _universe_of(h)
     root = u._own(h)
     ids = u._below_ids(root) + [root]
-    index = {i: pos for pos, i in enumerate(ids)}
-    nodes = [[index[c] for c in u._children[i]] for i in ids]
-    return {"nodes": nodes, "root": len(ids) - 1}
+    index = dict(zip(ids, range(len(ids))))
+    return {"nodes": [[index[c] for c in u._children[i]] for i in ids], "root": len(ids) - 1}
 
 
 def import_slice(doc: dict, u: SetUniverse) -> SetHandle:

@@ -5,8 +5,9 @@ each stay in their one module, the mewo operations make no universe
 of their own, the only tests that start a process are the ones
 `KEPT_SPAWNS` in test_parser_cli.py names, the package exports the
 names it always has, each its defining layer's object, every law of
-hfkit.suites runs in `hfkit check` and in the acceptance tests, and only
-test_oracle.py calls an oracle that a law compares a fast decision with.
+hfkit.suites runs in `hfkit check` and in the acceptance tests, only
+test_oracle.py calls an oracle that a law compares a fast decision with,
+and no module of src/hfkit holds an `assert`, which `python -O` strips.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -88,6 +89,20 @@ def test_the_check_sees_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definition():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_definitions(sources) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of the `assert` statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_check_sees_an_assert():
+    assert assert_lines("x = 1\nassert x, 'm'\nif x:\n    assert not 0\ny = 'assert x'\n") == [2, 4]
+
+
+def test_no_assert_in_the_library():
+    found = {path.name: assert_lines(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # Only errors._checked words a wrong-kind refusal, only SetUniverse takes its

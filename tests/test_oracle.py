@@ -13,6 +13,7 @@ from hfkit import (
     FormatError,
     GenConfig,
     HfkitError,
+    Mewo,
     SetUniverse,
     SizeLimitError,
     ValidationError,
@@ -81,6 +82,12 @@ def test_oracles_refuse_other_kinds_as_validation_errors(name, fixtures_mewos):
         pairs.append((chain(1), chain(1)))
     for X, Y in pairs:
         with pytest.raises(ValidationError, match="expected two"):
+            ORACLES[name](X, Y)
+    # each with a hash, which the list-form cache reads: a Mewo built with
+    # list rows has none, and this was a bare TypeError
+    listed = Mewo(((), [0]), (False, True))
+    for X, Y in ((listed, bullet), (bullet, listed), (listed, listed)):
+        with pytest.raises(ValidationError, match=r"^Mewo\(size=2, .*unhashable rows; build it with validate_mewo$"):
             ORACLES[name](X, Y)
 
 
@@ -380,3 +387,12 @@ def test_partial_sims_and_principality_match_the_segment_reference(mewo_pool):
     assert partial_sims_match_oracle(u, pairs) == []
     seen = {(partial_sim(X, Y, u) is not None, principality_check(X, Y, u)) for X, Y in pairs}
     assert seen == {(True, True), (True, False), (False, True)}
+
+
+def test_the_partial_sim_law_calls_the_segment_reference_once_per_pair(monkeypatch, mewo_pool):
+    calls = []
+    reference = hfkit.oracle.partial_sim_by_segments
+    monkeypatch.setattr(hfkit.oracle, "partial_sim_by_segments", lambda X, Y: calls.append((X, Y)) or reference(X, Y))
+    pairs = list(itertools.product([X for X in mewo_pool if X.size <= 2], repeat=2))
+    assert partial_sims_match_oracle(SetUniverse(), pairs) == []
+    assert calls == pairs

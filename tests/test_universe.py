@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -17,6 +18,7 @@ from hfkit import (
     PointedGraph,
     SetHandle,
     SetUniverse,
+    WellfoundednessError,
     bisimilar,
     canon,
     enumerate_v,
@@ -26,6 +28,7 @@ from hfkit import (
     is_hereditarily_transitive,
     mem_raw,
     mewo_of_set,
+    validate_mewo,
 )
 from hfkit.suites import collapse_matches_bisimilar
 
@@ -245,12 +248,21 @@ def test_foreign_handles_rejected(u):
 
 
 def test_handles_are_frozen_slotted_values(u):
-    h = u.von_neumann(2)
-    assert h == SetHandle(u, h.id) and hash(h) == hash(SetHandle(u, h.id))
-    assert h != SetHandle(SetUniverse(), h.id)
+    # the dataclass contract, though `__init__` writes the slots itself
+    h = u.von_neumann(3)
+    assert repr(h) == repr(SetHandle(universe=u, id=3)) == "SetHandle(3)"
+    assert [f.name for f in dataclasses.fields(SetHandle)] == ["universe", "id"] == list(SetHandle.__slots__)
+    assert h == SetHandle(u, 3) and hash(h) == hash(SetHandle(u, 3)) == hash((u, 3))
+    assert h != SetHandle(u, 2) and h != SetHandle(SetUniverse(), 3) and h != (u, 3)
     assert not hasattr(h, "__dict__")
-    with pytest.raises(AttributeError):
-        h.id = 0
+    for name in ("universe", "id"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(h, name)
+    assert (h.universe, h.id) == (u, 3)
+    with pytest.raises(TypeError):
+        SetHandle(u)
 
 
 @pytest.mark.parametrize("call", [
@@ -548,6 +560,93 @@ def test_from_graph_reports_cycle(u):
     with pytest.raises(CyclicError) as by_oracle:
         bisimilar(g, PointedGraph.make([[]]))
     assert by_oracle.value.cycle == exc.value.cycle
+
+
+# the cycle from_graph reports from the root, and the one the order
+# validators report walking from each element in turn, successors ascending
+@pytest.mark.parametrize("succ, root, cycle, ordered", [
+    ([[1], [2], [3], [1]], 0, [1, 2, 3], [1, 2, 3]),
+    ([[1, 2], [], [3], [4], [2]], 0, [2, 3, 4], [2, 3, 4]),  # met after a finished branch
+    ([[2, 1], [0], [1]], 0, [0, 2, 1], [0, 1]),  # successors in list order
+    ([[1, 1, 2], [3], [0], [2]], 0, [0, 1, 3, 2], [0, 1, 3, 2]),
+    ([[], [2, 0], [3], [1]], 1, [1, 2, 3], [1, 2, 3]),
+])
+def test_a_cycle_is_reported_along_the_walks_path(u, succ, root, cycle, ordered):
+    u.von_neumann(2)
+    with pytest.raises(CyclicError) as exc:
+        u.from_graph(PointedGraph.make(succ, root))
+    assert exc.value.cycle == cycle and len(u) == 3
+    lt = [[j in s for j in range(len(succ))] for s in succ]
+    with pytest.raises(WellfoundednessError) as exc:
+        validate_mewo(len(succ), lt, [False] * len(succ))
+    assert exc.value.cycle == ordered
+
+
+def _hostile_graph(rng: random.Random, n: int, back_edge: bool) -> tuple[list[list[int]], int]:
+    """Successor lists of n + 2 vertices and a root: a DAG on n vertices with
+    duplicate edges, a root in its upper half, so the vertices above it are
+    not reached, and an unreachable 2-cycle, all relabeled at random. With
+    `back_edge`, a member of the root also names the root."""
+    succ = [[rng.randrange(v) for _ in range(rng.randint(0, 4))] if v else [] for v in range(n)]
+    for s in succ:
+        s += rng.sample(s, len(s) // 2)
+        rng.shuffle(s)
+    root = rng.randrange(n // 2, n)
+    if back_edge and succ[root]:
+        succ[succ[root][0]].append(root)
+    succ += [[n + 1], [n]]
+    perm = list(range(n + 2))
+    rng.shuffle(perm)
+    relabeled: list[list[int]] = [[] for _ in perm]
+    for v, s in enumerate(succ):
+        relabeled[perm[v]] = [perm[w] for w in s]
+    return relabeled, perm[root]
+
+
+def _collapse_by_recursion(succ, root, children: list, index: dict):
+    """The id of the set that `succ` presents at `root`, interning into
+    `children` and `index` along a recursive post-order that takes
+    successors in list order; a cycle is ("cycle", the path from the vertex
+    met again)."""
+    ids: dict[int, int] = {}
+    path: list[int] = []
+
+    def visit(v: int) -> int:
+        if v not in ids:
+            if v in path:
+                raise CyclicError(path[path.index(v):])
+            path.append(v)
+            key = tuple(sorted({visit(w) for w in succ[v]}))
+            path.pop()
+            if key not in index:
+                index[key] = len(children)
+                children.append(key)
+            ids[v] = index[key]
+        return ids[v]
+
+    try:
+        return visit(root)
+    except CyclicError as exc:
+        return "cycle", exc.cycle
+
+
+def test_from_graph_interns_along_a_recursive_postorder():
+    rng = random.Random(34)
+    u, children, index = SetUniverse(), [], {}
+    outcomes = set()
+    for trial in range(80):
+        succ, root = _hostile_graph(rng, rng.randint(1, 60), back_edge=trial % 3 == 2)
+        kept = list(children), dict(index)
+        expected = _collapse_by_recursion(succ, root, children, index)
+        try:
+            got = u.from_graph(PointedGraph.make(succ, root)).id
+        except CyclicError as exc:
+            got = "cycle", exc.cycle
+            children, index = kept
+        outcomes.add(type(got))
+        assert got == expected
+        assert u._children == children
+    assert outcomes == {int, tuple}
 
 
 def test_from_graph_unreachable_cycle_ignored(u):
