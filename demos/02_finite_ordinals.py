@@ -6,8 +6,6 @@ to be linear, so every ordinal here is a relabeled chain; the interest is
 in the operations: initial segments, sums, suprema, and simulations.
 """
 
-import numpy as np
-
 from hfkit import (
     ExtensionalityError,
     WellfoundednessError,
@@ -27,11 +25,11 @@ print("the 3-chain:", ord_to_text(three))
 
 # validation is a real gate: each axiom failure carries a witness
 try:
-    validate_ord(2, np.zeros((2, 2), dtype=bool))
+    validate_ord(2, [[False, False], [False, False]])
 except ExtensionalityError as exc:
     print("two incomparable points are rejected:", exc)
 try:
-    validate_ord(2, np.array([[False, True], [True, False]]))
+    validate_ord(2, [[False, True], [True, False]])
 except WellfoundednessError as exc:
     print("a 2-cycle is rejected:", exc)
 

@@ -8,8 +8,6 @@ strict order between mewos is not transitive and does not imply the weak
 order. Those failures are features; they mirror membership.
 """
 
-import numpy as np
-
 from hfkit import (
     ExtensionalityError,
     SetUniverse,
@@ -26,10 +24,11 @@ from hfkit import (
     validate_mewo,
 )
 
-bullet = validate_mewo(1, np.zeros((1, 1), bool), np.ones(1, bool))
-circ = validate_mewo(1, np.zeros((1, 1), bool), np.zeros(1, bool))
-two = validate_mewo(2, np.array([[0, 1], [0, 0]], bool), np.array([0, 1], bool))
-empty = validate_mewo(0, np.zeros((0, 0), bool), np.zeros(0, bool))
+# a matrix is nested lists of 0/1 (lt[i][j] means i < j), a marking one 0/1 per element
+bullet = validate_mewo(1, [[0]], [1])
+circ = validate_mewo(1, [[0]], [0])
+two = validate_mewo(2, [[0, 1], [0, 0]], [0, 1])
+empty = validate_mewo(0, [], [])
 
 print("a marked point:", mewo_to_text(bullet))
 print("unmarked below marked:", mewo_to_text(two))

@@ -3,8 +3,9 @@
 A mewo is a carrier 0..n-1 with an acyclic, extensional direct relation
 (transitivity is NOT required), stored as `preds`, the ascending tuple of
 each element's direct predecessors, plus `marks`, one bool per element.
-The read-only numpy views `lt` and `marked` are built on each read, and
-only such a read loads numpy. Marked elements play the
+hfkit installs nothing else: the read-only numpy views `lt` and `marked`
+are built on each read and need numpy installed, and validate_mewo still
+accepts numpy arrays beside nested lists and tuples. Marked elements play the
 role of the top-level members of the set the structure presents; the
 other elements present members of members.
 
@@ -73,7 +74,8 @@ class Mewo:
 
     @property
     def lt(self):
-        """The direct relation as a read-only numpy matrix, built on every read; lt[i, j] means i < j."""
+        """The direct relation as a read-only numpy matrix, built on every read; lt[i, j] means i < j.
+        Reading it needs numpy installed, which hfkit does not install."""
         import numpy as np
 
         m = np.zeros((self.size, self.size), dtype=bool)
@@ -84,7 +86,8 @@ class Mewo:
 
     @property
     def marked(self):
-        """The marking as a read-only numpy vector of bools, built on every read."""
+        """The marking as a read-only numpy vector of bools, built on every read.
+        Reading it needs numpy installed, which hfkit does not install."""
         import numpy as np
 
         m = np.array(self.marks, dtype=bool)
@@ -186,10 +189,11 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
     kept on X beside `u._ref`, u's weakref to itself (u keeps no per-mewo
     state; `union` and `singleton` store theirs), and is returned itself when
     that is the reference stored: an identity test no new universe passes.
-    The four decisions make that test inline; this is their miss path, the one
-    place that builds, stores and refuses records: a universe or mewo of another
-    kind is a ValidationError, coinciding codes (only an unvalidated `Mewo(...)`
-    has them) an ExtensionalityError naming the pair; a refusal stores and interns nothing."""
+    The four decisions make that test inline; this is their miss path, and
+    the one place that collapses a mewo into a record or refuses one: a
+    universe or mewo of another kind is a ValidationError, coinciding codes
+    (only an unvalidated `Mewo(...)` has them) an ExtensionalityError naming
+    the pair; a refusal stores and interns nothing."""
     try:
         got = X._collapsed
         if got is not None and got[0] is u._ref:

@@ -345,7 +345,8 @@ def _is_extensional(lt) -> bool:
 
 def gen_random_set(cfg: GenConfig, u: SetUniverse):
     """Reproducible stream of sets with rank at most max_depth."""
-    rng = random.Random(cfg.seed)
+    rng = random.Random(_checked(GenConfig, cfg).seed)
+    _checked(SetUniverse, u)
 
     def build(depth: int) -> SetHandle:
         if depth == 0:
@@ -366,7 +367,7 @@ def gen_random_mewo(cfg: GenConfig, covered_only: bool = False):
     does not cover are skipped. Only cfg.seed, cfg.max_width and cfg.count
     are read: cfg.max_depth does nothing here.
     """
-    rng = random.Random(cfg.seed)
+    rng = random.Random(_checked(GenConfig, cfg).seed)
     produced = 0
     while produced < cfg.count:
         n = rng.randint(0, max(1, cfg.max_width))

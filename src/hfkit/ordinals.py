@@ -1,12 +1,14 @@
 """Finite ordinals as linear positions.
 
 A FinOrd is a carrier 0..n-1 in which element x sits at the linear position
-pos[x]; x < y exactly when pos[x] < pos[y]. The read-only numpy matrix `lt`
-(lt[i, j] means i < j) is built on each read; only that read loads numpy.
-validate_ord (from a matrix) and the readers (from pairs) are the only ways
-in from outside data: they check wellfoundedness, extensionality and
-transitivity with a witness, and check the linearity they force on a
-finite carrier, raising a ValidationError, never an assert. Wellfoundedness
+pos[x]; x < y exactly when pos[x] < pos[y]. hfkit installs nothing else:
+the read-only numpy matrix `lt` (lt[i, j] means i < j) is built on each read
+and needs numpy installed, and validate_ord still accepts a numpy array
+beside nested lists and tuples. validate_ord (from a matrix) and the readers
+(from pairs) are the only ways in from outside data: they check
+wellfoundedness, extensionality and transitivity with a witness, and check
+the linearity they force on a finite carrier, raising a ValidationError,
+never an assert. Wellfoundedness
 is checked, for mewos too, by the listed walk of the collapse,
 universe._postorder, so a cycle reads as from_graph reports it. Everything
 built from validated ordinals is linear by construction, so it is position
@@ -44,7 +46,8 @@ class FinOrd:
 
     @property
     def lt(self):
-        """The strict order as a read-only numpy matrix, built on every read; lt[i, j] means i < j."""
+        """The strict order as a read-only numpy matrix, built on every read; lt[i, j] means i < j.
+        Reading it needs numpy installed, which hfkit does not install."""
         import numpy as np
 
         lt = np.less.outer(self.pos, self.pos)

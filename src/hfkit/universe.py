@@ -20,7 +20,7 @@ import weakref
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import CyclicError, ForeignHandleError, FormatError, HfkitError, LimitExceededError, ValidationError, _checked
 
@@ -54,6 +54,13 @@ class SetHandle:
         return f"SetHandle({self.id})"
 
 
+def _frozen(self, name, *value):
+    """SetHandle's `__setattr__` and `__delattr__`: the dataclass's own refuse
+    a field but end in a TypeError for any other name, as slots=True remade the class."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+SetHandle.__setattr__ = SetHandle.__delattr__ = _frozen
 _set_universe, _set_id = SetHandle.universe.__set__, SetHandle.id.__set__  # slot writers past the frozen __setattr__
 
 

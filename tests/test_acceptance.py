@@ -47,7 +47,7 @@ from hfkit.suites import (
     unions_are_covered,
     unions_are_least_upper_bounds,
 )
-from test_ordinals import labeled_ordinals
+from conftest import labeled_ordinals
 from test_universe import rand_graph
 
 

@@ -43,6 +43,7 @@ from hfkit import (
     export_slice,
     enumerate_v,
     from_ordinal,
+    gen_random_mewo,
     gen_random_set,
     mark_all,
     mewo_equal,
@@ -74,6 +75,7 @@ from hfkit import (
 )
 from hfkit.mewos import covered_mask
 from hfkit.suites import _relabeled, mewo_transport, order_transport, ordinal_roundtrips, set_mewo_roundtrips
+from conftest import relabeled
 
 
 def test_set_of_ordinal_base(u):
@@ -344,7 +346,7 @@ def test_mewo_of_set_on_the_large_collapse_root():
 def test_mewo_of_set_agrees_with_the_validator(u):
     for h in gen_random_set(GenConfig(seed=15, max_width=4, max_depth=4, count=40), u):
         X = mewo_of_set(h)
-        assert validate_mewo(X.size, X.lt, X.marked) == X
+        assert relabeled(X, range(X.size)) == X
 
 
 def test_mewo_of_set_is_covered(u):
@@ -490,6 +492,13 @@ def test_no_mewo_operation_takes_none_for_a_universe(call):
     pytest.param(lambda u: GenConfig(seed=1, max_width=-1), ValidationError, id="GenConfig(max_width=-1)"),
     pytest.param(lambda u: SetUniverse(node_limit=-1), ValidationError, id="SetUniverse(node_limit=-1)"),
     pytest.param(lambda u: GenConfig(seed="a"), ValidationError, id="GenConfig(seed=str)"),
+    # a generator refuses its arguments at the first draw; these raised AttributeError
+    pytest.param(lambda u: next(gen_random_set("a", u)), (ValidationError, "^expected a GenConfig, got str$"),
+                 id="gen_random_set(str)"),
+    pytest.param(lambda u: next(gen_random_set(GenConfig(seed=1), None)),
+                 (ValidationError, "^expected a SetUniverse, got NoneType$"), id="gen_random_set(u=None)"),
+    pytest.param(lambda u: next(gen_random_mewo(None)), (ValidationError, "^expected a GenConfig, got NoneType$"),
+                 id="gen_random_mewo(None)"),
     # a bool is no int
     pytest.param(lambda u: SetUniverse(node_limit=True), ValidationError, id="SetUniverse(node_limit=True)"),
     pytest.param(lambda u: enumerate_v(True, u), ValidationError, id="enumerate_v(True)"),

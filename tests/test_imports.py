@@ -7,7 +7,8 @@ of their own, the only tests that start a process are the ones
 names it always has, each its defining layer's object, every law of
 hfkit.suites runs in `hfkit check` and in the acceptance tests, only
 test_oracle.py calls an oracle that a law compares a fast decision with,
-and no module of src/hfkit holds an `assert`, which `python -O` strips.
+no module of src/hfkit holds an `assert`, which `python -O` strips, and
+no test or demo needs numpy unless it skips without it.
 
 There is no linter among the dependencies, so these are `ast` passes:
 `__init__.py` is left out of the first, since its imports are the public API.
@@ -27,6 +28,7 @@ import hfkit.suites
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hfkit"
+DEMOS = TESTS.parent / "demos"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -283,3 +285,49 @@ def test_every_suite_law_runs_in_check_and_in_the_acceptance_tests(monkeypatch):
     called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert [name for name in laws if name not in reached] == []
     assert [name for name in laws if name not in called] == []
+
+
+# numpy is installed only with the `test` extra: the tests and demos read a
+# structure through `pos`, `preds` and `marks`, and only a test that first
+# calls `pytest.importorskip("numpy")` reads one of the views.
+VIEWS = {"lt", "marked"}
+
+
+def numpy_needs(source: str) -> list[str]:
+    """The places where `source` imports numpy, or reads `.lt` or `.marked`
+    other than in a top-level function, after its first
+    `pytest.importorskip("numpy")`."""
+    found = []
+    for top in ast.parse(source).body:
+        nodes = list(ast.walk(top))
+        skips = [node.lineno for node in nodes if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "importorskip"
+                 and [getattr(a, "value", None) for a in node.args] == ["numpy"]]
+        skipped_from = min(skips) if isinstance(top, ast.FunctionDef) and skips else float("inf")
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                found += [(node.lineno, "import numpy") for a in node.names if a.name.partition(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+                found.append((node.lineno, "from numpy"))
+            elif (isinstance(node, ast.Attribute) and node.attr in VIEWS and isinstance(node.ctx, ast.Load)
+                  and node.lineno <= skipped_from):
+                found.append((node.lineno, f".{node.attr}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_check_sees_a_need_for_numpy():
+    source = ("import numpy as np\nfrom numpy.linalg import inv\nimport os.path\n"
+              "def test_a(X):\n    return X.lt\n"
+              "def test_b(X):\n    m = X.marked\n    pytest.importorskip('numpy')\n    return X.lt, X.marked\n"
+              "def test_c(X):\n    pytest.importorskip('hypothesis')\n    return X.lt\n"
+              "@pytest.mark.parametrize('v', [lambda X: X.lt])\ndef test_d(v):\n    pytest.importorskip('numpy')\n"
+              "def test_e(X, monkeypatch):\n    monkeypatch.setattr(type(X), 'lt', None)\n    X.lts = X.marks\n")
+    assert numpy_needs(source) == ["import numpy (line 1)", "from numpy (line 2)", ".lt (line 5)",
+                                   ".marked (line 7)", ".lt (line 12)", ".lt (line 13)"]
+    assert numpy_needs("def test_a(X):\n    np = pytest.importorskip('numpy')\n    np.array(X.lt)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_tests_and_demos_run_without_numpy(path):
+    assert numpy_needs(path.read_text(encoding="utf-8")) == []

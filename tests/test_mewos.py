@@ -3,11 +3,9 @@ from __future__ import annotations
 import gc
 import itertools
 import random
-import sys
-import threading
 import weakref
+from functools import partial
 
-import numpy as np
 import pytest
 
 from hfkit import (
@@ -57,16 +55,7 @@ from hfkit.suites import (
     unions_are_covered,
     unions_are_least_upper_bounds,
 )
-
-
-def permuted(X, perm):
-    n = X.size
-    lt = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lt[a, b] = X.lt[perm[a], perm[b]]
-    marked = np.array([X.marked[perm[i]] for i in range(n)], dtype=bool)
-    return validate_mewo(n, lt, marked)
+from conftest import race, relabeled, rows
 
 
 def test_validate_fixtures(fixtures_mewos):
@@ -76,13 +65,12 @@ def test_validate_fixtures(fixtures_mewos):
 
 def test_validate_rejects_equal_predecessors():
     with pytest.raises(ExtensionalityError):
-        validate_mewo(2, np.zeros((2, 2), bool), np.zeros(2, bool))
+        validate_mewo(2, [[False] * 2] * 2, [False] * 2)
 
 
 def test_validate_rejects_cycles():
-    lt = np.array([[False, True], [True, False]])
     with pytest.raises(WellfoundednessError):
-        validate_mewo(2, lt, np.zeros(2, bool))
+        validate_mewo(2, [[False, True], [True, False]], [False] * 2)
 
 
 def _small_relations():
@@ -125,12 +113,12 @@ def test_validation_meets_the_cycle_the_collapse_meets(u):
 
 def test_validate_shape():
     with pytest.raises(ValidationError):
-        validate_mewo(2, np.zeros((2, 2), bool), np.zeros(3, bool))
+        validate_mewo(2, [[False] * 2] * 2, [False] * 3)
 
 
-@pytest.mark.parametrize("as_vector", [list, tuple, lambda v: np.array(v, dtype=bool)])
+@pytest.mark.parametrize("as_vector", [list, tuple, lambda v: pytest.importorskip("numpy").array(v, dtype=bool)])
 def test_validate_reads_every_matrix_form(as_vector, fixtures_mewos):
-    # rows and markings as lists, tuples or numpy arrays; the empty mewo from empty ones
+    # rows and markings as lists, tuples or numpy arrays (skipped without numpy); the empty mewo from empty ones
     emp = fixtures_mewos[3]
     assert validate_mewo(0, as_vector([]), as_vector([])) == emp
     cb = validate_mewo(2, [as_vector([0, 1]), as_vector([0, 0])], as_vector([0, 1]))
@@ -141,26 +129,25 @@ def test_validate_reads_every_matrix_form(as_vector, fixtures_mewos):
         validate_mewo(2, [as_vector([False, True]), as_vector([False, False])], as_vector([True]))
 
 
+NONTRANSITIVE = [[False, True, False], [False, False, True], [False] * 3]  # 0 < 1 < 2, not 0 < 2
+
+
 def test_nontransitive_order_is_fine():
-    lt = np.zeros((3, 3), bool)
-    lt[0, 1] = lt[1, 2] = True
-    X = validate_mewo(3, lt, np.array([False, False, True]))
+    X = validate_mewo(3, NONTRANSITIVE, [False, False, True])
     assert X.size == 3
 
 
 def test_closure_chain():
     # transitive reachability below an element, reflexive reachability to a mark
-    lt = np.zeros((3, 3), bool)
-    lt[0, 1] = lt[1, 2] = True
-    X = validate_mewo(3, lt, np.array([False, False, True]))
+    X = validate_mewo(3, NONTRANSITIVE, [False, False, True])
     assert down_plus_carrier(X, 2) == [0, 1]
     assert down_plus_carrier(X, 1) == [0]
     assert covered_mask(X) == [True, True, True]
-    assert covered_mask(validate_mewo(3, lt, np.array([False, True, False]))) == [True, True, False]
+    assert covered_mask(validate_mewo(3, NONTRANSITIVE, [False, True, False])) == [True, True, False]
 
 
 def test_closure_empty_relation():
-    X = validate_mewo(1, np.zeros((1, 1), bool), np.ones(1, bool))
+    X = validate_mewo(1, [[False]], [True])
     assert down_plus_carrier(X, 0) == []
     assert covered_mask(X) == [True]
 
@@ -198,7 +185,7 @@ def test_down_plus_transitive_chain_marks_both():
     X = from_ordinal(chain(3))
     seg = down_plus(X, 2)
     assert seg.size == 2
-    assert seg.marked.all()
+    assert all(seg.marks)
 
 
 def test_down_plus_always_covered(mewo_pool):
@@ -233,7 +220,7 @@ def test_codes_of_marked_transitive_chains(u):
 
 
 def test_codes_empty(u):
-    emp = validate_mewo(0, np.zeros((0, 0), bool), np.zeros(0, bool))
+    emp = validate_mewo(0, [], [])
     assert len(codes(emp, u)) == 0
 
 
@@ -254,7 +241,7 @@ def test_mewo_equal_permuted_copies(covered_pool):
     for X in covered_pool:
         for perm in itertools.permutations(range(X.size)):
             try:
-                Y = permuted(X, list(perm))
+                Y = relabeled(X, perm)
             except ValidationError:
                 continue
             assert mewo_equal(X, Y, u)
@@ -349,7 +336,7 @@ def test_pointwise_code_criterion(small_mewo_pool):
                 continue
             cx, cy = codes(X, u), codes(Y, u)
             for f in itertools.product(range(Y.size), repeat=X.size):
-                if any(X.marked[x] and not Y.marked[f[x]] for x in range(X.size)):
+                if any(X.marks[x] and not Y.marks[f[x]] for x in range(X.size)):
                     continue
                 pointwise = all(cx[x] == cy[f[x]] for x in range(X.size))
                 assert pointwise == is_simulation(X, Y, f)
@@ -416,10 +403,8 @@ def test_singleton_keeps_the_validator_witness(mewo_pool):
     # whose singleton also carries codes
     u = SetUniverse()
     for X in mewo_pool:
-        lt = np.zeros((X.size + 1, X.size + 1), dtype=bool)
-        lt[:X.size, :X.size] = X.lt
-        lt[:X.size, X.size] = X.marked
-        marked = np.arange(X.size + 1) == X.size
+        lt = [row + [mark] for row, mark in zip(rows(X), X.marks)] + [[False] * (X.size + 1)]
+        marked = [False] * X.size + [True]
         bare, coded = Mewo(X.preds, X.marks), Mewo(X.preds, X.marks)
         codes(coded, u)
         for Y in (bare, coded):
@@ -434,7 +419,7 @@ def test_singleton_keeps_the_validator_witness(mewo_pool):
 
 
 def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool, u):
-    # the validator rebuilds preds from the derived matrix: equal means same preds
+    # the validator rebuilds preds from the matrix read off them: equal means same preds
     built = [from_ordinal(chain(n)) for n in range(5)]
     built.append(from_ordinal(ord_from_text("ord { size: 3; lt: 2<0, 2<1, 0<1 }")))
     for X in mewo_pool:
@@ -444,7 +429,7 @@ def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool, u):
     built += [singleton(X) for X in covered_pool]
     built += [union([X, Y], u) for X in small for Y in small[:12]]
     for Z in built:
-        assert validate_mewo(Z.size, Z.lt, Z.marked) == Z
+        assert relabeled(Z, range(Z.size)) == Z
 
 
 def _universe_state(u):
@@ -467,7 +452,7 @@ def test_codes_cache_keeps_no_state_on_the_universe(mewo_pool):
     for X in mewo_pool:
         codes(X, u)
         before = len(u)
-        codes(validate_mewo(X.size, X.lt, X.marked), u)  # an equal structure
+        codes(relabeled(X, range(X.size)), u)  # an equal structure
         codes(X, u)
         assert len(u) == before
     assert _universe_state(u)[1] == []
@@ -505,17 +490,7 @@ def test_codes_cache_shared_by_threads_in_two_universes(covered_pool, u):
         results[k] = [simulation_mewo(X, Y, universes[(k + i) % 2])
                       for i, (X, Y) in enumerate(itertools.product(pool, pool))]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+    race(*(partial(worker, k) for k in range(4)))
     assert all(r == expected for r in results)
 
 
@@ -565,17 +540,7 @@ def test_decisions_on_fresh_copies_shared_by_threads(mewo_pool):
     def worker(k):
         results[k] = _decide_all(pool, universes[k % 2])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+    race(*(partial(worker, k) for k in range(4)))
     assert all(r == expected for r in results)
 
 
@@ -761,7 +726,7 @@ def test_from_ordinal(fixtures_mewos):
     _, _, _, emp = fixtures_mewos
     assert from_ordinal(chain(0)) == emp
     X = from_ordinal(chain(2))
-    assert X.marked.all() and X.lt[0, 1]
+    assert all(X.marks) and X.preds == ((), (0,))
     for n in range(5):
         assert is_covered(from_ordinal(chain(n)))
 

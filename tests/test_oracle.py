@@ -38,7 +38,7 @@ from hfkit import (
 )
 from hfkit.oracle import _pair_lists
 from hfkit.suites import partial_sims_match_oracle
-from test_ordinals import labeled_ordinals
+from conftest import labeled_ordinals, relabeled, rows
 
 
 def test_enum_simulations_ordinal_pair():
@@ -162,7 +162,7 @@ def test_enumerate_mewos_counts():
 def test_enumerate_mewos_distinct_and_valid():
     pool = enumerate_mewos(3)
     for X in pool:
-        validate_mewo(X.size, X.lt, X.marked)
+        assert relabeled(X, range(X.size)) == X
     for i, X in enumerate(pool):
         for Y in pool[i + 1 :]:
             assert not equal_by_permutation(X, Y)
@@ -220,11 +220,11 @@ def test_gen_random_set_respects_depth(u):
 
 def test_gen_random_mewo_reproducible_and_valid():
     cfg = GenConfig(seed=21, max_width=5, max_depth=3, count=30)
-    a = [(m.lt.tobytes(), m.marked.tobytes()) for m in gen_random_mewo(cfg)]
-    b = [(m.lt.tobytes(), m.marked.tobytes()) for m in gen_random_mewo(cfg)]
+    a = [(m.preds, m.marks) for m in gen_random_mewo(cfg)]
+    b = [(m.preds, m.marks) for m in gen_random_mewo(cfg)]
     assert a == b
     for m in gen_random_mewo(cfg):
-        validate_mewo(m.size, m.lt, m.marked)
+        assert relabeled(m, range(m.size)) == m
 
 
 def test_gen_random_mewo_covered_filter():
@@ -293,12 +293,9 @@ def _is_iso(lt_x, marked_x, lt_y, marked_y, p) -> bool:
     return all(lt_x[a][b] == lt_y[p[a]][p[b]] for a in range(n) for b in range(n))
 
 
-def _lists(X):
-    return X.lt.tolist(), X.marked.tolist() if hasattr(X, "marks") else None
-
-
 def _map_by_map(X, Y):
-    (lt_x, mx), (lt_y, my) = _lists(X), _lists(Y)
+    lt_x, lt_y = rows(X), rows(Y)
+    mx, my = (list(X.marks), list(Y.marks)) if isinstance(X, Mewo) else (None, None)
     sims = [
         f for f in itertools.product(range(Y.size), repeat=X.size) if _clauses_hold(lt_x, mx, lt_y, my, f)
     ]
@@ -364,6 +361,7 @@ def test_enumerate_mewos_keeps_the_first_candidate_of_each_least_relabeling():
 
 
 def test_pair_lists_of_mewos_are_the_numpy_forms_as_lists(mewo_pool):
+    pytest.importorskip("numpy")
     randoms = list(gen_random_mewo(GenConfig(seed=19, max_width=6, count=100)))
     for X in mewo_pool + randoms:
         assert _pair_lists(X, X) == (X.lt.tolist(), X.marked.tolist()) * 2

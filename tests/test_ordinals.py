@@ -1,11 +1,9 @@
 from __future__ import annotations
 
 import itertools
-import random
 import re
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from hfkit import (
@@ -32,38 +30,11 @@ from hfkit import (
 )
 from hfkit.ordinals import FinOrd, _clause, down_carrier
 from hfkit.suites import nested_segments, ordinal_decisions_match_oracle, sup_segments
-
-
-def relabel(alpha, perm):
-    """Carrier permutation: element i of the result is perm[i] of alpha."""
-    n = alpha.size
-    lt = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lt[a, b] = alpha.lt[perm[a], perm[b]]
-    return validate_ord(n, lt)
-
-
-def labeled_ordinals(max_size, all_perms_upto=4, samples=6, seed=0):
-    """Chains with assorted relabelings; exhaustive for small carriers."""
-    rng = random.Random(seed)
-    out = []
-    for n in range(max_size + 1):
-        base = chain(n)
-        if n <= all_perms_upto:
-            for p in itertools.permutations(range(n)):
-                out.append(relabel(base, list(p)))
-        else:
-            out.append(base)
-            for _ in range(samples):
-                p = list(range(n))
-                rng.shuffle(p)
-                out.append(relabel(base, p))
-    return out
+from conftest import labeled_ordinals, relabeled, rows
 
 
 def test_validate_chain_ok():
-    alpha = validate_ord(3, chain(3).lt)
+    alpha = validate_ord(3, rows(chain(3)))
     assert alpha == chain(3) and hash(alpha) == hash(chain(3))
     assert len({alpha, chain(3), FinOrd(reversed(range(3)))}) == 2
 
@@ -76,35 +47,33 @@ def test_an_ordinal_never_equals_a_non_ordinal():
 
 def test_validate_antichain_extensionality():
     with pytest.raises(ExtensionalityError) as exc:
-        validate_ord(2, np.zeros((2, 2), dtype=bool))
+        validate_ord(2, [[False] * 2] * 2)
     assert exc.value.pair == (0, 1)
 
 
 def test_validate_cycle():
     with pytest.raises(WellfoundednessError):
-        validate_ord(2, np.array([[False, True], [True, False]]))
+        validate_ord(2, [[False, True], [True, False]])
 
 
 def test_validate_transitivity_witness():
-    lt = np.zeros((3, 3), dtype=bool)
-    lt[0, 1] = lt[1, 2] = True
     with pytest.raises(TransitivityError) as exc:
-        validate_ord(3, lt)
+        validate_ord(3, [[False, True, False], [False, False, True], [False] * 3])
     assert exc.value.triple == (0, 1, 2)
 
 
 def test_validate_shape_mismatch():
     with pytest.raises(ValidationError):
-        validate_ord(2, np.zeros((3, 3), dtype=bool))
+        validate_ord(2, [[False] * 3] * 3)
 
 
-# A matrix may come as nested lists, as nested tuples, as a list of numpy
-# rows or as one numpy array (which cannot be ragged).
+# A matrix may come as nested lists, as nested tuples, as a list of numpy rows
+# or as one numpy array (which cannot be ragged); the numpy forms skip without numpy.
 MATRIX_FORMS = {
-    "lists": lambda rows: [list(r) for r in rows],
-    "tuples": lambda rows: tuple(tuple(r) for r in rows),
-    "array rows": lambda rows: [np.array(r, dtype=bool) for r in rows],
-    "array": lambda rows: np.array(rows, dtype=bool),
+    "lists": lambda m: [list(r) for r in m],
+    "tuples": lambda m: tuple(tuple(r) for r in m),
+    "array rows": lambda m: [pytest.importorskip("numpy").array(r, dtype=bool) for r in m],
+    "array": lambda m: pytest.importorskip("numpy").array(m, dtype=bool),
 }
 
 
@@ -229,18 +198,7 @@ def test_bounded_sim_brute_force():
                 assert not candidates
             else:
                 assert candidates == [w.bound]
-                assert down(beta, w.bound) == relabel_image(alpha, w.iso, beta)
-
-
-def relabel_image(alpha, iso, beta):
-    # the segment carrier in beta order, as the image of alpha under iso
-    idxs = sorted(iso)
-    n = len(idxs)
-    lt = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lt[a, b] = beta.lt[idxs[a], idxs[b]]
-    return validate_ord(n, lt)
+                assert down(beta, w.bound) == relabeled(beta, sorted(w.iso))  # the image of alpha under iso
 
 
 def test_sum_examples():
@@ -316,7 +274,7 @@ def test_prop9_three_characterizations():
 
 
 def test_iso_is_bijective_preserving_reflecting():
-    alpha = relabel(chain(4), [2, 0, 3, 1])
+    alpha = relabeled(chain(4), [2, 0, 3, 1])
     beta = chain(4)
     w1 = simulation(alpha, beta)
     w2 = simulation(beta, alpha)
@@ -325,41 +283,35 @@ def test_iso_is_bijective_preserving_reflecting():
     assert tuple(w2.mapping[y] for y in w1.mapping) == tuple(range(4))
     for a in range(4):
         for b in range(4):
-            assert bool(alpha.lt[a, b]) == bool(beta.lt[w1.mapping[a], w1.mapping[b]])
+            assert (alpha.pos[a] < alpha.pos[b]) == (beta.pos[w1.mapping[a]] < beta.pos[w1.mapping[b]])
 
 
 def test_antisymmetry_up_to_canonical_form():
-    alpha = relabel(chain(5), [4, 2, 0, 1, 3])
-    beta = relabel(chain(5), [1, 0, 4, 3, 2])
+    alpha = relabeled(chain(5), [4, 2, 0, 1, 3])
+    beta = relabeled(chain(5), [1, 0, 4, 3, 2])
     assert simulation(alpha, beta) is not None
     assert simulation(beta, alpha) is not None
     assert same_order_type(alpha, beta)
-    assert relabel(alpha, inverse(alpha.pos)) == relabel(beta, inverse(beta.pos))
-
-
-def inverse(perm):
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return out
+    assert relabeled(alpha, alpha.in_order()) == relabeled(beta, beta.in_order()) == chain(5)
 
 
 def test_trichotomy_of_validated_instances():
     for alpha in labeled_ordinals(6, all_perms_upto=4, samples=4, seed=9):
+        lt = rows(alpha)
         for a in range(alpha.size):
             for b in range(alpha.size):
                 if a != b:
-                    assert bool(alpha.lt[a, b]) != bool(alpha.lt[b, a])
+                    assert lt[a][b] != lt[b][a]
 
 
 def test_text_roundtrip():
-    for alpha in (chain(0), chain(3), relabel(chain(4), [3, 1, 0, 2])):
+    for alpha in (chain(0), chain(3), relabeled(chain(4), [3, 1, 0, 2])):
         assert ord_from_text(ord_to_text(alpha)) == alpha
     assert ord_to_text(chain(2)) == "ord { size: 2; lt: 0<1 }"
 
 
 def test_json_roundtrip():
-    for alpha in (chain(0), chain(5), relabel(chain(3), [2, 0, 1])):
+    for alpha in (chain(0), chain(5), relabeled(chain(3), [2, 0, 1])):
         assert ord_from_json(ord_to_json(alpha)) == alpha
     doc = ord_to_json(chain(3))
     assert doc["pairs"] == sorted(doc["pairs"])
@@ -367,7 +319,7 @@ def test_json_roundtrip():
 
 def test_writers_read_positions_not_the_matrix(monkeypatch):
     for alpha in labeled_ordinals(5):  # the pairs as the matrix lists them
-        pairs = sorted((int(i), int(j)) for i, j in np.argwhere(alpha.lt))
+        pairs = [(i, j) for i, row in enumerate(rows(alpha)) for j, less in enumerate(row) if less]
         listed = ", ".join(f"{i}<{j}" for i, j in pairs)
         assert ord_to_text(alpha) == f"ord {{ size: {alpha.size}; {_clause('lt', listed)} }}"
         assert ord_to_json(alpha) == {"size": alpha.size, "pairs": [list(p) for p in pairs]}
@@ -426,6 +378,7 @@ def test_json_rejects_malformed_documents(doc):
 
 
 def test_lt_is_derived_from_positions():
+    pytest.importorskip("numpy")
     for alpha in labeled_ordinals(5, all_perms_upto=3, samples=2):
         assert not alpha.lt.flags.writeable
         assert validate_ord(alpha.size, alpha.lt) == alpha

@@ -6,7 +6,6 @@ run draws the same examples.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -32,6 +31,7 @@ from hfkit import (  # noqa: E402
 from hfkit.ordinals import FinOrd  # noqa: E402
 from hfkit.oracle import _is_extensional  # noqa: E402
 from hfkit.suites import mewo_decisions_match_oracle, ordinal_decisions_match_oracle  # noqa: E402
+from conftest import rows  # noqa: E402
 
 
 def _has_cycle(lt) -> bool:
@@ -54,11 +54,11 @@ def dag_graphs(draw, max_vertices: int = 8) -> PointedGraph:
 
 
 @st.composite
-def matrices(draw, max_size: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def matrices(draw, max_size: int = 4) -> tuple[list[list[bool]], list[bool]]:
     """An arbitrary relation with an arbitrary marking."""
     n = draw(st.integers(0, max_size))
     bits = draw(st.lists(st.booleans(), min_size=n * n + n, max_size=n * n + n))
-    return np.array(bits[: n * n], dtype=bool).reshape(n, n), np.array(bits[n * n:], dtype=bool)
+    return [bits[i * n:(i + 1) * n] for i in range(n)], bits[n * n:]
 
 
 @st.composite
@@ -66,10 +66,10 @@ def mewos(draw, max_size: int = 4):
     """A valid mewo: a relation along a drawn linear order, kept when it is extensional."""
     n = draw(st.integers(0, max_size))
     order = draw(st.permutations(range(n)))
-    lt = np.zeros((n, n), dtype=bool)
+    lt = [[False] * n for _ in range(n)]
     for j in range(n):
         for i in range(j):
-            lt[order[i], order[j]] = draw(st.booleans())
+            lt[order[i]][order[j]] = draw(st.booleans())
     hypothesis.assume(_is_extensional(lt))
     return validate_mewo(n, lt, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
 
@@ -104,8 +104,8 @@ def test_validate_mewo_accepts_exactly_the_mewos(m):
             validate_mewo(n, lt, marked)
     else:
         X = validate_mewo(n, lt, marked)
-        assert np.array_equal(X.lt, lt) and np.array_equal(X.marked, marked)
-        assert X.preds == tuple(tuple(np.flatnonzero(lt[:, x]).tolist()) for x in range(n))
+        assert rows(X) == lt and list(X.marks) == marked
+        assert X.preds == tuple(tuple(i for i in range(n) if lt[i][x]) for x in range(n))
 
 
 @settings(max_examples=150)

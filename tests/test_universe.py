@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import random
-import sys
 import threading
+from functools import partial
 
 import pytest
 
@@ -31,6 +32,7 @@ from hfkit import (
     validate_mewo,
 )
 from hfkit.suites import collapse_matches_bisimilar
+from conftest import race
 
 
 def test_mk_set_empty(u):
@@ -255,12 +257,14 @@ def test_handles_are_frozen_slotted_values(u):
     assert h == SetHandle(u, 3) and hash(h) == hash(SetHandle(u, 3)) == hash((u, 3))
     assert h != SetHandle(u, 2) and h != SetHandle(SetUniverse(), 3) and h != (u, 3)
     assert not hasattr(h, "__dict__")
-    for name in ("universe", "id"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    for name in ("universe", "id", "other"):  # a stray name as well as a field
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
             setattr(h, name, 0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(h, name)
     assert (h.universe, h.id) == (u, 3)
+    c = copy.copy(h)
+    assert c == h and hash(c) == hash(h) and (c.universe, c.id) == (u, 3)
     with pytest.raises(TypeError):
         SetHandle(u)
 
@@ -363,11 +367,7 @@ def test_concurrent_interning_is_consistent():
             h = shared.mk_set([h, shared.empty()])
         results[k] = h
 
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    race(*(partial(worker, k) for k in range(8)))
     assert shared.check_acyclic()
     for k in range(8):
         expect = shared.empty()
@@ -408,29 +408,19 @@ def test_concurrent_collapse_slice_and_mk_set():
     # two threads start on each path, so that they race for the same new sets
     orders = [("graph", "slice", "chain"), ("graph", "chain", "slice"),
               ("slice", "chain", "graph"), ("slice", "graph", "chain")]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(6):
-            shared = SetUniverse()
-            results = [None] * 4
+    for _ in range(6):
+        shared = SetUniverse()
+        results = [None] * 4
 
-            def worker(k):
-                results[k] = _collapse_slice_and_chain(shared, g, doc, orders[k])
+        def worker(k):
+            results[k] = _collapse_slice_and_chain(shared, g, doc, orders[k])
 
-            threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            assert all(r == results[0] for r in results)
-            assert len(shared) == len(single)
-            assert shared.check_acyclic()
-            assert len(shared._intern) == len(shared)
-            assert shared.rank_nat(results[0][2]) == 30
-    finally:
-        sys.setswitchinterval(interval)
+        race(*(partial(worker, k) for k in range(4)))
+        assert all(r == results[0] for r in results)
+        assert len(shared) == len(single)
+        assert shared.check_acyclic()
+        assert len(shared._intern) == len(shared)
+        assert shared.rank_nat(results[0][2]) == 30
 
 
 def _mk_set_returns_on_another_thread(u) -> bool:
@@ -464,26 +454,16 @@ def test_lock_released_after_a_failed_collapse():
 
 def test_concurrent_numerals_are_correct():
     # threads extending the numeral cache at once must not publish wrong sets
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            shared = SetUniverse()
-            results = [None] * 4
+    for _ in range(5):
+        shared = SetUniverse()
+        results = [None] * 4
 
-            def worker(k):
-                results[k] = shared.von_neumann(300)
+        def worker(k):
+            results[k] = shared.von_neumann(300)
 
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            assert all(shared.rank_nat(h) == 300 for h in results)
-            assert all(shared.rank_nat(shared.von_neumann(k)) == k for k in range(301))
-    finally:
-        sys.setswitchinterval(interval)
+        race(*(partial(worker, k) for k in range(4)))
+        assert all(shared.rank_nat(h) == 300 for h in results)
+        assert all(shared.rank_nat(shared.von_neumann(k)) == k for k in range(301))
 
 
 def test_numeral_hits_during_a_refused_extension():
@@ -514,18 +494,7 @@ def test_numeral_hits_during_a_refused_extension():
         finally:
             done.set()
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader, args=(k,), daemon=True) for k in range(3)]
-        threads.append(threading.Thread(target=extender, daemon=True))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+    race(*(partial(reader, k) for k in range(3)), extender)
     assert refused == [size] * refusals and len(u) == size
     assert taken and all(u.rank_nat(h) == m and h.id < len(u) for m, h in taken)
     assert [u.von_neumann(m) for m in range(cached + 1)] == before
