@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import FormatError, HfkitError, ParseError
@@ -110,9 +111,14 @@ def main(argv=None) -> int:
     if args.command == "check" and not 0 <= args.max_depth <= DEFAULT_NUMERAL_LIMIT:
         parser.error(f"argument --max-depth: must be in 0..{DEFAULT_NUMERAL_LIMIT}, the numeral bound")
     try:
-        return {"repl": _repl, "run": _run_file, "mewo": _mewo_file, "check": _check}[args.command](args)
+        status = {"repl": _repl, "run": _run_file, "mewo": _mewo_file, "check": _check}[args.command](args)
+        sys.stdout.flush()  # inside the try: a closed pipe may show only here
+        return status
     except HfkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader left: write the rest to devnull (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

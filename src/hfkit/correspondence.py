@@ -17,8 +17,8 @@ marked, so `set_of_mewo` of `from_ordinal(alpha)` is phi(alpha).
 the direct members marked, read off the set's slice (`export_slice`).
 Both round-trip on covered mewos. `mewo_of_set_literal` builds the same
 mewo by the law that a set is the union of the singletons of its members,
-through `singleton` and `union`, which store the codes they compute; it is
-checked against `mewo_of_set` and is never a route.
+walking code records through the record steps of `singleton` and `union` to
+build one mewo, at the root; it is checked against `mewo_of_set`, never a route.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import NotAnOrdinalError, _checked
-from .mewos import Mewo, _collapse, singleton, union
+from .mewos import Mewo, _collapse, _mewo_of_record, _singleton_record, _union_record
 from .ordinals import FinOrd, chain
 from .universe import SetHandle, SetUniverse, _universe_of, export_slice
 
@@ -124,12 +124,12 @@ def mewo_of_set_literal(h: SetHandle) -> Mewo:
     the union over members of the singleton of the member's presentation.
     Evaluated bottom-up over the hereditary members in handle order, one
     singleton per set, so the depth of h is not bounded by the recursion limit.
-    Each union and singleton stores its codes in `scratch`, so no mewo is
-    collapsed. A law checked against `mewo_of_set`, it is never a route.
+    It walks code records in `scratch` through the record steps of `union` and
+    `singleton` and builds one mewo, at the root: a law checked against `mewo_of_set`, never a route.
     """
     *nodes, top = export_slice(h)["nodes"]
     scratch = SetUniverse()
-    singletons: list[Mewo] = []  # at each slice position, the singleton of its presentation
+    records: list[tuple] = []  # at each slice position, the record of the singleton of its presentation
     for kids in nodes:
-        singletons.append(singleton(union([singletons[c] for c in kids], scratch)))
-    return union([singletons[c] for c in top], scratch)
+        records.append(_singleton_record(_union_record([records[c] for c in kids], scratch), scratch))
+    return _mewo_of_record(_union_record([records[c] for c in top], scratch), scratch)

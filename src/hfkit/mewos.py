@@ -30,11 +30,11 @@ Both are frozensets in X's one code record, kept for the last universe.
 Each decision reads its operands' records and tests their universe inline,
 one identity test each, so on cached codes it calls nothing, compares
 frozensets and builds only its witness; a miss or a wrong kind goes to
-`_collapse`. `union` and `singleton` store their records. Every
-decision and `union` take the caller's universe. The brute-force
-searches in hfkit.oracle stay the authoritative cross-check; the literal
-recursion, checked against `mewo_of_set`, is never a route. A mewo or a
-universe of another kind is a ValidationError naming that kind.
+`_collapse`. `union` and `singleton` map their operands' records to their
+results' by record steps, which the literal recursion walks to build one
+mewo, at the root. Every decision and `union` take the caller's universe;
+hfkit.oracle's brute-force searches stay the authoritative cross-check. A
+mewo or a universe of another kind is a ValidationError naming that kind.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ class Mewo:
 
     def __hash__(self):
         return hash((self.preds, self.marks))
+
+    def __reduce__(self):  # without the code record: a cache, and it names its universe by a weakref
+        return Mewo, (self.preds, self.marks)
 
     def __repr__(self):
         return f"Mewo(size={self.size}, lt={_pairs(self)}, marked={self.marked_elements()})"
@@ -184,7 +187,7 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
     """X's code record in u, `(ids, index, T_X, M_X)`, from the collapse in u
     of `preds` plus a root over the marked elements: `ids` holds each
     element's code id, then the id of the set X presents; `index` maps each
-    code id to its element; T_X and M_X are the frozensets
+    code id to its element, in element order; T_X and M_X are the frozensets
     of the code ids of all elements and of the marked ones. The record is
     kept on X beside `u._ref`, u's weakref to itself (u keeps no per-mewo
     state; `union` and `singleton` store theirs), and is returned itself when
@@ -298,18 +301,26 @@ def singleton(X: Mewo) -> Mewo:
     For a non-covered X the result can fail extensionality (an uncovered
     element and the new top may share predecessor sets); the failure is
     reported rather than repaired. If X has codes in a live universe, the
-    result keeps them plus its top's, the set X presents, and interns the
-    set it presents: `LimitExceededError` at the node limit. The literal
-    recursion through it is checked against `mewo_of_set`, never a route."""
+    result's record is X's through the singleton record step, which interns
+    the set it presents: `LimitExceededError` at the node limit. The literal
+    recursion walks records through this step and `union`'s."""
     top = tuple(_checked(Mewo, X).marked_elements())
-    if top in X.preds:
-        raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
-    ref, (ids, index, codes_x, _) = X._collapsed or (lambda: None, (None,) * 4)
-    if (u := ref()) is not None:  # X's codes, in a live universe; by the check, the top's code is new
-        c = ids[-1]  # the set X presents, the code of S's top
-        S._collapsed = (ref, (ids + [u._intern_locked((c,))], {**index, c: X.size}, codes_x | {c}, frozenset((c,))))
+    ref, record = X._collapsed or (lambda: None, None)
+    if (u := ref()) is not None:  # X's codes, in a live universe
+        S._collapsed = (ref, _singleton_record(record, u))
+    elif top in X.preds:
+        raise ExtensionalityError(X.preds.index(top), X.size)
     return S
+
+
+def _singleton_record(record, u: SetUniverse):
+    """singleton(X)'s code record from X's. The top's code c is the set X presents,
+    so the top clashes with the element coded c, if any, and is new otherwise."""
+    ids, index, codes_x, _ = record
+    if (c := ids[-1]) in index:
+        raise ExtensionalityError(index[c], len(index))
+    return ids + [u._intern_locked((c,))], {**index, c: len(index)}, codes_x | {c}, frozenset((c,))
 
 
 def union(F: list[Mewo], u: SetUniverse) -> Mewo:
@@ -320,27 +331,32 @@ def union(F: list[Mewo], u: SetUniverse) -> Mewo:
     marked in its member. Class representatives are the lexicographically
     least (member index, element index) pairs, and the carrier lists
     classes in that order. Distinct codes have distinct members and code
-    membership is wellfounded, so the result needs no validation. The code
-    of a class is the code of its members, so the result carries its codes
-    in u, and the set it presents costs one intern.
+    membership is wellfounded, so the result needs no validation. Its
+    record comes from the members' by the union record step (one intern,
+    the set it presents), and `preds` and marks are read off it once.
     """
-    order: list[int] = []  # the code id of each class
-    reps: dict[int, int] = {}  # code id -> class
-    marked: list[bool] = []
-    for X in _checked(Iterable, F):
-        for c, m in zip(_collapse(X, u)[0], X.marks):  # the codes; zip drops the root
-            pos = reps.get(c)
-            if pos is None:
-                reps[c] = len(order)
-                order.append(c)
-                marked.append(m)
-            elif m:
-                marked[pos] = True
-    children, cls = _checked(SetUniverse, u)._children, reps.__getitem__
-    Z = Mewo(tuple([tuple(sorted(map(cls, children[i]))) for i in order]), marked)
-    key = tuple(sorted(compress(order, marked)))  # the set Z presents
-    Z._collapsed = (u._ref, (order + [u._intern_locked(key)], reps, frozenset(order), frozenset(key)))
-    return Z
+    return _mewo_of_record(_union_record([_collapse(X, u) for X in _checked(Iterable, F)], _checked(SetUniverse, u)), u)
+
+
+def _union_record(records: list, u: SetUniverse):
+    """The union's code record from its members': each `index` in element order, the M joined."""
+    index: dict[int, int] = {}  # code id -> class
+    marked: set[int] = set()
+    for record in records:
+        for c in record[1]:
+            if c not in index:
+                index[c] = len(index)
+        marked |= record[3]
+    return [*index, u._intern_locked(tuple(sorted(marked)))], index, frozenset(index), frozenset(marked)
+
+
+def _mewo_of_record(record, u: SetUniverse) -> Mewo:
+    """The mewo that `record` codes in u, keeping it: `preds` are the classes of its codes' members."""
+    index, marked = record[1], record[3]
+    children, cls = u._children, index.__getitem__
+    X = Mewo(tuple([tuple(sorted(map(cls, children[c]))) for c in index]), [c in marked for c in index])
+    X._collapsed = (u._ref, record)
+    return X
 
 
 # -- serialization ------------------------------------------------------------

@@ -53,6 +53,11 @@ class SetHandle:
     def __repr__(self) -> str:
         return f"SetHandle({self.id})"
 
+    def __reduce__(self):
+        raise HfkitError("a SetHandle does not pickle: pickle its export_slice document and import_slice it")
+
+    __copy__ = __deepcopy__ = lambda self, memo=None: self  # a reference into its universe: every copy is itself
+
 
 def _frozen(self, name, *value):
     """SetHandle's `__setattr__` and `__delattr__`: the dataclass's own refuse

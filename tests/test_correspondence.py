@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import time
@@ -24,6 +26,7 @@ from hfkit import (
     ForeignHandleError,
     FormatError,
     GenConfig,
+    HfkitError,
     LimitExceededError,
     NotAnOrdinalError,
     PointedGraph,
@@ -73,7 +76,7 @@ from hfkit import (
     validate_mewo,
     validate_ord,
 )
-from hfkit.mewos import covered_mask
+from hfkit.mewos import Mewo, covered_mask
 from hfkit.suites import _relabeled, mewo_transport, order_transport, ordinal_roundtrips, set_mewo_roundtrips
 from conftest import relabeled
 
@@ -324,6 +327,59 @@ def test_mewo_of_set_literal_equals_the_fast_path(u):
         succ = [[rng.randrange(v) for _ in range(rng.randint(0, min(v, 3)))] for v in range(n)]
         h = u.from_graph(PointedGraph.make(succ, root=n - 1))
         assert mewo_equal(mewo_of_set_literal(h), mewo_of_set(h), u)
+
+
+def _literal_through_the_public_steps(h):
+    """The literal recursion through the public `singleton` and `union`, one mewo per step."""
+    *nodes, top = export_slice(h)["nodes"]
+    scratch = SetUniverse()
+    singletons = []
+    for kids in nodes:
+        singletons.append(singleton(union([singletons[c] for c in kids], scratch)))
+    return union([singletons[c] for c in top], scratch)
+
+
+def test_mewo_of_set_literal_is_the_recursion_through_the_public_steps(u):
+    # both make the same interns in a fresh universe, so even their records' ids agree
+    for h in enumerate_v(4, u) + list(gen_random_set(GenConfig(seed=13, max_width=4, max_depth=4, count=60), u)):
+        X, Y = mewo_of_set_literal(h), _literal_through_the_public_steps(h)
+        assert X == Y and X._collapsed[1] == Y._collapsed[1]
+
+
+def test_mewo_of_set_literal_builds_one_mewo(u, monkeypatch):
+    built = []
+    init = Mewo.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Mewo, "__init__", counted)
+    sets = gen_random_set(GenConfig(seed=13, max_width=4, max_depth=4, count=60), u)
+    for h in (u.von_neumann(12), max(sets, key=lambda h: len(u.hereditary_members(h)))):
+        built.clear()
+        X = mewo_of_set_literal(h)
+        assert built == [X] and X.size >= 6  # the parent built 2 per hereditary member, plus the root
+
+
+def test_values_survive_copies_and_pickles_after_a_decision(u):
+    h = u.von_neumann(3)
+    X, Y = from_ordinal(chain(2)), mewo_of_set(h)
+    values = [X, Y, union([X, Y], u), singleton(X), chain(3), simulation(chain(2), chain(3)),
+              bounded_sim(chain(2), chain(3)), simulation_mewo(X, Y, u), bounded_sim_mewo(X, Y, u),
+              partial_sim(X, Y, u), rank_quotient(h, u.elements(h)), PointedGraph.make([[1], []]),
+              GenConfig(seed=1)]
+    assert mewo_equal(X, Y, u) is False and all(Z._collapsed[0]() is u for Z in values[:4])
+    for value in values:
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    for Z in values[:4]:  # the code record is a cache, and it is left behind
+        back = pickle.loads(pickle.dumps(Z))
+        assert back._collapsed is None and simulation_mewo(back, Z, u).mapping == tuple(range(Z.size))
+    copied = copy.deepcopy([h, (h,)])  # a handle inside a container too
+    assert copy.copy(h) is h and copied[0] is h and copied[1][0] is h
+    with pytest.raises(HfkitError, match="export_slice"):
+        pickle.dumps([h])
 
 
 def test_mewo_of_set_on_the_large_collapse_root():

@@ -418,6 +418,32 @@ def test_singleton_keeps_the_validator_witness(mewo_pool):
                 assert singleton(Y) == expected
 
 
+def _singleton_outcome(X):
+    """singleton(X), or the pair its ExtensionalityError names."""
+    try:
+        return singleton(X)
+    except ExtensionalityError as exc:
+        return exc.pair
+
+
+def test_singleton_decides_alike_with_and_without_a_record(mewo_pool):
+    # uncoded, the top is checked against `preds`; coded, against the record's
+    # codes by the singleton record step: the same refusal or the same mewo
+    u, kinds = SetUniverse(), set()
+    for X in mewo_pool:
+        if is_covered(X):
+            continue
+        X = Mewo(X.preds, X.marks)  # a copy that carries no record
+        before = _singleton_outcome(X)
+        _collapse(X, u)
+        after = _singleton_outcome(X)
+        assert after == before and type(after) is type(before)
+        if isinstance(after, Mewo):
+            assert after._collapsed[1] == _fresh_collapse(after, u)
+        kinds.add(type(after))
+    assert kinds == {Mewo, tuple}
+
+
 def test_trusted_builders_agree_with_the_validator(mewo_pool, covered_pool, u):
     # the validator rebuilds preds from the matrix read off them: equal means same preds
     built = [from_ordinal(chain(n)) for n in range(5)]

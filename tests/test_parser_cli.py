@@ -468,6 +468,7 @@ KEPT_SPAWNS = {
     "test_cli_check_seeded_reports_identical": "two interpreters, each with its own string-hash seed",
     "test_cli_parser_is_built_once_and_reused": "the first `main` call of a new process",
     "test_cli_repl_decides_ord_at_the_numeral_bound": "a timeout that guards against a hang",
+    "test_cli_run_into_a_closed_pipe_ends_without_a_traceback": "a real pipe whose reader closes it early",
 }
 
 
@@ -721,6 +722,18 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
 def test_cli_repl_decides_ord_at_the_numeral_bound():
     res = spawn_cli("repl", stdin="ord? 1024\n", timeout=5)
     assert res.returncode == 0 and res.stdout == "true\n"
+
+
+def test_cli_run_into_a_closed_pipe_ends_without_a_traceback(tmp_path):
+    # about 1.9 MB of JSON, far past a pipe's buffer: the child is still writing when the reader leaves
+    program = tmp_path / "p.hf"
+    program.write_text("let x = 1000\njson x\n")
+    with subprocess.Popen([sys.executable, "-m", "hfkit.cli", "run", str(program)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(10) == b'{"nodes":['
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == 1
 
 
 def test_cli_repl_names_the_stdin_line_of_a_parse_error():
