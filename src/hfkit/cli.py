@@ -117,8 +117,9 @@ def main(argv=None) -> int:
     except HfkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # the reader left: write the rest to devnull (the Python docs' note on SIGPIPE)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader left: fd 1 goes to devnull for good (the Python docs' note on SIGPIPE)
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return 1
 
 

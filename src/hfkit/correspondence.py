@@ -130,6 +130,6 @@ def mewo_of_set_literal(h: SetHandle) -> Mewo:
     *nodes, top = export_slice(h)["nodes"]
     scratch = SetUniverse()
     records: list[tuple] = []  # at each slice position, the record of the singleton of its presentation
-    for kids in nodes:
+    for kids in nodes:  # no set is among its hereditary members: each singleton step's top code is new
         records.append(_singleton_record(_union_record([records[c] for c in kids], scratch), scratch))
     return _mewo_of_record(_union_record([records[c] for c in top], scratch), scratch)

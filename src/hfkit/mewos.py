@@ -305,21 +305,19 @@ def singleton(X: Mewo) -> Mewo:
     the set it presents: `LimitExceededError` at the node limit. The literal
     recursion walks records through this step and `union`'s."""
     top = tuple(_checked(Mewo, X).marked_elements())
+    if top in X.preds:
+        raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
     ref, record = X._collapsed or (lambda: None, None)
-    if (u := ref()) is not None:  # X's codes, in a live universe
+    if (u := ref()) is not None:  # X's codes, in a live universe; by the check, the top's code is new
         S._collapsed = (ref, _singleton_record(record, u))
-    elif top in X.preds:
-        raise ExtensionalityError(X.preds.index(top), X.size)
     return S
 
 
 def _singleton_record(record, u: SetUniverse):
-    """singleton(X)'s code record from X's. The top's code c is the set X presents,
-    so the top clashes with the element coded c, if any, and is new otherwise."""
+    """singleton(X)'s code record from X's; the caller knows that the top's code is new."""
     ids, index, codes_x, _ = record
-    if (c := ids[-1]) in index:
-        raise ExtensionalityError(index[c], len(index))
+    c = ids[-1]  # the set X presents, the code of the top
     return ids + [u._intern_locked((c,))], {**index, c: len(index)}, codes_x | {c}, frozenset((c,))
 
 
@@ -352,9 +350,8 @@ def _union_record(records: list, u: SetUniverse):
 
 def _mewo_of_record(record, u: SetUniverse) -> Mewo:
     """The mewo that `record` codes in u, keeping it: `preds` are the classes of its codes' members."""
-    index, marked = record[1], record[3]
-    children, cls = u._children, index.__getitem__
-    X = Mewo(tuple([tuple(sorted(map(cls, children[c]))) for c in index]), [c in marked for c in index])
+    _, index, _, M = record
+    X = Mewo(tuple([tuple(sorted(map(index.__getitem__, u._children[c]))) for c in index]), [c in M for c in index])
     X._collapsed = (u._ref, record)
     return X
 

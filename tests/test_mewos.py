@@ -427,8 +427,8 @@ def _singleton_outcome(X):
 
 
 def test_singleton_decides_alike_with_and_without_a_record(mewo_pool):
-    # uncoded, the top is checked against `preds`; coded, against the record's
-    # codes by the singleton record step: the same refusal or the same mewo
+    # without a record and with one (which the singleton record step then
+    # extends): the same refusal, or the same mewo with a fresh collapse's record
     u, kinds = SetUniverse(), set()
     for X in mewo_pool:
         if is_covered(X):
