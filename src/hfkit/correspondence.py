@@ -10,15 +10,15 @@ of largest members; its members are then linearly ordered by membership,
 which follows id order, so their positions are read off the ids: no
 membership matrix and no validation.
 
-Mewo side: `set_of_mewo` interns the codes of the marked elements, in the
-collapse that gives the codes; an ordinal is the mewo with every element
-marked, so `set_of_mewo` of `from_ordinal(alpha)` is phi(alpha).
+Mewo side: `set_of_mewo` is the root of X's code record, the set of the
+marked elements' codes; an ordinal is the mewo with every element marked,
+so `set_of_mewo` of `from_ordinal(alpha)` is phi(alpha).
 `mewo_of_set` presents a set as the mewo of its hereditary members with
 the direct members marked, read off the set's slice (`export_slice`).
 Both round-trip on covered mewos. `mewo_of_set_literal` builds the same
 mewo by the law that a set is the union of the singletons of its members,
-walking code records through the record steps of `singleton` and `union` to
-build one mewo, at the root; it is checked against `mewo_of_set`, never a route.
+walking flat code records through the record steps of `singleton` and `union`
+to build one mewo, at the root; checked against `mewo_of_set`, never a route.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def elements_ordinal(h: SetHandle) -> FinOrd:
 def set_of_mewo(X: Mewo, u: SetUniverse) -> SetHandle:
     """The set whose members are the codes of the marked elements: the root
     of the collapse of X's presentation."""
-    return SetHandle(u, _collapse(X, u)[0][X.size])
+    return SetHandle(u, _collapse(X, u)[2])
 
 
 def mewo_of_set(h: SetHandle) -> Mewo:

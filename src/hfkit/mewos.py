@@ -26,12 +26,12 @@ by T_X, the codes of its elements, and M_X, those of its marked elements
   X is covered (a property of X alone, kept on X) and the set X presents
   is in M_Y;
 - principality holds exactly when T_X <= T_Y or not M_X <= M_Y.
-Both are frozensets in X's one code record, kept for the last universe.
-Each decision reads its operands' records and tests their universe inline,
-one identity test each, so on cached codes it calls nothing, compares
-frozensets and builds only its witness; a miss or a wrong kind goes to
-`_collapse`. `union` and `singleton` map their operands' records to their
-results' by record steps, which the literal recursion walks to build one
+X's one code record, kept for the last universe, holds T_X as the keys of
+its index and M_X as a frozenset. Each decision tests its operands'
+records inline, one identity test each: on cached codes it calls nothing,
+compares key views and frozensets and builds only its witness. A miss or
+a wrong kind goes to `_collapse`; `union` and `singleton` map records to
+records by record steps, which the literal recursion walks to build one
 mewo, at the root. Every decision and `union` take the caller's universe;
 hfkit.oracle's brute-force searches stay the authoritative cross-check. A
 mewo or a universe of another kind is a ValidationError naming that kind.
@@ -39,7 +39,7 @@ mewo or a universe of another kind is a ValidationError naming that kind.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import compress
 
 from .errors import ExtensionalityError, FormatError, _checked
@@ -70,7 +70,7 @@ class Mewo:
         self.preds = preds
         self.marks = tuple(marks)
         self._covered = None  # computed on first use; see is_covered
-        self._collapsed = None  # (u._ref, (ids, index, T_X, M_X)) for the last universe u: see _collapse
+        self._collapsed = None  # the code record (u._ref, index, root, M_X) for the last universe u: see _collapse
 
     @property
     def lt(self):
@@ -180,27 +180,26 @@ def from_ordinal(alpha: FinOrd) -> Mewo:
 
 def codes(X: Mewo, u: SetUniverse) -> tuple[SetHandle, ...]:
     """Mostowski codes: code(x) interns the set of its predecessors' codes."""
-    return tuple(SetHandle(u, i) for i in _collapse(X, u)[0][:X.size])
+    return tuple(SetHandle(u, i) for i in _collapse(X, u)[1])
 
 
-def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], frozenset[int], frozenset[int]]:
-    """X's code record in u, `(ids, index, T_X, M_X)`, from the collapse in u
-    of `preds` plus a root over the marked elements: `ids` holds each
-    element's code id, then the id of the set X presents; `index` maps each
-    code id to its element, in element order; T_X and M_X are the frozensets
-    of the code ids of all elements and of the marked ones. The record is
-    kept on X beside `u._ref`, u's weakref to itself (u keeps no per-mewo
-    state; `union` and `singleton` store theirs), and is returned itself when
-    that is the reference stored: an identity test no new universe passes.
+def _collapse(X: Mewo, u: SetUniverse) -> tuple[Callable[[], SetUniverse | None], dict[int, int], int, frozenset[int]]:
+    """X's code record in u, the flat tuple `(u._ref, index, root, M_X)`,
+    from the collapse in u of `preds` plus a root over the marked elements.
+    `index` maps each element's code id to the element, in element order,
+    so its keys are T_X; `root` is the id of the set X presents; M_X is the
+    frozenset of the marked elements' code ids. `u._ref`, u's weakref to
+    itself, names the record's universe (u keeps no per-mewo state): the
+    record is kept on X, as `union` and `singleton` keep theirs, and returned
+    when its first field is `u._ref`, an identity test no new universe passes.
     The four decisions make that test inline; this is their miss path, and
     the one place that collapses a mewo into a record or refuses one: a
     universe or mewo of another kind is a ValidationError, coinciding codes
     (only an unvalidated `Mewo(...)` has them) an ExtensionalityError naming
     the pair; a refusal stores and interns nothing."""
     try:
-        got = X._collapsed
-        if got is not None and got[0] is u._ref:
-            return got[1]
+        if (got := X._collapsed) is not None and got[0] is u._ref:
+            return got
     except AttributeError:
         _checked(Mewo, X)
         _checked(SetUniverse, u)
@@ -210,8 +209,8 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[list[int], dict[int, int], froze
         if len(index) < X.size:  # the least shared code c: below it no code is shared, so c's elements have equal preds
             c = min(c for x, c in enumerate(ids[:-1]) if index[c] != x)
             raise ExtensionalityError(ids.index(c), index[c])  # inside the walk's block, so it interns nothing
-    got = X._collapsed = (u._ref, (ids, index, frozenset(index), frozenset(compress(ids, X.marks))))
-    return got[1]
+    got = X._collapsed = (u._ref, index, ids[-1], frozenset(compress(ids, X.marks)))
+    return got
 
 
 def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
@@ -222,9 +221,9 @@ def mewo_equal(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
         ref, rx, ry = u._ref, X._collapsed, Y._collapsed
     except AttributeError:  # a wrong kind, which _collapse refuses
         rx = ry = None
-    cx, _, codes_x, _ = rx[1] if rx and rx[0] is ref else _collapse(X, u)
-    cy, _, codes_y, _ = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
-    return cx[-1] == cy[-1] and codes_x == codes_y
+    _, index_x, root_x, _ = rx if rx and rx[0] is ref else _collapse(X, u)
+    _, index_y, root_y, _ = ry if ry and ry[0] is ref else _collapse(Y, u)
+    return root_x == root_y and index_x.keys() == index_y.keys()
 
 
 def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> SimWitness | None:
@@ -239,11 +238,11 @@ def simulation_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> SimWitness | None:
         ref, rx, ry = u._ref, X._collapsed, Y._collapsed
     except AttributeError:
         rx = ry = None
-    cx, _, codes_x, marked_x = rx[1] if rx and rx[0] is ref else _collapse(X, u)
-    _, index_y, codes_y, marked_y = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
-    if not (codes_x <= codes_y and marked_x <= marked_y):
+    _, index_x, _, marked_x = rx if rx and rx[0] is ref else _collapse(X, u)
+    _, index_y, _, marked_y = ry if ry and ry[0] is ref else _collapse(Y, u)
+    if not (marked_x <= marked_y and index_x.keys() <= index_y.keys()):  # a key view's inclusion is the dearer test
         return None
-    return SimWitness(tuple(map(index_y.__getitem__, cx[:-1])))
+    return SimWitness(tuple(map(index_y.__getitem__, index_x)))
 
 
 def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | None:
@@ -261,23 +260,23 @@ def bounded_sim_mewo(X: Mewo, Y: Mewo, u: SetUniverse) -> BoundedSimWitness | No
         covered = X._covered
     except AttributeError:
         rx = ry = covered = None
-    _, index_y, _, marked_y = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
+    _, index_y, _, marked_y = ry if ry and ry[0] is ref else _collapse(Y, u)
     if not (is_covered(X) if covered is None else covered):
         return None
-    cx = (rx[1] if rx and rx[0] is ref else _collapse(X, u))[0]
-    if cx[-1] not in marked_y:
+    _, index_x, root_x, _ = rx if rx and rx[0] is ref else _collapse(X, u)
+    if root_x not in marked_y:
         return None
-    return BoundedSimWitness(index_y[cx[-1]], tuple(map(index_y.__getitem__, cx[:-1])))
+    return BoundedSimWitness(index_y[root_x], tuple(map(index_y.__getitem__, index_x)))
 
 
 def partial_sim(X: Mewo, Y: Mewo, u: SetUniverse) -> dict[int, int] | None:
     """Map each marked x to the unique marked y with the same initial segment:
     it exists exactly when M_X <= M_Y."""
-    cx, _, _, marked_x = _collapse(X, u)
+    _, index_x, _, marked_x = _collapse(X, u)
     _, index_y, _, marked_y = _collapse(Y, u)
     if not marked_x <= marked_y:
         return None
-    return {x: index_y[cx[x]] for x in X.marked_elements()}
+    return {x: index_y[c] for c, x in index_x.items() if c in marked_x}
 
 
 def principality_check(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
@@ -290,9 +289,9 @@ def principality_check(X: Mewo, Y: Mewo, u: SetUniverse) -> bool:
         ref, rx, ry = u._ref, X._collapsed, Y._collapsed
     except AttributeError:
         rx = ry = None
-    _, _, codes_x, marked_x = rx[1] if rx and rx[0] is ref else _collapse(X, u)
-    _, _, codes_y, marked_y = ry[1] if ry and ry[0] is ref else _collapse(Y, u)
-    return codes_x <= codes_y or not marked_x <= marked_y
+    _, index_x, _, marked_x = rx if rx and rx[0] is ref else _collapse(X, u)
+    _, index_y, _, marked_y = ry if ry and ry[0] is ref else _collapse(Y, u)
+    return not marked_x <= marked_y or index_x.keys() <= index_y.keys()  # the dearer test last, as in simulation_mewo
 
 
 def singleton(X: Mewo) -> Mewo:
@@ -308,17 +307,15 @@ def singleton(X: Mewo) -> Mewo:
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
     S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
-    ref, record = X._collapsed or (lambda: None, None)
-    if (u := ref()) is not None:  # X's codes, in a live universe; by the check, the top's code is new
-        S._collapsed = (ref, _singleton_record(record, u))
+    if (record := X._collapsed) and (u := record[0]()) is not None:  # X's codes, in a live universe; the top's code is new
+        S._collapsed = _singleton_record(record, u)
     return S
 
 
 def _singleton_record(record, u: SetUniverse):
     """singleton(X)'s code record from X's; the caller knows that the top's code is new."""
-    ids, index, codes_x, _ = record
-    c = ids[-1]  # the set X presents, the code of the top
-    return ids + [u._intern_locked((c,))], {**index, c: len(index)}, codes_x | {c}, frozenset((c,))
+    _, index, c, _ = record  # c: the set X presents, the code of the top
+    return u._ref, {**index, c: len(index)}, u._intern_locked((c,)), frozenset((c,))
 
 
 def union(F: list[Mewo], u: SetUniverse) -> Mewo:
@@ -340,19 +337,19 @@ def _union_record(records: list, u: SetUniverse):
     """The union's code record from its members': each `index` in element order, the M joined."""
     index: dict[int, int] = {}  # code id -> class
     marked: set[int] = set()
-    for record in records:
-        for c in record[1]:
+    for _, member, _, member_marked in records:
+        for c in member:
             if c not in index:
                 index[c] = len(index)
-        marked |= record[3]
-    return [*index, u._intern_locked(tuple(sorted(marked)))], index, frozenset(index), frozenset(marked)
+        marked |= member_marked
+    return u._ref, index, u._intern_locked(tuple(sorted(marked))), frozenset(marked)
 
 
 def _mewo_of_record(record, u: SetUniverse) -> Mewo:
     """The mewo that `record` codes in u, keeping it: `preds` are the classes of its codes' members."""
     _, index, _, M = record
     X = Mewo(tuple([tuple(sorted(map(index.__getitem__, u._children[c]))) for c in index]), [c in M for c in index])
-    X._collapsed = (u._ref, record)
+    X._collapsed = record
     return X
 
 

@@ -56,21 +56,21 @@ class GenConfig:
 
 
 def _pair_lists(X, Y, bounded: str = "") -> tuple:
-    """`_lists` of X, then of Y: two FinOrds or two Mewos, each with a hash.
-    With `bounded`, the name of the caller, sizes past ENUM_SIM_LIMIT are refused."""
+    """`_lists` of X, then of Y: two FinOrds or two Mewos, each with a hash. Past
+    ENUM_SIM_LIMIT a `bounded` caller (its name) is refused, and any other's lists are not kept."""
     if not (type(X) is type(Y) and isinstance(X, (FinOrd, Mewo))):
         raise ValidationError("expected two FinOrds or two Mewos")
     if bounded and max(X.size, Y.size) > ENUM_SIM_LIMIT:
         raise SizeLimitError(f"{bounded} is bounded at size {ENUM_SIM_LIMIT}")
     for Z in (X, Y):
         try:
-            hash(Z)  # `_lists` caches by hash: a Mewo built with list rows has none
+            hash(Z)  # `_kept_lists` caches by hash: a Mewo built with list rows has none
         except TypeError:
             raise ValidationError(f"{Z!r} has unhashable rows; build it with validate_mewo") from None
-    return (*_lists(X), *_lists(Y))
+    read = _kept_lists if max(X.size, Y.size) <= ENUM_SIM_LIMIT else _lists
+    return (*read(X), *read(Y))
 
 
-@lru_cache(maxsize=1024)  # one list form per structure, shared by every caller: never written to
 def _lists(X) -> tuple[list[list[bool]], list[bool]]:
     """The order of X as nested lists and its marking as a list: a mewo's
     read off `preds` and `marks`, an ordinal's off its definition, x < y
@@ -82,6 +82,9 @@ def _lists(X) -> tuple[list[list[bool]], list[bool]]:
         for p in ps:
             lt[p][x] = True
     return lt, list(X.marks)
+
+
+_kept_lists = lru_cache(maxsize=1024)(_lists)  # one list form per structure within ENUM_SIM_LIMIT, shared: never written to
 
 
 def _simulations(lt_x, marked_x, lt_y, marked_y, maps) -> list[tuple[int, ...]]:

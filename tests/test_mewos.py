@@ -31,6 +31,7 @@ from hfkit import (
     mewo_from_json,
     mewo_from_text,
     mewo_of_set,
+    mewo_of_set_literal,
     mewo_to_dot,
     mewo_to_json,
     mewo_to_text,
@@ -43,6 +44,7 @@ from hfkit import (
     union,
     validate_mewo,
 )
+from hfkit import correspondence
 from hfkit.mewos import Mewo, _collapse, covered_mask, down_plus_carrier
 from hfkit.suites import (
     covering_is_principality,
@@ -439,7 +441,7 @@ def test_singleton_decides_alike_with_and_without_a_record(mewo_pool):
         after = _singleton_outcome(X)
         assert after == before and type(after) is type(before)
         if isinstance(after, Mewo):
-            assert after._collapsed[1] == _fresh_collapse(after, u)
+            assert after._collapsed == _fresh_collapse(after, u)
         kinds.add(type(after))
     assert kinds == {Mewo, tuple}
 
@@ -534,7 +536,7 @@ def test_cached_cover_agrees_with_the_code_count(mewo_pool):
         Y = Mewo(X.preds, X.marks)  # a fresh copy: no cover or codes kept yet
         covered = is_covered(Y)
         assert Y._covered is covered and is_covered(Y) is covered
-        assert covered == (len(u._below_ids(_collapse(Y, u)[0][Y.size])) == Y.size)
+        assert covered == (len(u._below_ids(set_of_mewo(Y, u).id)) == Y.size)
     assert {is_covered(X) for X in randoms} == {True, False}
 
 
@@ -584,11 +586,25 @@ def _fresh_collapse(Z, u):
     return _collapse(Mewo(Z.preds, Z.marks), u)
 
 
-def test_union_and_singleton_carry_their_codes(covered_pool, monkeypatch):
+def test_union_and_singleton_carry_their_codes(mewo_pool, covered_pool, monkeypatch):
+    # a code record is the flat (u._ref, index, root, M): index maps the codes
+    # to the elements in element order, root is the set X presents, M holds
+    # the marked codes; union, singleton and the literal store a fresh collapse's
+    u, v = SetUniverse(), SetUniverse()
+    for X in mewo_pool:
+        record = _collapse(X, u)
+        ref, index, root, marked = record
+        ids = [h.id for h in codes(X, u)]
+        assert X._collapsed is record and ref is u._ref and root == set_of_mewo(X, u).id
+        assert list(index.items()) == list(zip(ids, range(X.size))) and marked == set(itertools.compress(ids, X.marks))
+    with monkeypatch.context() as m:  # the literal walks u, which outlives it, in place of a scratch universe
+        m.setattr(correspondence, "SetUniverse", lambda: u)
+        literals = [mewo_of_set_literal(set_of_mewo(X, u)) for X in mewo_pool]
+    assert [Z._collapsed for Z in literals] == [_fresh_collapse(Z, u) for Z in literals]
+
     def refuse(*args):
         raise AssertionError("carried codes need no collapse")
 
-    u, v = SetUniverse(), SetUniverse()
     h = v.empty()
     for _ in range(10):  # so that the codes have other ids in v
         h = v.mk_set([h])
@@ -624,11 +640,11 @@ def test_a_singleton_interns_at_most_the_set_it_presents(covered_pool):
         before = len(u)
         S = singleton(X)
         assert S._collapsed[0]() is u and len(u) - before <= 1
-        ids, index, codes_s, marked = _collapse(S, u)
-        assert (ids, index, codes_s, marked) == _fresh_collapse(S, u)
-        assert marked == {_collapse(X, u)[0][-1]}  # the top's code: the set X presents
-        assert codes_s == _collapse(X, u)[2] | marked
-        assert len(u) == before or ids[-1] == before  # the one new set is the set S presents
+        assert _collapse(S, u) == _fresh_collapse(S, u)
+        marked = {h.id for h in itertools.compress(codes(S, u), S.marks)}
+        assert marked == {set_of_mewo(X, u).id}  # the top's code: the set X presents
+        assert {h.id for h in codes(S, u)} == {h.id for h in codes(X, u)} | marked
+        assert len(u) == before or set_of_mewo(S, u).id == before  # the one new set is the set S presents
 
 
 def test_a_singleton_of_a_mewo_coded_in_a_full_universe_interns_nothing(covered_pool):
@@ -660,14 +676,14 @@ def test_a_record_kept_for_a_collected_universe_is_not_read_for_a_fresh_one():
     for _ in range(50):
         X = from_ordinal(chain(3))
         old = SetUniverse()
-        stale, address = _collapse(X, old)[0], id(old)
+        stale, address = _collapse(X, old)[1], id(old)
         del old
         assert X._collapsed[0]() is None
         u = SetUniverse()
         h = u.empty()
         for _ in range(10):  # so that X's codes have other ids in u
             h = u.mk_set([h])
-        assert _collapse(X, u) == _fresh_collapse(X, u) and _collapse(X, u)[0] != stale
+        assert _collapse(X, u) == _fresh_collapse(X, u) and _collapse(X, u)[1] != stale
         assert X._collapsed[0] is u._ref
         if id(u) == address:
             break
@@ -871,7 +887,8 @@ def test_decisions_agree_with_the_oracles_in_each_cell_of_the_two_inclusions(sma
     for X, Y in pairs:
         cx, cy = codes(X, u), codes(Y, u)
         marked_x, marked_y = set(itertools.compress(cx, X.marks)), set(itertools.compress(cy, Y.marks))
-        assert _collapse(X, u)[2:] == ({h.id for h in cx}, {h.id for h in marked_x})
+        _, index, _, marked = _collapse(X, u)
+        assert (index.keys(), marked) == ({h.id for h in cx}, {h.id for h in marked_x})
         cell = (set(cx) <= set(cy), marked_x <= marked_y)
         cells.add(cell)
         decided = (simulation_mewo(X, Y, u) is not None, partial_sim(X, Y, u) is not None)

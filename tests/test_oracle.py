@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,20 @@ def test_is_simulation_refuses_what_is_not_a_map(fixtures_mewos):
             is_simulation(bullet, bullet, f)
     with pytest.raises(FormatError, match="position 1 of"):
         is_simulation(chain(3), chain(3), [0, 3, 2])
+
+
+def test_is_simulation_keeps_no_lists_past_the_enumeration_bound():
+    # is_simulation takes any size; the nested lists of a structure past
+    # ENUM_SIM_LIMIT are built for the call and freed with it, not cached
+    n = 250
+    X = Mewo(((),) + tuple((x,) for x in range(n - 1)), (True,) * n)  # a chain of direct steps
+    tracemalloc.start()
+    try:
+        assert is_simulation(X, X, tuple(range(n)))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 4 * n * n and kept < peak / 10
 
 
 def test_enum_bounded_sims(fixtures_mewos):
