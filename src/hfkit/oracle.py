@@ -13,8 +13,8 @@ cross-checks: it reads an ordinal's order off its definition (x < y when
 pos[x] < pos[y]) and a mewo's off `preds` and `marks`, never codes, and
 turns them into nested lists once per call, an ordinal as the mewo with
 every element marked; it walks pointed graphs and relations with one walk
-of its own, `_reach`. The generators build their relations as nested
-lists of bools too. `enumerate_mewos` walks only the strictly
+of its own, `_reach`. The mewo generators build their mewos and call no
+validator. `enumerate_mewos` walks only the strictly
 upper-triangular relations, 2^(n(n-1)/2) of them: every acyclic relation
 relabels to one along a topological order, so no class is missed. Each
 class is represented by the relabeling that a walk over all 2^(n(n-1))
@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import CyclicError, FormatError, SizeLimitError, ValidationError, _checked
-from .mewos import Mewo, validate_mewo
+from .mewos import Mewo
 from .ordinals import FinOrd
 from .universe import PointedGraph, SetHandle, SetUniverse
 
@@ -111,9 +111,11 @@ def is_simulation(X, Y, f) -> bool:
     elements, x1 < x2 gives f(x1) < f(x2), and everything
     below f(x2) is the image of something below x2. The one literal
     reference for the simulation witnesses of hfkit.ordinals and
-    hfkit.mewos. f must list X.size ints, each an element of Y; otherwise
-    FormatError names its first bad position."""
+    hfkit.mewos. f must be a list or tuple of X.size ints, each an element
+    of Y; otherwise FormatError says so or names its first bad position."""
     lists = _pair_lists(X, Y)
+    if not isinstance(f, (list, tuple)):
+        raise FormatError(f"not a map from {X.size} to {Y.size} elements: {f!r} is not a list or tuple")
     for i in range(max(len(f), X.size)):
         if i >= min(len(f), X.size) or type(f[i]) is not int or not 0 <= f[i] < Y.size:
             raise FormatError(f"not a map from {X.size} to {Y.size} elements: position {i} of {tuple(f)!r}")
@@ -334,11 +336,12 @@ def enumerate_mewos(size: int) -> list[Mewo]:
         lt = min(([[lt[a][b] for b in p] for a in p] for p in perms),
                  key=lambda m: [m[i][j] for i, j in reversed(slots)])
         best = [p for p in perms if tuple(lt[a][b] for a in p for b in p) == least]
+        preds = tuple(tuple(i for i in range(size) if lt[i][x]) for x in range(size))
         for mbits in range(1 << size):
             marked = [mbits >> i & 1 == 1 for i in range(size)]
             key = (least, min(tuple(marked[a] for a in p) for p in best))
             if key not in out:
-                out[key] = validate_mewo(size, lt, marked)
+                out[key] = Mewo(preds, marked)
     return [out[k] for k in sorted(out)]
 
 
@@ -362,52 +365,24 @@ def gen_random_set(cfg: GenConfig, u: SetUniverse):
 
 
 def gen_random_mewo(cfg: GenConfig, covered_only: bool = False):
-    """Reproducible stream of valid mewos.
-
-    Draws a random acyclic relation, then repairs extensionality by
-    merging equal-predecessor elements until none remain, and finally
-    assigns a random marking. With covered_only, structures whose marking
-    does not cover are skipped. Only cfg.seed, cfg.max_width and cfg.count
-    are read: cfg.max_depth does nothing here.
-    """
+    """Reproducible stream of valid mewos, each drawn as a transitive family:
+    each of a random number of attempts keeps every earlier element below a
+    new one with probability 0.45, and adds it unless its predecessor tuple
+    was drawn already, so the order is wellfounded and extensional as drawn.
+    Elements are marked with probability 0.6. With covered_only, mewos that
+    `_reach` from the marked elements does not cover are skipped, after the
+    same draws. Only cfg.seed, cfg.max_width and cfg.count are read."""
     rng = random.Random(_checked(GenConfig, cfg).seed)
     produced = 0
     while produced < cfg.count:
-        n = rng.randint(0, max(1, cfg.max_width))
-        lt = [[False] * n for _ in range(n)]
-        for j in range(n):
-            for i in range(j):
-                if rng.random() < 0.45:
-                    lt[i][j] = True
-        lt = _collapse_to_extensional(lt)
-        m = len(lt)
-        marked = [rng.random() < 0.6 for _ in range(m)]
-        if covered_only and not _covers(lt, marked):
+        preds: list[tuple[int, ...]] = []
+        for _ in range(rng.randint(0, max(1, cfg.max_width))):
+            ps = tuple(p for p in range(len(preds)) if rng.random() < 0.45)
+            if ps not in preds:
+                preds.append(ps)
+        marks = [rng.random() < 0.6 for _ in preds]
+        tops = [x for x, m in enumerate(marks) if m]
+        if covered_only and len(_reach(lambda v: preds[v], tops)) < len(preds):
             continue
         produced += 1
-        yield validate_mewo(m, lt, marked)
-
-
-def _covers(lt: list[list[bool]], marked: list[bool]) -> bool:
-    """Is every element marked or transitively below a marked element, read
-    off the nested lists: the reference for hfkit.mewos.is_covered."""
-    covered = set()
-    for b, m in enumerate(marked):
-        if m:
-            covered.add(b)
-            covered.update(_below_transitively(lt, b))
-    return len(covered) == len(marked)
-
-
-def _collapse_to_extensional(lt: list[list[bool]]) -> list[list[bool]]:
-    """Merge each element into the first with the same predecessors, until no two share them."""
-    while True:
-        cols = [tuple(row[x] for row in lt) for x in range(len(lt))]
-        drop = next((x for x, col in enumerate(cols) if col in cols[:x]), None)
-        if drop is None:
-            return lt
-        keep = cols.index(cols[drop])
-        # successors of the dropped element fold into the kept one
-        lt[keep] = [a or b for a, b in zip(lt[keep], lt[drop])]
-        live = [i for i in range(len(lt)) if i != drop]
-        lt = [[lt[i][j] for j in live] for i in live]
+        yield Mewo(tuple(preds), marks)

@@ -110,6 +110,10 @@ def test_is_simulation_refuses_what_is_not_a_map(fixtures_mewos):
             is_simulation(bullet, bullet, f)
     with pytest.raises(FormatError, match="position 1 of"):
         is_simulation(chain(3), chain(3), [0, 3, 2])
+    # a map with no length, or an iterator, is no list of ints either
+    for f in (None, 5, iter([0, 1])):
+        with pytest.raises(FormatError, match="is not a list or tuple$"):
+            is_simulation(bullet, bullet, f)
 
 
 def test_is_simulation_keeps_no_lists_past_the_enumeration_bound():
@@ -197,6 +201,9 @@ def test_enumerate_mewos_at_size_5():
     assert len(set(sets)) == 1248
     for X, h in zip(covered, sets):
         assert mewo_equal(X, mewo_of_set(h), u)
+    # enumerate_mewos builds its mewos without the validator: each passes it
+    for X in pool:
+        assert validate_mewo(X.size, rows(X), X.marks) == X
 
 
 def test_enumerate_mewos_tests_one_relation_per_upper_triangle(monkeypatch):
@@ -240,6 +247,13 @@ def test_gen_random_mewo_reproducible_and_valid():
     assert a == b
     for m in gen_random_mewo(cfg):
         assert relabeled(m, range(m.size)) == m
+    # the stream is no run of trivial mewos: its sizes reach max_width, it
+    # holds covered and uncovered mewos, and some direct relation is not
+    # transitive
+    spread = list(gen_random_mewo(GenConfig(seed=16, max_width=6, count=200)))
+    assert max(m.size for m in spread) == 6
+    assert {is_covered(m) for m in spread} == {True, False}
+    assert any(not set(m.preds[p]) <= set(ps) for m in spread for ps in m.preds for p in ps)
 
 
 def test_gen_random_mewo_covered_filter():
@@ -271,10 +285,10 @@ def test_oracle_borrows_no_fast_path_helper():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in FAST_PATH_MODULES
         for alias in node.names
     }
-    assert {"SetUniverse", "FinOrd", "Mewo", "validate_mewo"} <= borrowed
+    assert {"SetUniverse", "FinOrd", "Mewo"} <= borrowed
     assert [name for name in borrowed if name.startswith("_")] == []
-    # data types and the validator, no decision: not even is_covered
-    assert borrowed <= {"SetUniverse", "SetHandle", "PointedGraph", "FinOrd", "Mewo", "validate_mewo"}
+    # data types only: no validator and no decision, not even is_covered
+    assert borrowed <= {"SetUniverse", "SetHandle", "PointedGraph", "FinOrd", "Mewo"}
     private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
     assert private == []
 
