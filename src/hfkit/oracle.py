@@ -111,11 +111,13 @@ def is_simulation(X, Y, f) -> bool:
     elements, x1 < x2 gives f(x1) < f(x2), and everything
     below f(x2) is the image of something below x2. The one literal
     reference for the simulation witnesses of hfkit.ordinals and
-    hfkit.mewos. f must be a list or tuple of X.size ints, each an element
-    of Y; otherwise FormatError says so or names its first bad position."""
+    hfkit.mewos. f must list X.size ints, each an element of Y; otherwise
+    FormatError says it has no length or names its first bad position."""
     lists = _pair_lists(X, Y)
-    if not isinstance(f, (list, tuple)):
-        raise FormatError(f"not a map from {X.size} to {Y.size} elements: {f!r} is not a list or tuple")
+    try:
+        len(f)
+    except TypeError:
+        raise FormatError(f"not a map from {X.size} to {Y.size} elements: {f!r} has no length") from None
     for i in range(max(len(f), X.size)):
         if i >= min(len(f), X.size) or type(f[i]) is not int or not 0 <= f[i] < Y.size:
             raise FormatError(f"not a map from {X.size} to {Y.size} elements: position {i} of {tuple(f)!r}")

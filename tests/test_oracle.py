@@ -110,10 +110,12 @@ def test_is_simulation_refuses_what_is_not_a_map(fixtures_mewos):
             is_simulation(bullet, bullet, f)
     with pytest.raises(FormatError, match="position 1 of"):
         is_simulation(chain(3), chain(3), [0, 3, 2])
-    # a map with no length, or an iterator, is no list of ints either
+    # a map with no length, or an iterator, is no list of ints either; any
+    # other sequence of ints is read as one
     for f in (None, 5, iter([0, 1])):
-        with pytest.raises(FormatError, match="is not a list or tuple$"):
+        with pytest.raises(FormatError, match="has no length$"):
             is_simulation(bullet, bullet, f)
+    assert is_simulation(chain(3), chain(3), range(3))
 
 
 def test_is_simulation_keeps_no_lists_past_the_enumeration_bound():
@@ -254,6 +256,8 @@ def test_gen_random_mewo_reproducible_and_valid():
     assert max(m.size for m in spread) == 6
     assert {is_covered(m) for m in spread} == {True, False}
     assert any(not set(m.preds[p]) <= set(ps) for m in spread for ps in m.preds for p in ps)
+    for m in spread:
+        assert relabeled(m, range(m.size)) == m
 
 
 def test_gen_random_mewo_covered_filter():
