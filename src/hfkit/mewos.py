@@ -30,9 +30,10 @@ X's one code record, kept for the last universe, holds T_X as the keys of
 its index and M_X as a frozenset. Each decision tests its operands'
 records inline, one identity test each: on cached codes it calls nothing,
 compares key views and frozensets and builds only its witness. A miss or
-a wrong kind goes to `_collapse`; `union` and `singleton` map records to
-records by record steps, which the literal recursion walks to build one
-mewo, at the root. Every decision and `union` take the caller's universe;
+a wrong kind goes to `_collapse`. `union` maps its members' records to its
+own by a record step; `singleton` reads only `preds` and marks, and its
+record step serves the literal recursion alone. Every decision and `union`
+take the caller's universe, and no operation reaches another one;
 hfkit.oracle's brute-force searches stay the authoritative cross-check. A
 mewo or a universe of another kind is a ValidationError naming that kind.
 """
@@ -190,8 +191,8 @@ def _collapse(X: Mewo, u: SetUniverse) -> tuple[Callable[[], SetUniverse | None]
     so its keys are T_X; `root` is the id of the set X presents; M_X is the
     frozenset of the marked elements' code ids. `u._ref`, u's weakref to
     itself, names the record's universe (u keeps no per-mewo state): the
-    record is kept on X, as `union` and `singleton` keep theirs, and returned
-    when its first field is `u._ref`, an identity test no new universe passes.
+    record is kept on X, as `union` keeps its own, and returned when its
+    first field is `u._ref`, an identity test no new universe passes.
     The four decisions make that test inline; this is their miss path, and
     the one place that collapses a mewo into a record or refuses one: a
     universe or mewo of another kind is a ValidationError, coinciding codes
@@ -299,21 +300,16 @@ def singleton(X: Mewo) -> Mewo:
 
     For a non-covered X the result can fail extensionality (an uncovered
     element and the new top may share predecessor sets); the failure is
-    reported rather than repaired. If X has codes in a live universe, the
-    result's record is X's through the singleton record step, which interns
-    the set it presents: `LimitExceededError` at the node limit. The literal
-    recursion walks records through this step and `union`'s."""
+    reported rather than repaired. The result depends on `preds` and marks
+    alone: it carries no code record and touches no universe."""
     top = tuple(_checked(Mewo, X).marked_elements())
     if top in X.preds:
         raise ExtensionalityError(X.preds.index(top), X.size)
-    S = Mewo(X.preds + (top,), (False,) * X.size + (True,))
-    if (record := X._collapsed) and (u := record[0]()) is not None:  # X's codes, in a live universe; the top's code is new
-        S._collapsed = _singleton_record(record, u)
-    return S
+    return Mewo(X.preds + (top,), (False,) * X.size + (True,))
 
 
 def _singleton_record(record, u: SetUniverse):
-    """singleton(X)'s code record from X's; the caller knows that the top's code is new."""
+    """The code record of X's singleton from X's, the literal's step; the caller knows that the top's code is new."""
     _, index, c, _ = record  # c: the set X presents, the code of the top
     return u._ref, {**index, c: len(index)}, u._intern_locked((c,)), frozenset((c,))
 

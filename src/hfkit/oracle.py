@@ -291,8 +291,8 @@ def mem_raw(x: PointedGraph, y: PointedGraph) -> bool:
 
 def enumerate_v(level: int, u: SetUniverse) -> list[SetHandle]:
     """All sets of rank below `level`; sizes 0, 1, 2, 4, 16, 65536."""
-    if _checked(int, level) > ENUM_V_LIMIT:
-        raise SizeLimitError(f"enumerate_v is bounded at level {ENUM_V_LIMIT}")
+    if not 0 <= _checked(int, level) <= ENUM_V_LIMIT:
+        raise SizeLimitError(f"enumerate_v is bounded at levels 0 to {ENUM_V_LIMIT}, not {level}")
     stage: list[SetHandle] = []
     for _ in range(level):
         stage = [

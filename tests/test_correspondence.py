@@ -76,7 +76,8 @@ from hfkit import (
     validate_mewo,
     validate_ord,
 )
-from hfkit.mewos import Mewo, covered_mask
+from hfkit import correspondence
+from hfkit.mewos import Mewo, _collapse, covered_mask
 from hfkit.suites import _relabeled, mewo_transport, order_transport, ordinal_roundtrips, set_mewo_roundtrips
 from conftest import relabeled
 
@@ -329,21 +330,27 @@ def test_mewo_of_set_literal_equals_the_fast_path(u):
         assert mewo_equal(mewo_of_set_literal(h), mewo_of_set(h), u)
 
 
-def _literal_through_the_public_steps(h):
+def _literal_through_the_public_steps(h, scratch):
     """The literal recursion through the public `singleton` and `union`, one mewo per step."""
     *nodes, top = export_slice(h)["nodes"]
-    scratch = SetUniverse()
     singletons = []
     for kids in nodes:
         singletons.append(singleton(union([singletons[c] for c in kids], scratch)))
     return union([singletons[c] for c in top], scratch)
 
 
-def test_mewo_of_set_literal_is_the_recursion_through_the_public_steps(u):
-    # both make the same interns in a fresh universe, so even their records' ids agree
+def test_mewo_of_set_literal_is_the_recursion_through_the_public_steps(u, monkeypatch):
+    # the same mewo. `union` collapses each uncoded singleton, so the two
+    # intern in other orders and their ids differ: each record is a fresh
+    # collapse's in the universe it names, which the test keeps alive
+    kept = []
+    monkeypatch.setattr(correspondence, "SetUniverse", lambda: kept.append(SetUniverse()) or kept[-1])
     for h in enumerate_v(4, u) + list(gen_random_set(GenConfig(seed=13, max_width=4, max_depth=4, count=60), u)):
-        X, Y = mewo_of_set_literal(h), _literal_through_the_public_steps(h)
-        assert X == Y and X._collapsed[1:] == Y._collapsed[1:]
+        scratch = SetUniverse()
+        X, Y = mewo_of_set_literal(h), _literal_through_the_public_steps(h, scratch)
+        assert X == Y and X._collapsed[0]() is kept[-1] and Y._collapsed[0]() is scratch
+        for Z in (X, Y):
+            assert Z._collapsed == _collapse(Mewo(Z.preds, Z.marks), Z._collapsed[0]())
 
 
 def test_mewo_of_set_literal_builds_one_mewo(u, monkeypatch):
@@ -369,7 +376,8 @@ def test_values_survive_copies_and_pickles_after_a_decision(u):
               bounded_sim(chain(2), chain(3)), simulation_mewo(X, Y, u), bounded_sim_mewo(X, Y, u),
               partial_sim(X, Y, u), rank_quotient(h, u.elements(h)), PointedGraph.make([[1], []]),
               GenConfig(seed=1)]
-    assert mewo_equal(X, Y, u) is False and all(Z._collapsed[0]() is u for Z in values[:4])
+    assert mewo_equal(X, Y, u) is False and all(Z._collapsed[0]() is u for Z in values[:3])
+    assert values[3]._collapsed is None  # a singleton carries no record
     for value in values:
         assert copy.copy(value) == value and copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
@@ -542,6 +550,7 @@ def test_no_mewo_operation_takes_none_for_a_universe(call):
     pytest.param(lambda u: enumerate_v("a", u), ValidationError, id="enumerate_v(str)"),
     pytest.param(lambda u: enumerate_mewos(None), ValidationError, id="enumerate_mewos(None)"),
     pytest.param(lambda u: enumerate_mewos(-1), SizeLimitError, id="enumerate_mewos(-1)"),
+    pytest.param(lambda u: enumerate_v(-1, u), SizeLimitError, id="enumerate_v(-1)"),
     pytest.param(lambda u: SetUniverse(node_limit="x"), ValidationError, id="SetUniverse(node_limit=str)"),
     pytest.param(lambda u: Session("x"), ValidationError, id="Session(universe=str)"),
     pytest.param(lambda u: GenConfig(seed=1, count=None), ValidationError, id="GenConfig(count=None)"),

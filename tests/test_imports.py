@@ -145,13 +145,17 @@ def test_no_borrowed_internal(module):
 
 
 def universes_made_up(source: str) -> list[str]:
-    """The places where `source` makes a universe of its own: a call of
-    `SetUniverse`, or a public function that gives a parameter `u` a default."""
+    """The places where `source` makes or fetches a universe of its own: a
+    call of `SetUniverse`, a call of a subscript (a universe read back
+    through a code record's weakref, `record[0]()`), or a public function
+    that gives a parameter `u` a default."""
     found = []
     for node in ast.walk(ast.parse(source)):
         called = isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
         if called == "SetUniverse":
             found.append((node.lineno, "SetUniverse()"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Subscript):
+            found.append((node.lineno, f"{ast.unparse(node.func)}()"))
         elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             params = node.args.posonlyargs + node.args.args
             defaulted = params[len(params) - len(node.args.defaults):]
@@ -163,10 +167,11 @@ def universes_made_up(source: str) -> list[str]:
 
 def test_the_check_sees_a_universe_made_up():
     source = ("def f(X, u=None):\n    u = u if u is not None else SetUniverse()\n"
-              "def g(X, *, u=None): pass\ndef _h(u=None): pass\ndef k(X, u, v=1): hfkit.SetUniverse()\n")
+              "def g(X, *, u=None): pass\ndef _h(u=None): pass\ndef k(X, u, v=1): hfkit.SetUniverse()\n"
+              "def _s(X):\n    if (record := X._collapsed) and (u := record[0]()) is not None: pass\n")
     assert universes_made_up(source) == ["f(u=...) (line 1)", "SetUniverse() (line 2)", "g(u=...) (line 3)",
-                                         "SetUniverse() (line 5)"]
-    assert universes_made_up("def f(X, u, n=0): return SetUniverse\n") == []
+                                         "SetUniverse() (line 5)", "record[0]() (line 7)"]
+    assert universes_made_up("def f(X, u, n=0): return SetUniverse, X._collapsed[0], u._ref()\n") == []
 
 
 def test_the_mewo_operations_take_their_callers_universe():

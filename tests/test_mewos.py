@@ -12,7 +12,6 @@ from hfkit import (
     CyclicError,
     ExtensionalityError,
     GenConfig,
-    LimitExceededError,
     PointedGraph,
     SetUniverse,
     ValidationError,
@@ -22,6 +21,7 @@ from hfkit import (
     codes,
     covered_part,
     down_plus,
+    enumerate_mewos,
     from_ordinal,
     gen_random_mewo,
     is_covered,
@@ -272,7 +272,12 @@ def test_simulation_identity(fixtures_mewos, u):
 
 
 def test_simulation_agrees_with_oracle(small_mewo_pool):
-    assert mewo_decisions_match_oracle(SetUniverse(), itertools.product(small_mewo_pool, repeat=2)) == []
+    # at the size-5 boundary: 60 seeded mewos of size 5 against the size <= 3 pool, in both directions
+    sample = random.Random(5).sample(enumerate_mewos(5), 60)
+    pairs = [p for X in sample for Y in small_mewo_pool for p in ((X, Y), (Y, X))]
+    u = SetUniverse()
+    assert mewo_decisions_match_oracle(u, pairs) == []
+    assert 0 < sum(simulation_mewo(X, Y, u) is not None for X, Y in pairs) < len(pairs) == 2760  # 545 at seed 5
 
 
 def test_simulations_compose_and_are_antisymmetric(small_mewo_pool):
@@ -401,8 +406,7 @@ def test_singleton_of_covered_is_covered(covered_pool):
 
 def test_singleton_keeps_the_validator_witness(mewo_pool):
     # the new top clashes with the element whose predecessors are the marked
-    # ones, for a copy without codes and for one coded in a live universe,
-    # whose singleton also carries codes
+    # ones, for a copy without codes and for one coded in a live universe alike
     u = SetUniverse()
     for X in mewo_pool:
         lt = [row + [mark] for row, mark in zip(rows(X), X.marks)] + [[False] * (X.size + 1)]
@@ -429,20 +433,30 @@ def _singleton_outcome(X):
 
 
 def test_singleton_decides_alike_with_and_without_a_record(mewo_pool):
-    # without a record and with one (which the singleton record step then
-    # extends): the same refusal, or the same mewo with a fresh collapse's record
-    u, kinds = SetUniverse(), set()
-    for X in mewo_pool:
-        if is_covered(X):
-            continue
-        X = Mewo(X.preds, X.marks)  # a copy that carries no record
-        before = _singleton_outcome(X)
-        _collapse(X, u)
-        after = _singleton_outcome(X)
-        assert after == before and type(after) is type(before)
-        if isinstance(after, Mewo):
-            assert after._collapsed == _fresh_collapse(after, u)
-        kinds.add(type(after))
+    # singleton reads preds and marks alone. Four copies of each mewo: bare,
+    # coded in a live universe, coded in a universe its codes fill to the
+    # node limit, and coded in a universe since collected. All four give the
+    # same mewo, which carries no record, or the same refused pair, and no
+    # universe grows
+    live, gone, full = SetUniverse(), SetUniverse(), []
+    copies = [[Mewo(X.preds, X.marks) for _ in range(4)] for X in mewo_pool]
+    for _, coded, filled, orphan in copies:
+        _collapse(coded, live)
+        probe = SetUniverse()
+        _collapse(filled, probe)
+        full.append(SetUniverse(node_limit=len(probe)))
+        _collapse(filled, full[-1])
+        _collapse(orphan, gone)
+    del gone
+    gc.collect()
+    assert all(orphan._collapsed[0]() is None for *_, orphan in copies)
+    sizes, kinds = [len(v) for v in [live] + full], set()
+    for four in copies:
+        outcomes = [_singleton_outcome(Y) for Y in four]
+        assert all(got == outcomes[0] and type(got) is type(outcomes[0]) for got in outcomes)
+        assert all(got._collapsed is None for got in outcomes if isinstance(got, Mewo))
+        kinds.add(type(outcomes[0]))
+    assert [len(v) for v in [live] + full] == sizes
     assert kinds == {Mewo, tuple}
 
 
@@ -589,7 +603,8 @@ def _fresh_collapse(Z, u):
 def test_union_and_singleton_carry_their_codes(mewo_pool, covered_pool, monkeypatch):
     # a code record is the flat (u._ref, index, root, M): index maps the codes
     # to the elements in element order, root is the set X presents, M holds
-    # the marked codes; union, singleton and the literal store a fresh collapse's
+    # the marked codes; union and the literal store a fresh collapse's, and
+    # singleton stores none
     u, v = SetUniverse(), SetUniverse()
     for X in mewo_pool:
         record = _collapse(X, u)
@@ -616,14 +631,15 @@ def test_union_and_singleton_carry_their_codes(mewo_pool, covered_pool, monkeypa
             m.setattr(u, "_collapse_ids", refuse)
             Z = union(fam, u)
             S = singleton(Z)
-            carried = [_collapse(Z, u), _collapse(S, u)]
-        assert carried == [_fresh_collapse(Z, u), _fresh_collapse(S, u)]
+            carried = _collapse(Z, u)
+        assert S._collapsed is None
+        assert [carried, _collapse(S, u)] == [_fresh_collapse(Z, u), _fresh_collapse(S, u)]
         assert [_collapse(Z, v), _collapse(S, v)] == [_fresh_collapse(Z, v), _fresh_collapse(S, v)]
 
 
 def test_a_singleton_of_an_uncoded_singleton_codes_like_a_fresh_copy(covered_pool):
-    # S1 stores the codes of X plus its top's when it is built, and S2
-    # extends those once more: two tops, each coded as the set below it presents
+    # neither singleton carries codes, though X does: S2's collapse codes
+    # its two tops, each as the set below it presents, as a fresh copy's does
     u = SetUniverse()
     for X in covered_pool:
         _collapse(X, u)
@@ -634,13 +650,12 @@ def test_a_singleton_of_an_uncoded_singleton_codes_like_a_fresh_copy(covered_poo
 def test_a_singleton_interns_at_most_the_set_it_presents(covered_pool):
     u = SetUniverse()
     for X in covered_pool:
-        X = Mewo(X.preds, X.marks)  # a copy that carries no codes
-        assert singleton(X)._collapsed is None  # so its singleton has none to store
+        X = Mewo(X.preds, X.marks)  # a fresh copy, then coded in u
         codes(X, u)
         before = len(u)
         S = singleton(X)
-        assert S._collapsed[0]() is u and len(u) - before <= 1
-        assert _collapse(S, u) == _fresh_collapse(S, u)
+        assert S._collapsed is None and len(u) == before  # the call interns nothing
+        assert _collapse(S, u) == _fresh_collapse(S, u) and len(u) - before <= 1
         marked = {h.id for h in itertools.compress(codes(S, u), S.marks)}
         assert marked == {set_of_mewo(X, u).id}  # the top's code: the set X presents
         assert {h.id for h in codes(S, u)} == {h.id for h in codes(X, u)} | marked
@@ -653,8 +668,8 @@ def test_a_singleton_of_a_mewo_coded_in_a_full_universe_interns_nothing(covered_
         codes(X, probe)
         u = SetUniverse(node_limit=len(probe))  # the sets coding X fill it
         codes(X, u)
-        with pytest.raises(LimitExceededError):
-            singleton(X)
+        S = singleton(X)  # the bare copy's result: the call reads no record
+        assert S == singleton(Mewo(X.preds, X.marks)) and S._collapsed is None
         assert len(u) == len(probe)
 
 
